@@ -5,33 +5,33 @@
 //       ~5 / 4.5 / 3.5 m for QAM-16/64/256.
 //   (b) CH4: everything shifts closer; QAM-256 works from ~1 m.
 //
-// The trial grid (distance x scheme x seed) runs through the deterministic
-// parallel sweep engine: every trial is seeded independently, so the table
-// is bit-identical for any SLEDZIG_THREADS value.
+// Every trial is one run of the discrete-event engine on the paper's
+// two-node testbed (sim::two_node_paper_scenario).  The trial grid
+// (distance x scheme x seed) runs through the deterministic parallel sweep
+// engine: every trial is seeded independently, so the table is
+// bit-identical for any SLEDZIG_THREADS value.
 #include <array>
 
 #include "bench_util.h"
-#include "coex/experiment.h"
 #include "common/parallel.h"
 #include "common/stats.h"
+#include "sim/engine.h"
 
 using namespace sledzig;
-using coex::Scenario;
-using coex::Scheme;
 
 namespace {
 
 struct Column {
   wifi::Modulation m;
   wifi::CodingRate r;
-  Scheme scheme;
+  bool sledzig_on;
 };
 
 constexpr std::array<Column, 4> kColumns = {{
-    {wifi::Modulation::kQam64, wifi::CodingRate::kR23, Scheme::kNormalWifi},
-    {wifi::Modulation::kQam16, wifi::CodingRate::kR12, Scheme::kSledzig},
-    {wifi::Modulation::kQam64, wifi::CodingRate::kR23, Scheme::kSledzig},
-    {wifi::Modulation::kQam256, wifi::CodingRate::kR34, Scheme::kSledzig},
+    {wifi::Modulation::kQam64, wifi::CodingRate::kR23, false},
+    {wifi::Modulation::kQam16, wifi::CodingRate::kR12, true},
+    {wifi::Modulation::kQam64, wifi::CodingRate::kR23, true},
+    {wifi::Modulation::kQam256, wifi::CodingRate::kR34, true},
 }};
 
 constexpr std::array<double, 11> kDistances = {1.0, 2.0, 3.0, 3.5, 4.0, 4.5,
@@ -46,14 +46,11 @@ void sweep(core::OverlapChannel ch, const char* label) {
       common::parallel_map(cells * kSeeds, [&](std::size_t i) {
         const std::size_t cell = i / kSeeds;
         const Column& col = kColumns[cell % kColumns.size()];
-        Scenario s;
-        s.sledzig = core::SledzigConfig{col.m, col.r, ch};
-        s.scheme = col.scheme;
-        s.d_wz_m = kDistances[cell / kColumns.size()];
-        s.d_z_m = 1.0;
-        s.duration_s = 20.0;
-        s.seed = 1 + i % kSeeds;
-        return coex::run_throughput_experiment(s).throughput_kbps;
+        const auto cfg = sim::two_node_paper_scenario(
+            core::SledzigConfig{col.m, col.r, ch}, col.sledzig_on,
+            /*wifi_duty_ratio=*/1.0, kDistances[cell / kColumns.size()],
+            /*d_z_m=*/1.0, /*duration_s=*/20.0, /*seed=*/1 + i % kSeeds);
+        return sim::run_scenario(cfg).zigbee[0].throughput_kbps;
       });
 
   bench::title(std::string("Fig 14") + label);

@@ -1,7 +1,8 @@
 // Machine-readable hot-path benchmark: kernel ns/op plus an end-to-end
-// Monte-Carlo sweep timed serial vs. pooled, written as JSON (default
-// BENCH_hotpath.json, override with argv[1]).  Committed snapshots of this
-// file let later PRs regress wall-time without re-reading bench logs.
+// Monte-Carlo sweep of discrete-event engine runs timed serial vs. pooled,
+// written as JSON (default BENCH_hotpath.json, override with argv[1]).
+// Committed snapshots of this file let later PRs regress wall-time without
+// re-reading bench logs.
 //
 // Every timed section re-checks bit-identity between the serial and pooled
 // sweep so a speed regression fix can never silently trade determinism
@@ -13,11 +14,11 @@
 #include <vector>
 
 #include "channel/medium.h"
-#include "coex/experiment.h"
 #include "common/dsp.h"
 #include "common/fft.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "sim/engine.h"
 #include "sledzig/encoder.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
@@ -54,25 +55,23 @@ struct Entry {
   const char* unit;
 };
 
-/// The fig14-style end-to-end sweep (one channel, reduced duration), used
-/// to time the whole trial pipeline through a given pool.
+/// The fig14-style end-to-end sweep (one channel, saturated SledZig WiFi),
+/// run on the discrete-event engine to time the whole trial pipeline
+/// through a given pool.
 std::vector<double> sweep_throughput(common::ThreadPool& pool) {
   const double distances[] = {1.0, 3.0, 5.0, 7.0, 10.0};
   // Enough trials that the serial sweep takes O(seconds): the JSON reports
   // the times in milliseconds, so a sub-tenth-of-a-second sweep would
   // quantize both arms into the same bucket and fake a 1.0x speedup.
   const std::size_t seeds = 8;
-  return common::parallel_map(pool, std::size(distances) * seeds,
-                              [&](std::size_t i) {
-                                coex::Scenario s;
-                                s.scheme = coex::Scheme::kSledzig;
-                                s.d_wz_m = distances[i / seeds];
-                                s.d_z_m = 1.0;
-                                s.duration_s = 30.0;
-                                s.seed = 1 + i % seeds;
-                                return coex::run_throughput_experiment(s)
-                                    .throughput_kbps;
-                              });
+  return common::parallel_map(
+      pool, std::size(distances) * seeds, [&](std::size_t i) {
+        const auto cfg = sim::two_node_paper_scenario(
+            core::SledzigConfig{}, /*sledzig_on=*/true,
+            /*wifi_duty_ratio=*/1.0, distances[i / seeds], /*d_z_m=*/1.0,
+            /*duration_s=*/30.0, /*seed=*/1 + i % seeds);
+        return sim::run_scenario(cfg).zigbee[0].throughput_kbps;
+      });
 }
 
 }  // namespace

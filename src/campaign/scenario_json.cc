@@ -246,7 +246,6 @@ JsonValue wifi_mac_to_json(const mac::WifiMacParams& m) {
   o.emplace_back("cw", JsonValue(static_cast<double>(m.cw)));
   o.emplace_back("preamble_us", JsonValue(m.preamble_us));
   o.emplace_back("airtime_us", JsonValue(m.airtime_us));
-  o.emplace_back("duty_ratio", JsonValue(m.duty_ratio));
   return JsonValue(std::move(o));
 }
 
@@ -263,7 +262,6 @@ JsonValue zigbee_mac_to_json(const mac::ZigbeeMacParams& m) {
   o.emplace_back("ack_wait_us", JsonValue(m.ack_wait_us));
   o.emplace_back("payload_octets",
                  JsonValue(static_cast<double>(m.payload_octets)));
-  o.emplace_back("processing_us", JsonValue(m.processing_us));
   return JsonValue(std::move(o));
 }
 
@@ -428,7 +426,6 @@ void wifi_node_from_json(const JsonValue& v, const std::string& path,
       mr.get("cw", &out->mac.cw);
       mr.get("preamble_us", &out->mac.preamble_us);
       mr.get("airtime_us", &out->mac.airtime_us);
-      mr.get("duty_ratio", &out->mac.duty_ratio);
       mr.finish();
     }
   }
@@ -459,7 +456,6 @@ void zigbee_node_from_json(const JsonValue& v, const std::string& path,
       mr.get("max_frame_retries", &out->mac.max_frame_retries);
       mr.get("ack_wait_us", &out->mac.ack_wait_us);
       mr.get("payload_octets", &out->mac.payload_octets);
-      mr.get("processing_us", &out->mac.processing_us);
       mr.finish();
     }
   }

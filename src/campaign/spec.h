@@ -10,7 +10,7 @@
 //     "scenario": { ...scenario JSON (scenario_json.h)... },
 //     "grid": [
 //       {"path": "sledzig_enabled", "values": [false, true]},
-//       {"path": "wifi[0].mac.duty_ratio", "values": [0.2, 0.5, 0.8]}
+//       {"path": "wifi[0].traffic.duty_ratio", "values": [0.2, 0.5, 0.8]}
 //     ]
 //   }
 //

@@ -13,22 +13,6 @@
 
 namespace sledzig::coex {
 
-mac::ZigbeeLinkBudget scenario_link_budget(const Scenario& s) {
-  const auto zigbee_link = channel::zigbee_link();
-
-  mac::ZigbeeLinkBudget budget;
-  budget.signal_dbm = zigbee_link.received_power_dbm(
-      zigbee::tx_power_dbm(s.zigbee_gain), s.d_z_m);
-  budget.noise_dbm = channel::kNoiseFloor2MhzDbm;
-  budget.cca_threshold_dbm = channel::kZigbeeCcaThresholdDbm;
-
-  const auto inband =
-      wifi_inband_power(s.sledzig, s.scheme, s.wifi_gain, s.d_wz_m);
-  budget.wifi_payload_inband_dbm = inband.payload_dbm;
-  budget.wifi_preamble_inband_dbm = inband.preamble_dbm;
-  return budget;
-}
-
 WifiInbandPower wifi_inband_power(const core::SledzigConfig& cfg,
                                   Scheme scheme, double wifi_gain,
                                   double distance_m) {
@@ -38,30 +22,6 @@ WifiInbandPower wifi_inband_power(const core::SledzigConfig& cfg,
       measure_inband_offsets(cfg, scheme == Scheme::kSledzig);
   return {wifi_total + offsets.payload_offset_db,
           wifi_total + offsets.preamble_offset_db};
-}
-
-mac::ZigbeeSimResult run_throughput_experiment(const Scenario& s) {
-  SLEDZIG_PROF_SCOPE("coex.run_throughput_experiment");
-  common::Rng rng(s.seed);
-  mac::WifiMacParams wifi_mac = s.wifi_mac;
-  wifi_mac.duty_ratio = s.wifi_duty_ratio;
-  const mac::WifiTimeline timeline(wifi_mac, s.duration_s * 1e6, rng);
-
-  auto budget = scenario_link_budget(s);
-  // Lognormal shadowing jitter per run (the paper's 1-3 dB RSSI variation);
-  // the WiFi payload and preamble share one path, so one jitter draw.
-  budget.signal_dbm +=
-      common::Db{rng.gaussian(channel::kShadowingSigmaDb.value())};
-  // No sample domain here: fold the impairment chain into the link budget
-  // as its first-order SNR penalty on the ZigBee signal.
-  budget.signal_dbm -= common::Db{s.impairment.snr_penalty_db()};
-  const common::Db wifi_jitter{
-      rng.gaussian(channel::kShadowingSigmaDb.value())};
-  budget.wifi_payload_inband_dbm += wifi_jitter;
-  budget.wifi_preamble_inband_dbm += wifi_jitter;
-
-  return mac::simulate_zigbee_link(timeline, s.zigbee_mac, budget,
-                                   s.error_model, rng);
 }
 
 namespace {

@@ -1,19 +1,22 @@
-// High-level experiment harness reproducing the paper's Fig 10 testbed:
-// one WiFi link and one ZigBee link at configurable geometry, with SledZig
-// on or off.
+// Sample-domain measurements on the paper's Fig 10 testbed (one WiFi link
+// and one ZigBee link, SledZig on or off), plus the PHY-measured in-band
+// WiFi power the discrete-event engine (src/sim) builds its link tables
+// from.
 //
 // RSSI experiments (Figs 11-13, 17) run fully in the sample domain: real
 // transmit chains, calibrated path loss, AWGN and band-power measurement.
-// Throughput experiments (Figs 14-16) run the discrete-event MAC with link
-// budgets derived from the same calibrated models plus PHY-measured in-band
-// offsets.
+// Throughput experiments (Figs 14-16) run on the engine
+// (sim::two_node_paper_scenario), whose power tables come from
+// wifi_inband_power below.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "channel/impairments.h"
 #include "channel/medium.h"
 #include "channel/pathloss.h"
 #include "coex/inband.h"
-#include "mac/zigbee_csma.h"
 #include "sledzig/significant_bits.h"
 
 namespace sledzig::coex {
@@ -21,35 +24,11 @@ namespace sledzig::coex {
 /// Scheme under test: standard WiFi payload or SledZig-encoded payload.
 enum class Scheme { kNormalWifi, kSledzig };
 
-struct Scenario {
-  core::SledzigConfig sledzig;      // modulation / rate / channel
-  Scheme scheme = Scheme::kSledzig;
-  double wifi_gain = 15.0;          // USRP Tx gain (Fig 10 setting)
-  unsigned zigbee_gain = 31;        // CC2420 PA level
-  double d_wz_m = 4.0;              // WiFi Tx <-> ZigBee link distance
-  double d_z_m = 1.0;               // ZigBee Tx <-> Rx distance
-  double wifi_duty_ratio = 1.0;     // Fig 16 sweeps this
-  double duration_s = 30.0;
-  std::uint64_t seed = 1;
-  mac::WifiMacParams wifi_mac;      // airtime etc.
-  mac::ZigbeeMacParams zigbee_mac;
-  mac::SymbolErrorModel error_model;
-  /// RF impairments applied to the links.  Sample-domain experiments run
-  /// every waveform through the chain; the discrete-event MAC experiment
-  /// (no sample domain) degrades the ZigBee link budget by the chain's
-  /// first-order SNR penalty instead.
-  channel::ImpairmentConfig impairment;
-};
-
-/// Link budget at the ZigBee side for a scenario (shadowing not included —
-/// the MAC simulation is run repeatedly with jittered budgets for spread).
-mac::ZigbeeLinkBudget scenario_link_budget(const Scenario& s);
-
 /// In-band WiFi interference inside the protected 2 MHz channel at
 /// `distance_m` from the WiFi transmitter: total received power folded
 /// through the PHY-measured offsets for the payload (reduced under
-/// SledZig) and the always-full-power preamble, in dBm.  Shared by the
-/// closed-form MAC experiment and the discrete-event engine (src/sim).
+/// SledZig) and the always-full-power preamble, in dBm.  The
+/// discrete-event engine (src/sim) fills its link tables from this.
 struct WifiInbandPower {
   common::Dbm payload_dbm{};
   common::Dbm preamble_dbm{};
@@ -57,9 +36,6 @@ struct WifiInbandPower {
 WifiInbandPower wifi_inband_power(const core::SledzigConfig& cfg,
                                   Scheme scheme, double wifi_gain,
                                   double distance_m);
-
-/// Runs the MAC-level coexistence simulation.
-mac::ZigbeeSimResult run_throughput_experiment(const Scenario& s);
 
 /// RSSI of a WiFi packet measured in the ZigBee channel at distance d from
 /// the WiFi transmitter (Figs 11 and 12).  Sample-domain: synthesises the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.h"
-#include "zigbee/chips.h"
 #include "zigbee/frame.h"
 
 namespace sledzig::mac {
@@ -84,176 +82,6 @@ void ZigbeeCsmaMachine::reset() {
   nb_ = 0;
   be_ = 0;
   retries_left_ = 0;
-}
-
-namespace {
-
-/// Per-simulation precomputation: the link budget and error model are fixed
-/// for a whole run, so every dBm->mW conversion and — because a symbol sees
-/// exactly one of three interference states (idle, WiFi preamble, WiFi
-/// payload) — every symbol-error probability is evaluated once here instead
-/// of per symbol/CCA.  The cached values come from the same expressions the
-/// per-symbol code used, so simulation results are bit-identical.
-struct BudgetTables {
-  common::MilliWatt noise_mw;
-  common::MilliWatt signal_mw;
-  common::MilliWatt payload_mw;
-  common::MilliWatt preamble_mw;
-  double sensitivity_loss;
-  double p_err_idle;      // no WiFi overlap
-  double p_err_preamble;  // worst interferer = full-power preamble
-  double p_err_payload;   // worst interferer = (power-reduced) payload
-
-  BudgetTables(const ZigbeeLinkBudget& budget, const SymbolErrorModel& model) {
-    noise_mw = common::to_mw(budget.noise_dbm);
-    signal_mw = common::to_mw(budget.signal_dbm);
-    payload_mw = common::to_mw(budget.wifi_payload_inband_dbm);
-    preamble_mw = common::to_mw(budget.wifi_preamble_inband_dbm);
-    sensitivity_loss =
-        model.sensitivity_loss_prob(budget.signal_dbm, budget.sensitivity_dbm);
-    const auto p_err = [&](common::MilliWatt interference_mw, bool preamble) {
-      const common::Db sinr_db =
-          common::ratio_to_db(signal_mw / (interference_mw + noise_mw));
-      return model.symbol_error_prob(sinr_db, preamble);
-    };
-    p_err_idle = p_err(common::MilliWatt{}, false);
-    p_err_preamble = p_err(preamble_mw, true);
-    p_err_payload = p_err(payload_mw, false);
-  }
-};
-
-/// True when the CCA window [t0, t1] detects energy above threshold.
-///
-/// CCA-ED *averages* energy over the 8-symbol window (802.15.4 6.9.9),
-/// which is why a 16-20 us full-power WiFi preamble inside a 128 us window
-/// of otherwise power-reduced payload barely moves the needle — the paper's
-/// section IV-F argument.  We therefore integrate overlap-time-weighted
-/// power rather than peak-detecting.
-bool cca_busy(const WifiTimeline& wifi, const ZigbeeLinkBudget& budget,
-              const BudgetTables& tables, double t0, double t1) {
-  const double window = t1 - t0;
-  if (window <= 0.0) return false;
-  double energy = 0.0;  // mW * us
-  const auto [lo, hi] = wifi.overlapping(t0, t1);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto& b = wifi.bursts()[i];
-    const double pre =
-        std::max(0.0, std::min(t1, b.payload_start_us) - std::max(t0, b.start_us));
-    const double pay =
-        std::max(0.0, std::min(t1, b.end_us) - std::max(t0, b.payload_start_us));
-    energy += pre * tables.preamble_mw.value() + pay * tables.payload_mw.value();
-  }
-  const common::Dbm avg_dbm =
-      common::to_dbm(common::MilliWatt{energy / window} + tables.noise_mw);
-  return avg_dbm >= budget.cca_threshold_dbm;
-}
-
-/// Evaluates one transmitted frame at the receiver: symbol-by-symbol SINR
-/// against the overlapping WiFi bursts.
-bool frame_delivered(const WifiTimeline& wifi, const BudgetTables& tables,
-                     double tx_start, double airtime, common::Rng& rng) {
-  // Frame-level sensitivity cliff (CC2420 practical sensitivity).
-  if (rng.uniform() < tables.sensitivity_loss) {
-    return false;
-  }
-
-  const double symbol_us = zigbee::kSymbolDurationUs;
-  const auto num_symbols = static_cast<std::size_t>(airtime / symbol_us);
-  for (std::size_t s = 0; s < num_symbols; ++s) {
-    const double s0 = tx_start + static_cast<double>(s) * symbol_us;
-    const double s1 = s0 + symbol_us;
-    // Worst interferer over this symbol.
-    common::MilliWatt interference_mw{};
-    bool preamble_hit = false;
-    const auto [lo, hi] = wifi.overlapping(s0, s1);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& b = wifi.bursts()[i];
-      if (std::min(s1, b.payload_start_us) > std::max(s0, b.start_us) &&
-          tables.preamble_mw > interference_mw) {
-        interference_mw = tables.preamble_mw;
-        preamble_hit = true;
-      }
-      if (std::min(s1, b.end_us) > std::max(s0, b.payload_start_us) &&
-          tables.payload_mw > interference_mw) {
-        interference_mw = tables.payload_mw;
-        preamble_hit = false;
-      }
-    }
-    const double p_err = preamble_hit ? tables.p_err_preamble
-                         : interference_mw == common::MilliWatt{}
-                             ? tables.p_err_idle
-                             : tables.p_err_payload;
-    if (rng.uniform() < p_err) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-ZigbeeSimResult simulate_zigbee_link(const WifiTimeline& wifi,
-                                     const ZigbeeMacParams& mac,
-                                     const ZigbeeLinkBudget& budget,
-                                     const SymbolErrorModel& error_model,
-                                     common::Rng& rng) {
-  ZigbeeSimResult result;
-  const double airtime = zigbee_frame_airtime_us(mac.payload_octets);
-  const double duration = wifi.duration_us();
-  const BudgetTables tables(budget, error_model);
-
-  double t = 0.0;
-  while (t < duration) {
-    // New frame arrives after the application-side processing delay.
-    t += mac.processing_us;
-    ++result.packets_attempted;
-
-    // The frame lives until delivered, dropped by channel access, or out
-    // of retries — a lost frame with macMaxFrameRetries remaining re-runs
-    // CSMA after the ACK timeout instead of counting terminal.
-    unsigned retries_left = mac.max_frame_retries;
-    while (t < duration) {
-      // Unslotted CSMA/CA.  BE starts clamped into [macMinBE, macMaxBE]
-      // (802.15.4 6.2.5.1; a misconfigured macMinBE > macMaxBE clamps
-      // down).  NB and BE restart fresh on every retry (6.4.3).
-      unsigned nb = 0;
-      unsigned be = std::min(mac.min_be, mac.max_be);
-      bool channel_clear = false;
-      while (t < duration) {
-        const auto slots = rng.uniform_int(0, (1 << be) - 1);
-        t += static_cast<double>(slots) * mac.backoff_period_us;
-        const double cca_start = t;
-        t += mac.cca_us;
-        if (!cca_busy(wifi, budget, tables, cca_start, t)) {
-          channel_clear = true;
-          break;
-        }
-        ++nb;
-        be = std::min(be + 1, mac.max_be);
-        if (nb > mac.max_backoffs) break;
-      }
-      if (t >= duration) break;
-      if (!channel_clear) {
-        ++result.packets_dropped_cca;
-        break;
-      }
-
-      t += mac.turnaround_us;
-      const double tx_start = t;
-      t += airtime;
-      ++result.packets_sent;
-      if (frame_delivered(wifi, tables, tx_start, airtime, rng)) {
-        ++result.packets_delivered;
-        break;
-      }
-      if (retries_left == 0) break;
-      --retries_left;
-      t += mac.ack_wait_us;  // the ACK never comes; wait it out, then retry
-    }
-  }
-
-  result.throughput_kbps =
-      static_cast<double>(result.packets_delivered * mac.payload_octets * 8) /
-      duration * 1e3;  // bits per us -> kbps
-  return result;
 }
 
 }  // namespace sledzig::mac

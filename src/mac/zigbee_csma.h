@@ -1,18 +1,19 @@
-// ZigBee unslotted CSMA/CA (802.15.4) simulated against a WiFi timeline,
-// with a per-symbol SINR packet-error model.
+// ZigBee unslotted CSMA/CA (802.15.4) for the discrete-event engine
+// (src/sim), plus the per-symbol SINR packet-error model the engine
+// evaluates every frame with.
 //
-// Link-budget inputs come from the calibrated channel model plus the
-// in-band power offsets measured on the sample-domain PHY (src/coex).  The
-// error model treats the WiFi preamble separately from the (possibly
+// The error model treats the WiFi preamble separately from the (possibly
 // SledZig-reduced) payload: the preamble is always at full band power and
 // its bursty structure is harsher on the O-QPSK demodulator than the
 // noise-like OFDM payload, which the paper highlights in sections IV-F and
 // V-C3.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "common/units.h"
-#include "mac/wifi_timeline.h"
 
 namespace sledzig::mac {
 
@@ -24,8 +25,7 @@ struct ZigbeeMacParams {
   unsigned max_be = 5;       // macMaxBE
   unsigned max_backoffs = 4; // macMaxCSMABackoffs
   /// macMaxFrameRetries: CSMA re-runs after a frame is transmitted but not
-  /// delivered.  0 matches the paper's open-loop accounting (no ACKs); the
-  /// event-driven machine honours any value.
+  /// delivered.  0 matches the paper's open-loop accounting (no ACKs).
   unsigned max_frame_retries = 0;
   /// macAckWaitDuration: how long the transmitter waits for an ACK that
   /// never comes before re-entering CSMA on a retry (54 symbols = 864 us).
@@ -33,27 +33,6 @@ struct ZigbeeMacParams {
   /// so retries=0 behaviour (the paper's) is bit-identical with any value.
   double ack_wait_us = 864.0;
   std::size_t payload_octets = 50;
-  /// Per-packet application overhead (serial link to the host etc.) that
-  /// limits the paper's interference-free throughput to ~63 Kbps:
-  /// 400 payload bits / (processing + mean backoff 1120 + CCA 128 +
-  /// turnaround 192 + frame 1856 us) = 63 Kbps.
-  double processing_us = 3050.0;
-};
-
-/// Received powers at the ZigBee receiver / clear-channel levels at the
-/// ZigBee transmitter.
-struct ZigbeeLinkBudget {
-  common::Dbm signal_dbm{-80.0};  // ZigBee Tx -> Rx
-  // WiFi payload / preamble power inside the 2 MHz channel.
-  common::Dbm wifi_payload_inband_dbm{-200.0};
-  common::Dbm wifi_preamble_inband_dbm{-200.0};
-  common::Dbm noise_dbm{-91.0};
-  common::Dbm cca_threshold_dbm{-77.0};
-  /// Practical receiver sensitivity: frames below this fail regardless of
-  /// interference.  The CC2420 datasheet requires -85 dBm; the paper's
-  /// Fig 15 link collapses once the signal drops to about that level
-  /// (d_Z ~ 1.6-1.8 m), well above the -91 dBm RSSI noise floor.
-  common::Dbm sensitivity_dbm{-85.0};
 };
 
 /// Error-model parameters, calibrated against the sample-domain DSSS
@@ -155,22 +134,6 @@ class ZigbeeCsmaMachine {
   unsigned be_ = 0;
   unsigned retries_left_ = 0;
 };
-
-struct ZigbeeSimResult {
-  std::size_t packets_attempted = 0;   // CSMA attempts started
-  std::size_t packets_sent = 0;        // actually transmitted
-  std::size_t packets_delivered = 0;   // CRC-clean at the receiver
-  std::size_t packets_dropped_cca = 0; // channel-access failures
-  double throughput_kbps = 0.0;        // delivered payload bits / duration
-};
-
-/// Runs the ZigBee transmitter's CSMA/CA against the WiFi timeline for its
-/// full duration and evaluates every transmitted frame at the receiver.
-ZigbeeSimResult simulate_zigbee_link(const WifiTimeline& wifi,
-                                     const ZigbeeMacParams& mac,
-                                     const ZigbeeLinkBudget& budget,
-                                     const SymbolErrorModel& error_model,
-                                     common::Rng& rng);
 
 /// Frame airtime including PHY header, in microseconds.
 double zigbee_frame_airtime_us(std::size_t payload_octets);

@@ -985,9 +985,9 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
 
   if (!cfg_.fastpath.segment_runs) {
-    // Reference path: resolve the worst interferer per 16 us symbol (same
-    // precedence as the closed-form model: a payload segment displaces a
-    // preamble hit only at strictly higher power).
+    // Reference path: resolve the worst interferer per 16 us symbol (a
+    // payload segment displaces a preamble hit only at strictly higher
+    // power).
     for (std::size_t s = 0; s < num_symbols; ++s) {
       const double s0 = tx.start_us + static_cast<double>(s) * symbol_us;
       const double s1 = s0 + symbol_us;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/link_cache.h"
+#include "wifi/signal_field.h"
 
 namespace sledzig::sim {
 
@@ -81,6 +82,13 @@ std::vector<ConfigError> ScenarioConfig::validate() const {
   }
   if (!finite(wifi_capture_sinr_db.value())) {
     errs.push_back({"wifi_capture_sinr_db", "must be finite"});
+  }
+  // The link tables synthesise a frame in this mode even with SledZig off,
+  // so a pair without a RATE code point would throw deep inside the build.
+  if (!wifi::has_rate_code(sledzig.modulation, sledzig.rate)) {
+    errs.push_back({"sledzig.rate",
+                    std::string("no ") + wifi::to_string(sledzig.modulation) +
+                        " mode at rate " + wifi::to_string(sledzig.rate)});
   }
 
   const std::size_t num_nodes = wifi.size() + zigbee.size();
@@ -275,8 +283,9 @@ ScenarioConfig two_node_paper_scenario(const core::SledzigConfig& sledzig,
   ZigbeeNodeConfig mote;
   mote.tx = {d_wz_m, 0.0};
   mote.rx = {d_wz_m, d_z_m};
-  // The paper's closed-loop source: ~one frame per 6.3 ms (processing +
-  // mean CSMA + frame airtime), the 63 Kbps interference-free ceiling.
+  // The paper's mote: one 50-octet frame per ~6.3 ms (about 3 ms of
+  // host-side processing plus mean CSMA and the frame airtime), the
+  // 63 Kbps interference-free ceiling.
   mote.traffic = {TrafficKind::kCbr, 6346.0, 1.0};
   cfg.zigbee.push_back(mote);
   return cfg;

@@ -17,7 +17,7 @@
 #include "channel/pathloss.h"
 #include "common/units.h"
 #include "control/controller.h"
-#include "mac/wifi_timeline.h"
+#include "mac/wifi_csma.h"
 #include "mac/zigbee_csma.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,6 +72,10 @@ struct ZigbeeNodeConfig {
   Position tx{};
   Position rx{};
   unsigned gain = 31;  // CC2420 PA level
+  /// Practical receiver sensitivity: frames below it fail regardless of
+  /// interference.  The CC2420 datasheet requires -85 dBm; the paper's
+  /// Fig 15 link collapses once its signal drops to about that level,
+  /// well above the -91 dBm RSSI noise floor.
   common::Dbm sensitivity_dbm{-85.0};
   mac::ZigbeeMacParams mac{};
   TrafficConfig traffic{TrafficKind::kCbr, 6346.0, 1.0};
@@ -209,7 +213,7 @@ struct ScenarioConfig {
   core::SledzigConfig sledzig{};
   bool sledzig_enabled = true;
   /// RF impairment chain, folded into link budgets as its first-order SNR
-  /// penalty (same treatment as coex::run_throughput_experiment).
+  /// penalty.
   channel::ImpairmentConfig impairment{};
   mac::SymbolErrorModel error_model{};
   common::Db shadowing_sigma_db = channel::kShadowingSigmaDb;

@@ -30,8 +30,7 @@ TrafficSource::TrafficSource(const TrafficConfig& cfg, double burst_us,
         throw std::invalid_argument("TrafficSource: duty_ratio in (0, 1]");
       }
       // Mean extra idle per burst so that airtime / cycle = duty_ratio
-      // beyond the unavoidable DIFS + mean backoff — the same accounting
-      // as the closed-form WifiTimeline generator.
+      // beyond the unavoidable DIFS + mean backoff.
       const double cycle = burst_us / cfg_.duty_ratio;
       mean_idle_us_ = std::max(0.0, cycle - burst_us - csma_gap_us);
       break;
@@ -49,10 +48,9 @@ double TrafficSource::gap() {
       return std::max(kMinGapUs, -(cfg_.interval_us / rate_scale_) *
                                      std::log(1.0 - rng_.uniform()));
     case TrafficKind::kDutyCycle:
-      // Exponential-ish jitter around the mean keeps bursts off a grid
-      // (mirrors WifiTimeline's queue-idle draw).  No kMinGapUs floor:
-      // completion-clocked arrivals cannot wedge the loop, and a zero idle
-      // gap (duty ratio 1.0) must stay exactly zero.
+      // Exponential-ish jitter around the mean keeps bursts off a grid.
+      // No kMinGapUs floor: completion-clocked arrivals cannot wedge the
+      // loop, and a zero idle gap (duty ratio 1.0) must stay exactly zero.
       return (mean_idle_us_ / rate_scale_) * (0.5 + rng_.uniform());
   }
   return 0.0;

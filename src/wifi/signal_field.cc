@@ -1,5 +1,6 @@
 #include "wifi/signal_field.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -38,6 +39,11 @@ std::uint8_t rate_code(Modulation m, CodingRate r) {
     if (e.m == m && e.r == r) return e.code;
   }
   throw std::invalid_argument("rate_code: unsupported modulation/rate combo");
+}
+
+bool has_rate_code(Modulation m, CodingRate r) {
+  return std::any_of(kRateTable.begin(), kRateTable.end(),
+                     [&](const RateEntry& e) { return e.m == m && e.r == r; });
 }
 
 std::optional<SignalField> mode_from_rate_code(std::uint8_t code) {

@@ -24,8 +24,11 @@ struct SignalField {
   std::size_t psdu_octets = 0;  // 12-bit LENGTH
 };
 
-/// RATE code points (4 bits).  0x0 is reserved/invalid.
+/// RATE code points (4 bits).  0x0 is reserved/invalid.  rate_code throws
+/// std::invalid_argument for a pair without one; has_rate_code says up
+/// front whether a (modulation, rate) pair is a transmittable mode.
 std::uint8_t rate_code(Modulation m, CodingRate r);
+bool has_rate_code(Modulation m, CodingRate r);
 std::optional<SignalField> mode_from_rate_code(std::uint8_t code);
 
 /// Serialises to the 24 SIGNAL bits (RATE[4], reserved, LENGTH[12], parity,

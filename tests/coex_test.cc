@@ -1,9 +1,11 @@
-// Integration tests for the coexistence experiment harness: link budgets,
-// PHY-measured in-band offsets and end-to-end scenario behaviour.
+// Tests for the PHY-side coexistence measurements: PHY-measured in-band
+// offsets, the in-band WiFi power the engine's link tables are built from,
+// and the sample-domain RSSI experiments.
 #include <gtest/gtest.h>
 
 #include "coex/experiment.h"
 #include "sledzig/power_analysis.h"
+#include "zigbee/cc2420.h"
 
 namespace sledzig::coex {
 namespace {
@@ -77,66 +79,24 @@ TEST(Inband, MeasuredReductionTracksIdealWithLeakageLoss) {
 }
 
 TEST(Experiment, LinkBudgetAnchors) {
-  Scenario s;
-  s.sledzig = cfg(Modulation::kQam64, CodingRate::kR23, OverlapChannel::kCh2);
-  s.scheme = Scheme::kNormalWifi;
-  s.d_wz_m = 1.0;
-  s.d_z_m = 1.0;
-  const auto budget = scenario_link_budget(s);
   // Normal WiFi in a CH1-CH3 window at 1 m: about -60 dBm (Fig 12).
-  EXPECT_NEAR(budget.wifi_payload_inband_dbm.value(), -61.0, 2.0);
+  const auto inband = wifi_inband_power(
+      cfg(Modulation::kQam64, CodingRate::kR23, OverlapChannel::kCh2),
+      Scheme::kNormalWifi, /*wifi_gain=*/15.0, /*distance_m=*/1.0);
+  EXPECT_NEAR(inband.payload_dbm.value(), -61.0, 2.0);
   // ZigBee link at 1 m, gain 31: about -80 dBm (Fig 13).
-  EXPECT_NEAR(budget.signal_dbm.value(), -80.4, 0.5);
+  const common::Dbm zigbee_dbm = channel::zigbee_link().received_power_dbm(
+      zigbee::tx_power_dbm(31), 1.0);
+  EXPECT_NEAR(zigbee_dbm.value(), -80.4, 0.5);
 }
 
 TEST(Experiment, SledzigLowersInbandBudget) {
-  Scenario s;
-  s.sledzig = cfg(Modulation::kQam256, CodingRate::kR34, OverlapChannel::kCh4);
-  s.d_wz_m = 2.0;
-  s.scheme = Scheme::kNormalWifi;
-  const auto normal = scenario_link_budget(s);
-  s.scheme = Scheme::kSledzig;
-  const auto sled = scenario_link_budget(s);
-  EXPECT_LT(sled.wifi_payload_inband_dbm.value(),
-            normal.wifi_payload_inband_dbm.value() - 12.0);
-  EXPECT_NEAR(sled.wifi_preamble_inband_dbm.value(),
-              normal.wifi_preamble_inband_dbm.value(), 0.7);
-}
-
-TEST(Experiment, NormalWifiBlocksCloseZigbee) {
-  // Fig 14(a): under saturated normal WiFi at short d_WZ the ZigBee link is
-  // CCA-silenced.
-  Scenario s;
-  s.sledzig = cfg(Modulation::kQam64, CodingRate::kR23, OverlapChannel::kCh2);
-  s.scheme = Scheme::kNormalWifi;
-  s.d_wz_m = 3.0;
-  s.duration_s = 20.0;
-  const auto result = run_throughput_experiment(s);
-  EXPECT_LT(result.throughput_kbps, 8.0);
-}
-
-TEST(Experiment, NormalWifiFarAwayIsHarmless) {
-  Scenario s;
-  s.sledzig = cfg(Modulation::kQam64, CodingRate::kR23, OverlapChannel::kCh2);
-  s.scheme = Scheme::kNormalWifi;
-  s.d_wz_m = 14.0;
-  s.duration_s = 20.0;
-  const auto result = run_throughput_experiment(s);
-  EXPECT_GT(result.throughput_kbps, 40.0);
-}
-
-TEST(Experiment, SledzigEnablesCloserCoexistence) {
-  // The headline mechanism: at a distance where normal WiFi silences the
-  // ZigBee link, SledZig (QAM-256) restores most of its throughput.
-  Scenario s;
-  s.sledzig = cfg(Modulation::kQam256, CodingRate::kR34, OverlapChannel::kCh4);
-  s.d_wz_m = 4.0;
-  s.duration_s = 20.0;
-  s.scheme = Scheme::kNormalWifi;
-  const auto normal = run_throughput_experiment(s);
-  s.scheme = Scheme::kSledzig;
-  const auto sled = run_throughput_experiment(s);
-  EXPECT_GT(sled.throughput_kbps, normal.throughput_kbps + 20.0);
+  // SledZig lowers the in-band payload; the preamble stays at full power.
+  const auto c = cfg(Modulation::kQam256, CodingRate::kR34, OverlapChannel::kCh4);
+  const auto normal = wifi_inband_power(c, Scheme::kNormalWifi, 15.0, 2.0);
+  const auto sled = wifi_inband_power(c, Scheme::kSledzig, 15.0, 2.0);
+  EXPECT_LT(sled.payload_dbm.value(), normal.payload_dbm.value() - 12.0);
+  EXPECT_NEAR(sled.preamble_dbm.value(), normal.preamble_dbm.value(), 0.7);
 }
 
 TEST(Experiment, RssiExperimentsMatchPaperLevels) {

@@ -9,7 +9,7 @@
 #include "channel/medium.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "mac/zigbee_csma.h"
+#include "sim/engine.h"
 #include "sledzig/encoder.h"
 #include "wifi/convolutional.h"
 #include "wifi/interleaver.h"
@@ -174,17 +174,20 @@ TEST(FailureInjection, ChannelFilterBuysProcessingGain) {
 }
 
 TEST(FailureInjection, MacSimDegenerateParams) {
-  common::Rng rng(710);
-  mac::WifiMacParams wifi_params;
-  wifi_params.duty_ratio = 1.0;
-  wifi_params.airtime_us = 100.0;  // tiny bursts
-  const mac::WifiTimeline tl(wifi_params, 1e6, rng);
-  mac::ZigbeeMacParams zb;
-  zb.payload_octets = 1;
-  zb.processing_us = 0.0;
-  const auto result = mac::simulate_zigbee_link(
-      tl, zb, mac::ZigbeeLinkBudget{}, mac::SymbolErrorModel{}, rng);
-  EXPECT_GE(result.throughput_kbps, 0.0);
+  // Tiny saturated WiFi bursts against a 1-octet ZigBee source with no
+  // inter-frame gap: the engine must run to the horizon with its frame
+  // accounting intact.
+  auto cfg = sim::two_node_paper_scenario(core::SledzigConfig{}, true, 1.0,
+                                          4.0, 1.0, 1.0, 710);
+  cfg.wifi[0].mac.airtime_us = 100.0;
+  cfg.zigbee[0].mac.payload_octets = 1;
+  cfg.zigbee[0].traffic = {sim::TrafficKind::kSaturated, 0.0, 1.0};
+  const auto z = sim::run_scenario(cfg).zigbee[0];
+  EXPECT_GE(z.throughput_kbps, 0.0);
+  EXPECT_GT(z.sent, 0u);
+  EXPECT_EQ(z.generated, z.delivered + z.queue_dropped + z.cca_dropped +
+                             z.retry_exhausted + z.lost_to_crash +
+                             z.in_flight_at_end);
 }
 
 TEST(FailureInjection, EncoderRejectsOversizedPayload) {

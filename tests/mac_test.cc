@@ -1,82 +1,15 @@
-// Tests for the WiFi timeline generator and the ZigBee CSMA/CA +
-// symbol-error simulation.
+// Tests for the event-driven CSMA state machines (WiFi 802.11 DCF and
+// ZigBee 802.15.4 unslotted CSMA/CA) and the per-symbol error model the
+// discrete-event engine evaluates frames with.
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "mac/wifi_timeline.h"
+#include <algorithm>
+
+#include "mac/wifi_csma.h"
 #include "mac/zigbee_csma.h"
 
 namespace sledzig::mac {
 namespace {
-
-WifiMacParams default_wifi() {
-  WifiMacParams p;
-  p.airtime_us = 2500.0;
-  return p;
-}
-
-TEST(WifiTimeline, SaturatedTrafficFillsChannel) {
-  common::Rng rng(301);
-  WifiTimeline tl(default_wifi(), 5e6, rng);
-  EXPECT_GT(tl.busy_fraction(), 0.9);
-  EXPECT_LT(tl.busy_fraction(), 1.0);
-}
-
-class DutyRatios : public ::testing::TestWithParam<double> {};
-
-TEST_P(DutyRatios, BusyFractionTracksDutyRatio) {
-  common::Rng rng(302);
-  auto params = default_wifi();
-  params.duty_ratio = GetParam();
-  WifiTimeline tl(params, 20e6, rng);
-  EXPECT_NEAR(tl.busy_fraction(), GetParam(), 0.06);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, DutyRatios,
-                         ::testing::Values(0.2, 0.3, 0.5, 0.7, 0.9));
-
-TEST(WifiTimeline, ZeroDutyRatioMeansSilence) {
-  common::Rng rng(303);
-  auto params = default_wifi();
-  params.duty_ratio = 0.0;
-  WifiTimeline tl(params, 1e6, rng);
-  EXPECT_TRUE(tl.bursts().empty());
-  EXPECT_FALSE(tl.busy_in(0, 1e6));
-}
-
-TEST(WifiTimeline, BurstsAreOrderedAndDisjoint) {
-  common::Rng rng(304);
-  auto params = default_wifi();
-  params.duty_ratio = 0.6;
-  WifiTimeline tl(params, 10e6, rng);
-  ASSERT_GT(tl.bursts().size(), 100u);
-  for (std::size_t i = 0; i < tl.bursts().size(); ++i) {
-    const auto& b = tl.bursts()[i];
-    EXPECT_LT(b.start_us, b.payload_start_us);
-    EXPECT_LT(b.payload_start_us, b.end_us);
-    if (i > 0) {
-      EXPECT_GE(b.start_us, tl.bursts()[i - 1].end_us);
-    }
-  }
-}
-
-TEST(WifiTimeline, OverlapQueries) {
-  common::Rng rng(305);
-  WifiTimeline tl(default_wifi(), 2e6, rng);
-  ASSERT_FALSE(tl.bursts().empty());
-  const auto& b = tl.bursts()[0];
-  EXPECT_TRUE(tl.busy_at((b.start_us + b.end_us) / 2));
-  EXPECT_FALSE(tl.busy_at(b.start_us - 1.0));
-  const auto [lo, hi] = tl.overlapping(b.start_us, b.end_us);
-  EXPECT_EQ(hi - lo, 1u);
-}
-
-TEST(WifiTimeline, RejectsBadDutyRatio) {
-  common::Rng rng(306);
-  auto params = default_wifi();
-  params.duty_ratio = 1.5;
-  EXPECT_THROW(WifiTimeline(params, 1e6, rng), std::invalid_argument);
-}
 
 TEST(SymbolErrorModel, MonotoneInSinr) {
   SymbolErrorModel m;
@@ -115,104 +48,11 @@ TEST(SymbolErrorModel, SensitivityCliff) {
       1e-9);
 }
 
-ZigbeeLinkBudget quiet_budget() {
-  ZigbeeLinkBudget b;
-  b.signal_dbm = common::Dbm{-80.0};
-  b.wifi_payload_inband_dbm = common::Dbm{-200.0};
-  b.wifi_preamble_inband_dbm = common::Dbm{-200.0};
-  return b;
-}
-
-TEST(ZigbeeCsma, InterferenceFreeThroughputNear63Kbps) {
-  // The paper's standalone ZigBee throughput (section V-C1).
-  common::Rng rng(307);
-  auto params = default_wifi();
-  params.duty_ratio = 0.0;
-  WifiTimeline tl(params, 30e6, rng);
-  const auto result = simulate_zigbee_link(tl, ZigbeeMacParams{},
-                                           quiet_budget(), SymbolErrorModel{},
-                                           rng);
-  EXPECT_NEAR(result.throughput_kbps, 63.0, 4.0);
-  EXPECT_EQ(result.packets_sent, result.packets_delivered);
-}
-
-TEST(ZigbeeCsma, StrongWifiBlocksChannelAccess) {
-  // In-band power far above the CCA threshold + saturated WiFi: the ZigBee
-  // node cannot win the channel (Fig 4(a) scenario).
-  common::Rng rng(308);
-  WifiTimeline tl(default_wifi(), 30e6, rng);
-  auto budget = quiet_budget();
-  budget.wifi_payload_inband_dbm = common::Dbm{-60.0};
-  budget.wifi_preamble_inband_dbm = common::Dbm{-59.0};
-  const auto result = simulate_zigbee_link(tl, ZigbeeMacParams{}, budget,
-                                           SymbolErrorModel{}, rng);
-  EXPECT_LT(result.throughput_kbps, 8.0);
-  EXPECT_GT(result.packets_dropped_cca, result.packets_delivered);
-}
-
-TEST(ZigbeeCsma, WeakWifiBelowCcaAndSinrHarmless) {
-  // WiFi audible but far below both CCA and harmful SINR.
-  common::Rng rng(309);
-  WifiTimeline tl(default_wifi(), 30e6, rng);
-  auto budget = quiet_budget();
-  budget.wifi_payload_inband_dbm = common::Dbm{-95.0};
-  budget.wifi_preamble_inband_dbm = common::Dbm{-93.0};
-  const auto result = simulate_zigbee_link(tl, ZigbeeMacParams{}, budget,
-                                           SymbolErrorModel{}, rng);
-  EXPECT_NEAR(result.throughput_kbps, 63.0, 4.0);
-}
-
-TEST(ZigbeeCsma, InterferenceKillsFramesWhenSinrLow) {
-  // CCA clears (in-band just below -77) but the payload SINR is hopeless:
-  // frames transmit and die (Fig 4(b) scenario).
-  common::Rng rng(310);
-  WifiTimeline tl(default_wifi(), 30e6, rng);
-  auto budget = quiet_budget();
-  budget.signal_dbm = common::Dbm{-85.0};
-  budget.wifi_payload_inband_dbm = common::Dbm{-78.0};   // SINR ~ -7 dB
-  budget.wifi_preamble_inband_dbm = common::Dbm{-78.0};
-  const auto result = simulate_zigbee_link(tl, ZigbeeMacParams{}, budget,
-                                           SymbolErrorModel{}, rng);
-  EXPECT_GT(result.packets_sent, 100u);
-  EXPECT_LT(result.throughput_kbps, 10.0);
-}
-
-TEST(ZigbeeCsma, DeterministicGivenSeed) {
-  auto run = [] {
-    common::Rng rng(311);
-    WifiTimeline tl(default_wifi(), 10e6, rng);
-    auto budget = quiet_budget();
-    budget.wifi_payload_inband_dbm = common::Dbm{-80.0};
-    return simulate_zigbee_link(tl, ZigbeeMacParams{}, budget,
-                                SymbolErrorModel{}, rng);
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.throughput_kbps, b.throughput_kbps);
-}
-
-TEST(ZigbeeCsma, DutyRatioGapsEnableDelivery) {
-  // Strong in-band WiFi but only 30% duty: frames squeeze into the gaps.
-  common::Rng rng(312);
-  auto params = default_wifi();
-  params.duty_ratio = 0.3;
-  WifiTimeline tl(params, 30e6, rng);
-  auto budget = quiet_budget();
-  budget.signal_dbm = common::Dbm{-75.0};
-  budget.wifi_payload_inband_dbm = common::Dbm{-65.0};
-  budget.wifi_preamble_inband_dbm = common::Dbm{-63.0};
-  const auto result = simulate_zigbee_link(tl, ZigbeeMacParams{}, budget,
-                                           SymbolErrorModel{}, rng);
-  EXPECT_GT(result.throughput_kbps, 10.0);
-  EXPECT_LT(result.throughput_kbps, 60.0);
-}
-
 TEST(ZigbeeCsma, FrameAirtimeMatchesPhy) {
   EXPECT_NEAR(zigbee_frame_airtime_us(100), 3456.0, 1e-9);
 }
 
-// --- event-driven machines (the src/sim promotion) ---
+// --- event-driven machines ---
 
 TEST(ZigbeeCsmaMachine, InitialBackoffExponentIsMacMinBE) {
   ZigbeeMacParams p;  // min_be 3, max_be 5
@@ -490,40 +330,6 @@ TEST(WifiCsmaMachine, ResetReturnsToIdleDiscardingFrozenCountdown) {
   const auto step = m.frame_ready(9000.0, /*medium_busy_now=*/false);
   EXPECT_EQ(step.kind, WifiCsmaMachine::Step::Kind::kTimerAt);
   EXPECT_GE(step.at, 9000.0 + p.difs_us);
-}
-
-TEST(ZigbeeCsma, LegacyLinkHonoursFrameRetries) {
-  // Same lossy-SINR geometry as InterferenceKillsFramesWhenSinrLow: CCA
-  // clears but roughly half the fully-overlapped attempts die.  With
-  // retries each frame gets up to four attempts, so the per-frame delivery
-  // ratio must rise and retransmissions must appear in packets_sent.
-  auto budget = quiet_budget();
-  budget.signal_dbm = common::Dbm{-85.0};
-  budget.wifi_payload_inband_dbm = common::Dbm{-78.0};
-  budget.wifi_preamble_inband_dbm = common::Dbm{-78.0};
-  const auto run = [&](unsigned retries) {
-    common::Rng rng(313);
-    WifiTimeline tl(default_wifi(), 30e6, rng);
-    ZigbeeMacParams mac;
-    mac.max_frame_retries = retries;
-    return simulate_zigbee_link(tl, mac, budget, SymbolErrorModel{}, rng);
-  };
-  const auto none = run(0);
-  const auto three = run(3);
-  ASSERT_GT(none.packets_attempted, 100u);
-  ASSERT_GT(three.packets_attempted, 100u);
-  // Retransmissions happened: without retries, packets_sent can never
-  // exceed one TX per frame; with them it must.
-  EXPECT_LE(none.packets_sent,
-            none.packets_attempted - none.packets_dropped_cca);
-  EXPECT_GT(three.packets_sent,
-            three.packets_attempted - three.packets_dropped_cca);
-  const double prr_none = static_cast<double>(none.packets_delivered) /
-                          static_cast<double>(none.packets_attempted);
-  const double prr_three = static_cast<double>(three.packets_delivered) /
-                           static_cast<double>(three.packets_attempted);
-  EXPECT_GT(prr_three, prr_none * 1.2)
-      << "retries did not raise per-frame delivery";
 }
 
 TEST(WifiCsmaMachine, WaitsWhenMediumBusyAtFrameReady) {

@@ -18,10 +18,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "coex/experiment.h"
 #include "common/fft.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "sim/engine.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
 
@@ -192,15 +192,13 @@ TEST(ParallelDeterminism, SweepIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, ThroughputExperimentThreadInvariant) {
-  // End-to-end: the real experiment driver through 1 vs 8 threads.
+  // End-to-end: the figure benches' trial driver (one engine run of the
+  // two-node testbed per index) through 1 vs 8 threads.
   const auto run = [](common::ThreadPool& pool) {
     return common::parallel_map(pool, 4, [](std::size_t i) {
-      coex::Scenario s;
-      s.d_wz_m = 4.0;
-      s.d_z_m = 1.0;
-      s.duration_s = 2.0;
-      s.seed = 1 + i;
-      return coex::run_throughput_experiment(s).throughput_kbps;
+      const auto cfg = sim::two_node_paper_scenario(
+          core::SledzigConfig{}, true, 1.0, 4.0, 1.0, 2.0, 1 + i);
+      return sim::run_scenario(cfg).zigbee[0].throughput_kbps;
     });
   };
   common::ThreadPool serial(1);

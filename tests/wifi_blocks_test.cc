@@ -1,6 +1,8 @@
 // Bit-exact unit tests for the individual 802.11 PHY blocks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "common/units.h"
 #include "wifi/convolutional.h"
@@ -482,6 +484,25 @@ TEST(SignalField, AllPaperModesHaveRateCodes) {
     EXPECT_EQ(back->modulation, mode.modulation);
     EXPECT_EQ(back->rate, mode.rate);
   }
+}
+
+TEST(SignalField, HasRateCodeAgreesWithRateCode) {
+  // Config validation asks has_rate_code up front; the transmitter asks
+  // rate_code.  They read one table, so they must agree on every pair.
+  for (const auto m : {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16,
+                       Modulation::kQam64, Modulation::kQam256}) {
+    for (const auto r : {CodingRate::kR12, CodingRate::kR23, CodingRate::kR34,
+                         CodingRate::kR56}) {
+      if (has_rate_code(m, r)) {
+        EXPECT_NO_THROW(rate_code(m, r)) << to_string(m) << " " << to_string(r);
+      } else {
+        EXPECT_THROW(rate_code(m, r), std::invalid_argument)
+            << to_string(m) << " " << to_string(r);
+      }
+    }
+  }
+  EXPECT_FALSE(has_rate_code(Modulation::kQam256, CodingRate::kR12));
+  EXPECT_TRUE(has_rate_code(Modulation::kQam256, CodingRate::kR34));
 }
 
 // --------------------------------------------------------------- PHY params
