@@ -4,11 +4,14 @@
 // event loop's wall-time without re-reading bench logs.
 //
 // Every point is timed twice: once on the per-symbol reference path
-// (fastpath off) and once on the dense-deployment fast path (link cache +
-// interference graph + segment runs, the default), and the two trace
-// digests are compared — on these geometries the fast path is bit-exact,
-// so a speedup can never silently trade the engine's determinism away.
-// Each configuration is additionally run twice to guard repeatability.
+// (fastpath off: per-symbol ZigBee delivery, no pruning, each run builds
+// its own link cache) and once on the dense-deployment fast path (shared
+// link cache + pruning + segment runs, the default).  Both arms run over
+// the same indexed power tables and per-component ledgers, which every
+// run builds.  The two trace digests are compared — on these geometries
+// the fast path is bit-exact, so a speedup can never silently trade the
+// engine's determinism away.  Each configuration is additionally run
+// twice to guard repeatability.
 //
 // `--smoke` runs only the small grid points (CI determinism guard);
 // the full sweep tops out at a 1100-node campus.  `--seed N` re-seeds the

@@ -874,8 +874,6 @@ JsonValue scenario_to_json(const sim::ScenarioConfig& config) {
     JsonObject fp;
     fp.emplace_back("segment_runs", JsonValue(config.fastpath.segment_runs));
     fp.emplace_back("prune", JsonValue(config.fastpath.prune));
-    fp.emplace_back("prune_floor_db",
-                    JsonValue(config.fastpath.prune_floor_db.value()));
     fp.emplace_back("cross_check", JsonValue(config.fastpath.cross_check));
     o.emplace_back("fastpath", JsonValue(std::move(fp)));
   }
@@ -959,7 +957,6 @@ bool scenario_from_json(const JsonValue& json, sim::ScenarioConfig* out,
       ObjReader fr(fp, "fastpath", errors);
       fr.get("segment_runs", &out->fastpath.segment_runs);
       fr.get("prune", &out->fastpath.prune);
-      fr.get("prune_floor_db", &out->fastpath.prune_floor_db);
       fr.get("cross_check", &out->fastpath.cross_check);
       fr.finish();
     }

@@ -7,6 +7,23 @@
 
 namespace sledzig::sim {
 
+void ArbiterTables::set_link(std::size_t point, std::size_t tx,
+                             const SegmentPower& sp) {
+  power[point * num_nodes + tx] = sp;
+  const std::uint64_t bit = std::uint64_t{1} << (tx & 63);
+  std::uint64_t& word = nonzero_bits[point * bit_words + (tx >> 6)];
+  if (sp.payload_mw > common::MilliWatt{} ||
+      sp.preamble_mw > common::MilliWatt{}) {
+    word |= bit;
+  } else {
+    word &= ~bit;
+  }
+  if (point < num_nodes) {
+    audible[point * num_nodes + tx] =
+        sp.payload_mw >= common::to_mw(cca_threshold_dbm[point]) ? 1 : 0;
+  }
+}
+
 Arbiter::Arbiter(ArbiterTables tables) : tables_(std::move(tables)) {
   by_comp_.resize(std::max<std::size_t>(1, tables_.num_comps));
 }
@@ -41,7 +58,7 @@ std::uint32_t Arbiter::begin_tx(std::uint32_t node, NodeKind kind,
   txs_.push_back(
       Transmission{node, kind, start_us, payload_start_us, end_us, true});
   active_.push_back(id);
-  by_comp_[comp_of(node)].push_back(id);
+  by_comp_[tables_.comp[node]].push_back(id);
   max_duration_us_ = std::max(max_duration_us_, end_us - start_us);
   return id;
 }
@@ -78,7 +95,7 @@ std::pair<const std::uint32_t*, const std::uint32_t*> Arbiter::overlap_ids(
   // Starts are sorted but ends are not (transmissions overlap), so scan
   // back by the longest duration seen: any transmission overlapping t0
   // must have started within that window.
-  const auto& v = by_comp_[comp_of(listener)];
+  const auto& v = by_comp_[tables_.comp[listener]];
   const double lo_start = t0_us - max_duration_us_;
   const auto lo = std::lower_bound(
       v.begin(), v.end(), lo_start,
@@ -95,14 +112,13 @@ bool Arbiter::zigbee_cca_busy(std::uint32_t listener, double t0_us,
   if (window <= 0.0) return false;
   double energy = 0.0;  // mW * us
   const auto [lo, hi] = overlap_ids(listener, t0_us, t1_us);
-  const bool indexed = has_link_index();
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = txs_[*it];
     if (x.node == listener) continue;
     // Zero-power links (pruned or channel-disjoint) contribute exactly
-    // 0.0 mW*us; with the index built, skip them without touching the
-    // (cache-cold at campus scale) power table.
-    if (indexed && !cca_nonzero(listener, x.node)) continue;
+    // 0.0 mW*us; skip them without touching the (cache-cold at campus
+    // scale) power table.
+    if (!cca_nonzero(listener, x.node)) continue;
     const double pre =
         std::max(0.0, std::min(t1_us, x.payload_start_us) -
                           std::max(t0_us, x.start_us));

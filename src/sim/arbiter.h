@@ -42,31 +42,34 @@ struct Transmission {
 /// Power tables the arbiter resolves transmissions against, for N nodes.
 /// Listening points are indexed 0..N-1 for node transmitter positions
 /// (CCA / energy detect) and N..2N-1 for node receiver positions
-/// (delivery): power[point * N + tx_node].
+/// (delivery): power[point * N + tx_node].  set_link is the only writer of
+/// `power`, `nonzero_bits` and `audible`, so the three always agree.
 struct ArbiterTables {
   std::size_t num_nodes = 0;
   std::vector<SegmentPower> power;        // 2N x N
   std::vector<char> audible;  // N x N: ED-visible at tx point
   std::vector<common::MilliWatt> cca_noise_mw;     // per node, in its CCA band
   std::vector<common::Dbm> cca_threshold_dbm;      // per node
-  /// Interference-graph index (fast path only): bit `tx` of row `point`
-  /// is set iff power[point * num_nodes + tx] is nonzero.  At dense node
-  /// counts the power table outgrows every cache level while this index
-  /// stays resident, so medium queries test the bit before touching the
-  /// table.  Skipping an exactly-zero entry changes no arithmetic (it
-  /// contributes exactly 0.0 energy and can never win a strict-> power
-  /// comparison), so queries stay bit-identical.  Empty (bit_words == 0)
-  /// when the fast path is off — queries then scan the table directly,
-  /// which is the pre-graph behaviour.
+  /// Interference-graph index: bit `tx` of row `point` is set iff
+  /// power[point * num_nodes + tx] is nonzero.  At dense node counts the
+  /// power table outgrows every cache level while this index stays
+  /// resident, so medium queries test the bit before touching the table.
+  /// Skipping an exactly-zero entry changes no arithmetic (it contributes
+  /// exactly 0.0 energy and can never win a strict-> power comparison), so
+  /// queries stay bit-identical to a full table scan.
   std::vector<std::uint64_t> nonzero_bits;  // 2N x bit_words
-  std::size_t bit_words = 0;                // (num_nodes + 63) / 64, or 0
+  std::size_t bit_words = 0;                // (num_nodes + 63) / 64
   /// Spectral coupling component per node (see LinkCache::comp): the
   /// arbiter keeps one transmission ledger per component and medium
   /// queries scan only the listener's — exact, because cross-component
-  /// received power is 0 mW everywhere.  Empty means "one component"
-  /// (legacy / fast path off): a single global ledger, scanned in full.
+  /// received power is 0 mW everywhere.
   std::vector<std::uint32_t> comp;
   std::size_t num_comps = 1;
+
+  /// Writes one link's received power and keeps its index bit and (at a
+  /// CCA point) its energy-detect audibility in step.  Audibility reads
+  /// the listener's CCA threshold, so thresholds are set first.
+  void set_link(std::size_t point, std::size_t tx, const SegmentPower& sp);
 };
 
 /// Everything an Arbiter owns, as recyclable storage: the power tables and
@@ -125,8 +128,7 @@ class Arbiter {
 
   /// Transmission ids, in start order, from `listener`'s coupling
   /// component possibly overlapping [t0, t1] (callers re-check exact
-  /// endpoints).  With one component this is the whole ledger — the
-  /// pre-component behaviour.
+  /// endpoints).
   std::pair<const std::uint32_t*, const std::uint32_t*> overlap_ids(
       std::uint32_t listener, double t0_us, double t1_us) const;
 
@@ -146,17 +148,13 @@ class Arbiter {
     return tables_.audible[listener * tables_.num_nodes + tx_node] != 0;
   }
 
-  /// Control-plane hook (DESIGN.md §18): the engine retunes power /
-  /// audibility / index entries in place when a runtime action changes the
-  /// spectrum picture (SledZig toggle, ZigBee channel hop).  Mutations are
-  /// the engine's responsibility to keep consistent (bits must track
-  /// nonzero powers); nothing else may write through this.
-  ArbiterTables& mutable_tables() { return tables_; }
+  /// Retunes one link (DESIGN.md §18: SledZig toggle, ZigBee hop).
+  void set_link(std::size_t point, std::size_t tx, const SegmentPower& sp) {
+    tables_.set_link(point, tx, sp);
+  }
 
-  /// Was the interference-graph bit index built for this run?
-  bool has_link_index() const { return tables_.bit_words != 0; }
-  /// Index queries (only meaningful when has_link_index()): is the link's
-  /// table power nonzero at the listener's receiver / CCA point?
+  /// Index queries: is the link's table power nonzero at the listener's
+  /// receiver / CCA point?
   bool rx_nonzero(std::uint32_t listener, std::uint32_t tx_node) const {
     return link_bit(tables_.num_nodes + listener, tx_node);
   }
@@ -169,9 +167,6 @@ class Arbiter {
     return (tables_.nonzero_bits[point * tables_.bit_words + (tx_node >> 6)] >>
             (tx_node & 63)) &
            1u;
-  }
-  std::uint32_t comp_of(std::uint32_t node) const {
-    return tables_.comp.empty() ? 0 : tables_.comp[node];
   }
 
   ArbiterTables tables_;

@@ -46,6 +46,21 @@ std::uint64_t vus(double t) {
   return static_cast<std::uint64_t>(std::llround(t));
 }
 
+/// One coupled link's received power under a shadowing draw (`Link` is a
+/// LinkEntry or a CoupledLink).  The coupling term is applied after the
+/// jitter so legacy paths (coupling_db == 0) reproduce the pre-cache sums
+/// bit-exactly.
+template <class Link>
+SegmentPower shadowed(const Link& e, common::Db jitter) {
+  SegmentPower sp;
+  sp.payload_mw = common::to_mw((e.payload_dbm + jitter) + e.coupling_db);
+  sp.preamble_mw =
+      e.preamble_dbm == e.payload_dbm
+          ? sp.payload_mw
+          : common::to_mw((e.preamble_dbm + jitter) + e.coupling_db);
+  return sp;
+}
+
 /// One frame-relevant interferer, staged flat for the delivery scan: the
 /// transmission's segment times plus its received powers and the
 /// precomputed symbol error probabilities it would impose.  A frame's
@@ -114,6 +129,8 @@ class Engine {
     /// current at delivery time — the throughput source of truth when the
     /// control plane can retoggle SledZig (and the frame rate) mid-run.
     double delivered_bits = 0.0;
+    /// The control plane's traffic-shaping factor (1.0 when unshaped).
+    double shape_scale = 1.0;
   };
 
   struct ZigbeeNode {
@@ -129,7 +146,8 @@ class Engine {
     double bits_per_frame = 0.0;
     common::MilliWatt signal_mw{};
     double sensitivity_loss = 0.0;
-    double p_err_idle = 0.0;
+    double p_err_idle = 0.0;           // payload shape, no interferer
+    double p_err_idle_preamble = 0.0;  // preamble shape, no interferer
     double serve_start_us = 0.0;  // when the head frame (re-)entered CSMA
     // CCA assessment tallies, observed by the control plane as per-epoch
     // deltas (a deterministic in-engine stand-in for a busy-channel scan).
@@ -150,6 +168,7 @@ class Engine {
     /// the horizon — the liveness invariant's alibi for `serving` at end.
     bool horizon_cut = false;
     double drift = 1.0;    ///< timer-interval stretch (1 + drift_ppm * 1e-6)
+    double surge = 1.0;    ///< traffic-rate factor of the current surge
     double skew_us = 0.0;  ///< first-arrival clock offset
     std::uint32_t active_tx = UINT32_MAX;  ///< in-flight ledger id, if any
   };
@@ -179,17 +198,19 @@ class Engine {
   // --- control-plane actuation (DESIGN.md §18) ---
   void apply_sledzig(bool engage, double t);
   void apply_hop(std::size_t j, unsigned channel, double t);
-  /// Recomputes one power-table entry (and its audibility / index bit) for
-  /// the current channels and scheme, re-applying the pair's stored
-  /// shadowing jitter — bit-identical to what the constructor fill would
-  /// have produced for the same spectrum picture.
-  void retune_pair(ArbiterTables& tables, std::size_t point, std::size_t tx);
-  void rebuild_adjacency(const ArbiterTables& tables);
+  /// Recomputes one link for the current channels and scheme, re-applying
+  /// the pair's stored shadowing jitter — bit-identical to what the
+  /// constructor fill would have produced for the same spectrum picture.
+  void retune_pair(std::size_t point, std::size_t tx);
+  void rebuild_adjacency();
   double zig_symbol_perr(const ZigbeeNode& zn, common::MilliWatt interference,
                          bool preamble) const;
-  /// Refreshes perr_ row j from the current rx-point power row (used after
-  /// a retune; zero-power links recompute to the exact same shared values).
-  void refresh_zigbee_perr_row(std::size_t j);
+  /// Mote j's own-link budget and its whole perr_ row, from the current
+  /// receiver-point powers.
+  void refresh_mote(std::size_t j);
+  /// The one writer of perr_: mote j's symbol error probabilities against
+  /// transmitter t.
+  void set_perr(std::size_t j, std::size_t t);
 
   void crash_node(std::uint32_t g, double t);
   void reboot_node(std::uint32_t g, double t);
@@ -285,13 +306,6 @@ class Engine {
   /// overwrite affected pairs with the pure-function kControl draw.  Only
   /// allocated when a policy can retune (SledZig toggle / channel hop).
   std::vector<double> jitter_db_;
-  /// Traffic-rate factors composed multiplicatively per node: the fault
-  /// layer's surge factor and the control plane's shaping factor must not
-  /// clobber each other.  Allocated only when the control plane is active;
-  /// otherwise the surge handler writes the traffic source directly
-  /// (legacy path, bit-identical).
-  std::vector<double> surge_scale_;  // per real node
-  std::vector<double> shape_scale_;  // per wifi node
   std::uint64_t control_events_ = 0;
   std::uint64_t control_actions_ = 0;
 
@@ -394,8 +408,6 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
     prev_zigbee_.assign(num_zigbee_, PrevCounters{});
     obs_wifi_.assign(num_wifi_, control::NodeObservation{});
     obs_zigbee_.assign(num_zigbee_, control::NodeObservation{});
-    surge_scale_.assign(num_nodes_, 1.0);
-    shape_scale_.assign(num_wifi_, 1.0);
     center_hz_.assign(num_nodes_, 0.0);
     for (std::size_t w = 0; w < num_wifi_; ++w) {
       center_hz_[w] = wifi_node_center_hz(cfg_.wifi[w].channel);
@@ -428,32 +440,31 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
   tables.num_nodes = num_total_;
   tables.power.assign(2 * num_total_ * num_total_, SegmentPower{});
   tables.audible.assign(num_total_ * num_total_, 0);
-  tables.cca_noise_mw.assign(num_total_, common::MilliWatt{});
-  tables.cca_threshold_dbm.assign(num_total_, common::Dbm{});
+  tables.bit_words = (num_total_ + 63) / 64;
+  tables.nonzero_bits.assign(2 * num_total_ * tables.bit_words, 0);
+  tables.cca_noise_mw.resize(num_total_);
+  tables.cca_threshold_dbm.resize(num_total_);
+  for (std::size_t n = 0; n < num_total_; ++n) {
+    const bool is_zigbee = n >= num_wifi_ && n < num_nodes_;
+    tables.cca_noise_mw[n] = common::to_mw(
+        is_zigbee ? channel::kNoiseFloor2MhzDbm : channel::kNoiseFloor20MhzDbm);
+    tables.cca_threshold_dbm[n] = is_zigbee ? channel::kZigbeeCcaThresholdDbm
+                                            : channel::kWifiCcaThresholdDbm;
+  }
+  // A runtime channel hop can couple nodes across the cache's static
+  // components, so a hop-armed run keeps every node in component 0: one
+  // global ledger (cross-component power is 0 mW, so splitting is a scan
+  // optimisation, never a semantic one).
+  if (control_active_ && cfg_.control.hop.enabled) {
+    tables.comp.assign(num_total_, 0);
+    tables.num_comps = 1;
+  } else {
+    tables.comp.assign(cache_->comp.begin(), cache_->comp.end());
+    tables.num_comps = cache_->num_comps;
+  }
   const bool keep_shadow = cfg_.fastpath.cross_check;
   shadow_.clear();
   if (keep_shadow) shadow_.assign(2 * num_total_ * num_total_, SegmentPower{});
-  // The interference-graph bit index rides with the fast path; without it
-  // medium queries fall back to scanning the table (pre-graph behaviour).
-  const bool build_index = cfg_.fastpath.segment_runs || cfg_.fastpath.prune;
-  tables.bit_words = build_index ? (num_total_ + 63) / 64 : 0;
-  tables.nonzero_bits.assign(2 * num_total_ * tables.bit_words, 0);
-  // Coupling components partition the transmission ledger; off the fast
-  // path everything shares component 0 (one global ledger, the pre-split
-  // behaviour).
-  // A runtime channel hop can couple nodes across the cache's static
-  // components, so with the hop policy armed the run keeps one global
-  // ledger (the exact pre-component behaviour — cross-component power is
-  // 0 mW, so splitting is a scan optimisation, never a semantic one).
-  const bool static_components =
-      build_index && !(control_active_ && cfg_.control.hop.enabled);
-  if (static_components) {
-    tables.comp.assign(cache_->comp.begin(), cache_->comp.end());
-    tables.num_comps = cache_->num_comps;
-  } else {
-    tables.comp.clear();
-    tables.num_comps = 1;
-  }
 
   // Walk the cache's compact coupled-pair rows: only spectrally-coupled
   // pairs consume a draw — which is every pair in a single-channel
@@ -472,145 +483,28 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
         jitter_db_[p * num_total_ + e.tx] = jitter.value();
       }
       if (e.state == LinkState::kLive) {
-        SegmentPower sp;
-        // The coupling term is applied after the jitter so legacy paths
-        // (coupling_db == 0) reproduce the pre-cache sums bit-exactly.
-        sp.payload_mw =
-            common::to_mw((e.payload_dbm + jitter) + e.coupling_db);
-        sp.preamble_mw =
-            e.preamble_dbm == e.payload_dbm
-                ? sp.payload_mw
-                : common::to_mw((e.preamble_dbm + jitter) + e.coupling_db);
-        tables.power[p * num_total_ + e.tx] = sp;
-        if (build_index) {
-          tables.nonzero_bits[p * tables.bit_words + (e.tx >> 6)] |=
-              std::uint64_t{1} << (e.tx & 63);
-        }
+        tables.set_link(p, e.tx, shadowed(e, jitter));
       } else if (keep_shadow && e.state == LinkState::kPruned) {
         // What the table *would* have held: the cross-check compares this
         // against the prune epsilon at every delivery.
-        SegmentPower sp;
-        sp.payload_mw =
-            common::to_mw((e.payload_dbm + jitter) + e.coupling_db);
-        sp.preamble_mw =
-            common::to_mw((e.preamble_dbm + jitter) + e.coupling_db);
-        shadow_[p * num_total_ + e.tx] = sp;
+        shadow_[p * num_total_ + e.tx] = shadowed(e, jitter);
       }
       // kZero (and kPruned): the table entry stays exactly 0 mW — inert in
       // CCA energy sums and unable to win a strict-> worst-interferer.
     }
   }
-
-  for (std::size_t n = 0; n < num_total_; ++n) {
-    const bool is_zigbee = n >= num_wifi_ && n < num_nodes_;
-    tables.cca_noise_mw[n] = common::to_mw(
-        is_zigbee ? channel::kNoiseFloor2MhzDbm : channel::kNoiseFloor20MhzDbm);
-    tables.cca_threshold_dbm[n] = is_zigbee ? channel::kZigbeeCcaThresholdDbm
-                                            : channel::kWifiCcaThresholdDbm;
-    const common::MilliWatt threshold_mw =
-        common::to_mw(tables.cca_threshold_dbm[n]);
-    // Energy-detect audibility (WiFi listeners defer on this; ZigBee
-    // listeners use the averaged-energy CCA instead).  A zero-power link
-    // can never clear the (positive) threshold, so with the bit index
-    // built only the set bits need the table read.
-    if (build_index) {
-      for (std::size_t w = 0; w < tables.bit_words; ++w) {
-        std::uint64_t bits = tables.nonzero_bits[n * tables.bit_words + w];
-        while (bits != 0) {
-          const std::size_t t =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (t == n) continue;
-          tables.audible[n * num_total_ + t] =
-              tables.power[n * num_total_ + t].payload_mw >= threshold_mw ? 1
-                                                                          : 0;
-        }
-      }
-    } else {
-      for (std::size_t t = 0; t < num_total_; ++t) {
-        if (t == n) continue;
-        tables.audible[n * num_total_ + t] =
-            tables.power[n * num_total_ + t].payload_mw >= threshold_mw ? 1
-                                                                        : 0;
-      }
-    }
-  }
+  arbiter_ = Arbiter(std::move(storage));
 
   // --- notify adjacency: the audible WiFi listeners of each transmitter ---
-  rebuild_adjacency(tables);
+  rebuild_adjacency();
 
   // --- own-link budgets and cached per-interferer symbol error probs ---
   for (std::size_t i = 0; i < num_wifi_; ++i) {
-    wifi_[i].signal_mw =
-        tables.power[(num_total_ + i) * num_total_ + i].payload_mw;
+    wifi_[i].signal_mw = arbiter_.rx_power(global(i), global(i)).payload_mw;
   }
   perr_ = std::move(ws.perr);
   perr_.assign(num_zigbee_ * num_total_ * 2, 0.0);
-  for (std::size_t j = 0; j < num_zigbee_; ++j) {
-    auto& zn = zigbee_[j];
-    const std::size_t g = global_z(j);
-    const common::Dbm signal_dbm =
-        common::to_dbm(
-            tables.power[(num_total_ + g) * num_total_ + g].payload_mw) -
-        impair_penalty_db_;
-    zn.signal_mw = common::to_mw(signal_dbm);
-    zn.sensitivity_loss = cfg_.error_model.sensitivity_loss_prob(
-        signal_dbm, zn.cfg.sensitivity_dbm);
-    const auto p_err = [&](common::MilliWatt interference_mw, bool preamble) {
-      return zig_symbol_perr(zn, interference_mw, preamble);
-    };
-    zn.p_err_idle = p_err(common::MilliWatt{}, false);
-    // Zeroed links (pruned edges, disjoint channels) all share the same
-    // two values; evaluating the error model once per shape instead of
-    // per link is what keeps dense-campus construction O(edges).
-    const double p0_payload = zn.p_err_idle;
-    const double p0_preamble = p_err(common::MilliWatt{}, true);
-    // The "preamble" shape of the error model is calibrated for the
-    // bursty WiFi preamble; a ZigBee interferer's whole frame — and a
-    // jammer's noise-like burst — behaves like payload.
-    if (build_index) {
-      // Default every link to the shared zero-power values without touching
-      // the power table, then overwrite the (few, at campus scale) nonzero
-      // links the bit index names.
-      for (std::size_t t = 0; t < num_total_; ++t) {
-        if (t == g) continue;
-        perr_[(j * num_total_ + t) * 2 + 0] = p0_payload;
-        perr_[(j * num_total_ + t) * 2 + 1] =
-            t < num_wifi_ ? p0_preamble : p0_payload;
-      }
-      const std::size_t pr = num_total_ + g;
-      for (std::size_t w = 0; w < tables.bit_words; ++w) {
-        std::uint64_t bits = tables.nonzero_bits[pr * tables.bit_words + w];
-        while (bits != 0) {
-          const std::size_t t =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (t == g) continue;
-          const auto& sp = tables.power[pr * num_total_ + t];
-          perr_[(j * num_total_ + t) * 2 + 0] = p_err(sp.payload_mw, false);
-          perr_[(j * num_total_ + t) * 2 + 1] =
-              p_err(sp.preamble_mw, t < num_wifi_);
-        }
-      }
-    } else {
-      for (std::size_t t = 0; t < num_total_; ++t) {
-        if (t == g) continue;
-        const auto& sp = tables.power[(num_total_ + g) * num_total_ + t];
-        const bool wifi_tx = t < num_wifi_;
-        if (sp.payload_mw == common::MilliWatt{} &&
-            sp.preamble_mw == common::MilliWatt{}) {
-          perr_[(j * num_total_ + t) * 2 + 0] = p0_payload;
-          perr_[(j * num_total_ + t) * 2 + 1] =
-              wifi_tx ? p0_preamble : p0_payload;
-          continue;
-        }
-        perr_[(j * num_total_ + t) * 2 + 0] = p_err(sp.payload_mw, false);
-        perr_[(j * num_total_ + t) * 2 + 1] = p_err(sp.preamble_mw, wifi_tx);
-      }
-    }
-  }
-
-  arbiter_ = Arbiter(std::move(storage));
+  for (std::size_t j = 0; j < num_zigbee_; ++j) refresh_mote(j);
 
   // --- the decision layer, with per-mote static context ---
   if (control_active_) {
@@ -946,13 +840,12 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
   // A deaf station cannot decode anything, interference or not.
   if (fstate_[g].deaf) return false;
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
-  const bool indexed = arbiter_.has_link_index();
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
     if (x.node == g) continue;
     // Zero-power links can only yield worst_mw <= 0.0 below; the index
     // skips them without the (cache-cold at campus scale) table read.
-    if (indexed && !arbiter_.rx_nonzero(g, x.node)) continue;
+    if (!arbiter_.rx_nonzero(g, x.node)) continue;
     const auto& sp = arbiter_.rx_power(g, x.node);
     const bool pre_overlap =
         std::min(tx.end_us, x.payload_start_us) >
@@ -1046,8 +939,8 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
   // Zero-power ledger entries (pruned or channel-disjoint interferers,
   // which the table holds as exactly 0 mW) can never win the strict->
   // comparison; dropping them up front is what makes the scan O(degree).
-  // The bit index (always built on this branch) answers "is the link
-  // nonzero" without touching the power table at all.
+  // The bit index answers "is the link nonzero" without touching the
+  // power table at all.
   auto& rel = ws_->rel;
   rel.clear();
   for (const std::uint32_t* it = lo; it != hi; ++it) {
@@ -1318,15 +1211,12 @@ void Engine::on_fault(const FaultAction& a, double t) {
       const bool on = a.kind == FaultKind::kSurgeOn;
       auto& traffic = a.node < num_wifi_ ? wifi_[a.node].traffic
                                          : zigbee_[a.node - num_wifi_].traffic;
-      const double surge = on ? a.magnitude : 1.0;
       // Compose with the control plane's shaping factor (the two layers
-      // must not clobber each other); without an active control plane the
-      // vectors are empty and this is the legacy direct write.
-      if (!surge_scale_.empty()) surge_scale_[a.node] = surge;
-      const double shape = (a.node < num_wifi_ && !shape_scale_.empty())
-                               ? shape_scale_[a.node]
-                               : 1.0;
-      traffic.set_rate_scale(surge * shape);
+      // must not clobber each other; x * 1.0 is exact).
+      fstate_[a.node].surge = on ? a.magnitude : 1.0;
+      const double shape =
+          a.node < num_wifi_ ? wifi_[a.node].shape_scale : 1.0;
+      traffic.set_rate_scale(fstate_[a.node].surge * shape);
       trace(t, a.node, TraceType::kSurge, on ? 1 : 0);
       if (cfg_.span_log != nullptr) {
         cfg_.span_log->instant(on ? "surge_on" : "surge_off", a.node, vus(t));
@@ -1336,7 +1226,7 @@ void Engine::on_fault(const FaultAction& a, double t) {
   }
 }
 
-void Engine::rebuild_adjacency(const ArbiterTables& tables) {
+void Engine::rebuild_adjacency() {
   // CSR lists in ascending listener order, exactly the order the old
   // all-pairs notify_busy loop visited, so skipping inaudible listeners
   // changes nothing but the iteration count.
@@ -1345,7 +1235,8 @@ void Engine::rebuild_adjacency(const ArbiterTables& tables) {
   for (std::size_t t = 0; t < num_total_; ++t) {
     for (std::size_t w = 0; w < num_wifi_; ++w) {
       if (w == t) continue;  // audible(w, w) is 0 anyway
-      if (tables.audible[w * num_total_ + t] != 0) {
+      if (arbiter_.audible(static_cast<std::uint32_t>(w),
+                           static_cast<std::uint32_t>(t))) {
         ws_->adj.push_back(static_cast<std::uint32_t>(w));
       }
     }
@@ -1361,23 +1252,44 @@ double Engine::zig_symbol_perr(const ZigbeeNode& zn,
   return cfg_.error_model.symbol_error_prob(sinr_db, preamble);
 }
 
-void Engine::refresh_zigbee_perr_row(std::size_t j) {
-  const auto& tables = arbiter_.mutable_tables();
-  const auto& zn = zigbee_[j];
-  const std::size_t g = global_z(j);
-  const std::size_t pr = num_total_ + g;
+void Engine::refresh_mote(std::size_t j) {
+  auto& zn = zigbee_[j];
+  const std::uint32_t g = global_z(j);
+  const common::Dbm signal_dbm =
+      common::to_dbm(arbiter_.rx_power(g, g).payload_mw) - impair_penalty_db_;
+  zn.signal_mw = common::to_mw(signal_dbm);
+  zn.sensitivity_loss = cfg_.error_model.sensitivity_loss_prob(
+      signal_dbm, zn.cfg.sensitivity_dbm);
+  zn.p_err_idle = zig_symbol_perr(zn, common::MilliWatt{}, false);
+  zn.p_err_idle_preamble = zig_symbol_perr(zn, common::MilliWatt{}, true);
   for (std::size_t t = 0; t < num_total_; ++t) {
-    if (t == g) continue;
-    const auto& sp = tables.power[pr * num_total_ + t];
-    perr_[(j * num_total_ + t) * 2 + 0] = zig_symbol_perr(zn, sp.payload_mw,
-                                                          false);
-    perr_[(j * num_total_ + t) * 2 + 1] =
-        zig_symbol_perr(zn, sp.preamble_mw, t < num_wifi_);
+    if (t != g) set_perr(j, t);
   }
 }
 
-void Engine::retune_pair(ArbiterTables& tables, std::size_t point,
-                         std::size_t tx) {
+void Engine::set_perr(std::size_t j, std::size_t t) {
+  const auto& zn = zigbee_[j];
+  const std::uint32_t g = global_z(j);
+  const auto tx = static_cast<std::uint32_t>(t);
+  double* p = &perr_[(j * num_total_ + t) * 2];
+  // The "preamble" shape of the error model is calibrated for the bursty
+  // WiFi preamble; a ZigBee interferer's whole frame — and a jammer's
+  // noise-like burst — behaves like payload.
+  const bool wifi_tx = t < num_wifi_;
+  if (!arbiter_.rx_nonzero(g, tx)) {
+    // Zeroed links (pruned edges, disjoint channels) all share the mote's
+    // idle values; evaluating the error model only for nonzero links is
+    // what keeps dense-campus construction O(edges).
+    p[0] = zn.p_err_idle;
+    p[1] = wifi_tx ? zn.p_err_idle_preamble : zn.p_err_idle;
+    return;
+  }
+  const SegmentPower& sp = arbiter_.rx_power(g, tx);
+  p[0] = zig_symbol_perr(zn, sp.payload_mw, false);
+  p[1] = zig_symbol_perr(zn, sp.preamble_mw, wifi_tx);
+}
+
+void Engine::retune_pair(std::size_t point, std::size_t tx) {
   const bool rx_point = point >= num_total_;
   const std::size_t listener = rx_point ? point - num_total_ : point;
   if (listener >= num_nodes_) return;            // jammer points never listen
@@ -1385,34 +1297,13 @@ void Engine::retune_pair(ArbiterTables& tables, std::size_t point,
   const LinkEntry e =
       mean_link_entry(cfg_, listener, rx_point, tx,
                       common::Hz{center_hz_[listener]}, sledzig_on_);
-  SegmentPower sp{};
-  if (e.state == LinkState::kLive) {
-    // Retuned entries are never pruned — the prune decision was made
-    // against the build-time spectrum picture and a retune must only make
-    // links audible, never silently drop one.
-    const common::Db jitter{jitter_db_[point * num_total_ + tx]};
-    sp.payload_mw = common::to_mw((e.payload_dbm + jitter) + e.coupling_db);
-    sp.preamble_mw =
-        e.preamble_dbm == e.payload_dbm
-            ? sp.payload_mw
-            : common::to_mw((e.preamble_dbm + jitter) + e.coupling_db);
-  }
-  tables.power[point * num_total_ + tx] = sp;
-  if (tables.bit_words != 0) {
-    const std::size_t word = point * tables.bit_words + (tx >> 6);
-    const std::uint64_t bit = std::uint64_t{1} << (tx & 63);
-    if (sp.payload_mw > common::MilliWatt{} ||
-        sp.preamble_mw > common::MilliWatt{}) {
-      tables.nonzero_bits[word] |= bit;
-    } else {
-      tables.nonzero_bits[word] &= ~bit;
-    }
-  }
-  if (!rx_point) {
-    tables.audible[point * num_total_ + tx] =
-        sp.payload_mw >= common::to_mw(tables.cca_threshold_dbm[point]) ? 1
-                                                                        : 0;
-  }
+  // Retuned entries are never pruned — the prune decision was made against
+  // the build-time spectrum picture and a retune must only make links
+  // audible, never silently drop one.
+  const common::Db jitter{jitter_db_[point * num_total_ + tx]};
+  arbiter_.set_link(point, tx,
+                    e.state == LinkState::kLive ? shadowed(e, jitter)
+                                                : SegmentPower{});
   // The entry is live (or exactly zero) now; any pruned-link shadow from
   // the build-time picture is stale, and the cross-check must not trip on
   // a pair the control plane has since retuned.
@@ -1422,7 +1313,6 @@ void Engine::retune_pair(ArbiterTables& tables, std::size_t point,
 void Engine::apply_sledzig(bool engage, double t) {
   if (engage == sledzig_on_) return;
   sledzig_on_ = engage;
-  auto& tables = arbiter_.mutable_tables();
   // Only ZigBee listening points hear the scheme difference (the
   // protected-window payload offset); WiFi-listener entries and all
   // ZigBee-transmitter entries are scheme-invariant, so rows outside the
@@ -1430,10 +1320,10 @@ void Engine::apply_sledzig(bool engage, double t) {
   for (std::size_t j = 0; j < num_zigbee_; ++j) {
     const std::size_t g = global_z(j);
     for (std::size_t w = 0; w < num_wifi_; ++w) {
-      retune_pair(tables, g, w);
-      retune_pair(tables, num_total_ + g, w);
+      retune_pair(g, w);
+      retune_pair(num_total_ + g, w);
     }
-    refresh_zigbee_perr_row(j);
+    refresh_mote(j);
   }
   // The WiFi frame keeps its airtime; the scheme trades payload bits for
   // coexistence, so the per-frame bit budget follows the toggle.
@@ -1449,12 +1339,10 @@ void Engine::apply_sledzig(bool engage, double t) {
 
 void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
   if (cfg_.zigbee[j].channel == channel) return;  // rotation met itself
-  auto& zn = zigbee_[j];
   const std::size_t g = global_z(j);
   cfg_.zigbee[j].channel = channel;
-  zn.cfg.channel = channel;
+  zigbee_[j].cfg.channel = channel;
   center_hz_[g] = zigbee_node_center_hz(channel, cfg_.sledzig);
-  auto& tables = arbiter_.mutable_tables();
   const double sigma = cfg_.shadowing_sigma_db.value();
   // Every retuned pair re-draws its shadowing as the pure function
   // derive_seed(seed, kControl, point, tx, channel) — no stateful stream,
@@ -1472,7 +1360,7 @@ void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
     for (std::size_t tx = 0; tx < num_total_; ++tx) {
       if (tx == g) continue;
       fresh_jitter(p, tx);
-      retune_pair(tables, p, tx);
+      retune_pair(p, tx);
     }
   }
   // ...and the whole world hears the mote anew (its column, own link
@@ -1483,29 +1371,14 @@ void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
     if (listener >= num_nodes_) continue;
     if (listener == g && !rx_point) continue;
     fresh_jitter(p, g);
-    retune_pair(tables, p, g);
+    retune_pair(p, g);
   }
-  rebuild_adjacency(tables);
-  // Own-link budget and the cached symbol-error row move with the band.
-  const common::Dbm signal_dbm =
-      common::to_dbm(
-          tables.power[(num_total_ + g) * num_total_ + g].payload_mw) -
-      impair_penalty_db_;
-  zn.signal_mw = common::to_mw(signal_dbm);
-  zn.sensitivity_loss = cfg_.error_model.sensitivity_loss_prob(
-      signal_dbm, zn.cfg.sensitivity_dbm);
-  zn.p_err_idle = zig_symbol_perr(zn, common::MilliWatt{}, false);
-  refresh_zigbee_perr_row(j);
+  rebuild_adjacency();
+  // Own-link budget and the cached symbol-error rows move with the band:
+  // the mote's own row, and its column in every other mote's row.
+  refresh_mote(j);
   for (std::size_t k = 0; k < num_zigbee_; ++k) {
-    if (k == j) continue;
-    const auto& sp =
-        tables.power[(num_total_ + global_z(k)) * num_total_ + g];
-    // A ZigBee interferer's whole frame behaves like payload (both
-    // segments share the payload error shape).
-    perr_[(k * num_total_ + g) * 2 + 0] =
-        zig_symbol_perr(zigbee_[k], sp.payload_mw, false);
-    perr_[(k * num_total_ + g) * 2 + 1] =
-        zig_symbol_perr(zigbee_[k], sp.preamble_mw, false);
+    if (k != j) set_perr(k, g);
   }
   trace(t, static_cast<std::uint32_t>(g), TraceType::kControlHop,
         static_cast<std::int32_t>(channel));
@@ -1562,8 +1435,8 @@ void Engine::on_control(double t) {
         apply_hop(a.node, static_cast<unsigned>(a.value), t);
         break;
       case control::ActionKind::kWifiRateScale: {
-        shape_scale_[a.node] = a.value;
-        wifi_[a.node].traffic.set_rate_scale(surge_scale_[a.node] * a.value);
+        wifi_[a.node].shape_scale = a.value;
+        wifi_[a.node].traffic.set_rate_scale(fstate_[a.node].surge * a.value);
         trace(t, static_cast<std::uint32_t>(a.node), TraceType::kControlShape,
               static_cast<std::int32_t>(std::lround(a.value * 1000.0)));
         break;

@@ -16,6 +16,10 @@ namespace {
 /// listener's measurement band (same constant the engine always used).
 constexpr common::Db kJammerBandFractionDb{-10.0};
 
+/// How far under the listener's noise floor a link's mean power plus a
+/// 10-sigma shadowing margin must land before pruning zeroes it.
+constexpr common::Db kPruneFloorDb{30.0};
+
 constexpr double kWifiBandHz = 20e6;
 constexpr double kZigbeeBandHz = 2e6;
 
@@ -191,7 +195,7 @@ std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {
         zigbee_node_center_hz(cfg.zigbee[z].channel, cfg.sledzig);
   }
 
-  // Prune epsilons: `prune_floor_db` under the listener's noise floor.
+  // Prune epsilons: kPruneFloorDb under the listener's noise floor.
   // The decision below adds a 10-sigma shadowing margin on top, so a
   // pruned link stays under epsilon for any jitter draw short of a
   // ~1e-23-probability tail (the cross-check would catch even that).
@@ -199,7 +203,7 @@ std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {
     const bool is_zigbee = n >= num_wifi && n < num_nodes;
     const common::Dbm noise_dbm = is_zigbee ? channel::kNoiseFloor2MhzDbm
                                             : channel::kNoiseFloor20MhzDbm;
-    lc->eps_mw[n] = common::to_mw(noise_dbm - cfg.fastpath.prune_floor_db);
+    lc->eps_mw[n] = common::to_mw(noise_dbm - kPruneFloorDb);
   }
   const common::Db margin_db = 10.0 * cfg.shadowing_sigma_db;
 
@@ -249,7 +253,7 @@ std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {
         const common::Dbm noise_dbm = listener_is_zigbee
                                           ? channel::kNoiseFloor2MhzDbm
                                           : channel::kNoiseFloor20MhzDbm;
-        if (best_dbm < noise_dbm - cfg.fastpath.prune_floor_db) {
+        if (best_dbm < noise_dbm - kPruneFloorDb) {
           e.state = LinkState::kPruned;
         }
       }

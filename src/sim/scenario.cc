@@ -42,6 +42,16 @@ void check_position(std::vector<ConfigError>& errs, const std::string& field,
   }
 }
 
+/// MAC timing: a negative interval would schedule events in the past.
+/// (`key` is appended to `node` only on error, keeping valid configs free
+/// of string building.)
+void check_interval(std::vector<ConfigError>& errs, const std::string& node,
+                    const char* key, double us) {
+  if (!finite(us) || us < 0.0) {
+    errs.push_back({node + key, "must be finite and >= 0"});
+  }
+}
+
 void check_traffic(std::vector<ConfigError>& errs, const std::string& field,
                    const TrafficConfig& t) {
   switch (t.kind) {
@@ -103,6 +113,10 @@ std::vector<ConfigError> ScenarioConfig::validate() const {
     if (!(n.mac.airtime_us > 0.0) || !finite(n.mac.airtime_us)) {
       errs.push_back({field + ".mac.airtime_us", "must be finite and > 0"});
     }
+    if (n.mac.cw < 1) errs.push_back({field + ".mac.cw", "must be >= 1"});
+    check_interval(errs, field, ".mac.difs_us", n.mac.difs_us);
+    check_interval(errs, field, ".mac.slot_us", n.mac.slot_us);
+    check_interval(errs, field, ".mac.preamble_us", n.mac.preamble_us);
     if (n.channel > 13) {
       errs.push_back({field + ".channel", "must be 0 (legacy) or 1..13"});
     }
@@ -119,14 +133,20 @@ std::vector<ConfigError> ScenarioConfig::validate() const {
     if (n.mac.payload_octets == 0) {
       errs.push_back({field + ".mac.payload_octets", "must be >= 1"});
     }
+    // The backoff draws from [0, 2^BE); 802.15.4 bounds macMaxBE by 8.
+    // min_be > max_be stays legal: the machine clamps it to max_be.
+    if (n.mac.max_be > 8) {
+      errs.push_back({field + ".mac.max_be", "must be <= 8 (macMaxBE)"});
+    }
+    check_interval(errs, field, ".mac.backoff_period_us",
+                   n.mac.backoff_period_us);
+    check_interval(errs, field, ".mac.cca_us", n.mac.cca_us);
+    check_interval(errs, field, ".mac.turnaround_us", n.mac.turnaround_us);
+    check_interval(errs, field, ".mac.ack_wait_us", n.mac.ack_wait_us);
     if (n.channel != 0 && (n.channel < 11 || n.channel > 26)) {
       errs.push_back({field + ".channel", "must be 0 (legacy) or 11..26"});
     }
     check_traffic(errs, field + ".traffic", n.traffic);
-  }
-
-  if (!finite(fastpath.prune_floor_db.value())) {
-    errs.push_back({"fastpath.prune_floor_db", "must be finite"});
   }
 
   // --- fault plan ---

@@ -85,11 +85,13 @@ struct ZigbeeNodeConfig {
   unsigned channel = 0;
 };
 
-/// Hybrid-fidelity fast-path knobs (DESIGN.md §15).  The defaults are safe
-/// for every scenario: segment runs are bit-exact, and the prune epsilon
-/// sits `prune_floor_db` under the listener's noise floor with a 10-sigma
-/// shadowing margin, so a pruned link could never have moved a SINR by a
-/// measurable amount.
+/// Hybrid-fidelity fast-path knobs (DESIGN.md §15).  The link index and
+/// the coupling components are not knobs: every run builds them, because
+/// skipping exactly-zero links changes no arithmetic.  The defaults are
+/// safe for every scenario: segment runs are bit-exact, and the prune
+/// epsilon sits a fixed 30 dB under the listener's noise floor with a
+/// 10-sigma shadowing margin, so a pruned link could never have moved a
+/// SINR by a measurable amount.
 struct FastPathConfig {
   /// Segment-run delivery: the interferer set is piecewise-constant
   /// between transmission boundaries, so the worst interferer is resolved
@@ -98,12 +100,11 @@ struct FastPathConfig {
   /// to the per-symbol reference (turn off to time the reference path).
   bool segment_runs = true;
   /// Interference-graph pruning: zero out links whose received power can
-  /// never come within `prune_floor_db` of the listener's noise floor
-  /// (10-sigma shadowing margin included), so delivery and CCA iterate
-  /// over O(degree) neighbors.  Conservative approximation; cross-checked
-  /// when `cross_check` is set.
+  /// never come within 30 dB of the listener's noise floor (10-sigma
+  /// shadowing margin included), so delivery and CCA iterate over
+  /// O(degree) neighbors.  Conservative approximation; cross-checked when
+  /// `cross_check` is set.
   bool prune = true;
-  common::Db prune_floor_db{30.0};
   /// Debug: keep a shadow table of the true (unpruned) powers and throw
   /// std::logic_error if a pruned link ever shows up above the prune
   /// epsilon at a delivery — i.e. if it could have won worst-interferer.
@@ -262,7 +263,7 @@ struct ScenarioConfig {
   /// Structural validation: rejects configs that would otherwise fail deep
   /// inside the engine or silently produce empty runs (zero/negative
   /// durations, empty topologies, NaN powers/positions, zero-rate traffic,
-  /// malformed fault plans).  Returns every problem found, not just the
+  /// out-of-range MAC parameters, malformed fault plans).  Returns every problem found, not just the
   /// first; empty means the config is runnable.  run_scenario and
   /// run_replications both call this up front and throw
   /// std::invalid_argument with describe(errors) on failure.

@@ -355,6 +355,23 @@ TEST(CampaignScenario, MalformedInputsReportFieldPaths) {
   EXPECT_GE(errors.size(), 2u) << sim::describe(errors);
 }
 
+TEST(CampaignScenario, RetiredPruneFloorKeyIsUnknown) {
+  // The prune floor is a fixed 30 dB, not a fast-path knob.  Spelled in two
+  // pieces for the same reason as the retired MAC keys below.
+  const std::string key = std::string("prune_floor") + "_db";
+  ScenarioConfig cfg;
+  std::vector<ConfigError> errors;
+  EXPECT_FALSE(campaign::scenario_from_text(
+      "{\"fastpath\": {\"" + key + "\": 0.0}}", &cfg, &errors));
+  const std::string field = "fastpath." + key;
+  ASSERT_TRUE(has_error_field(errors, field)) << sim::describe(errors);
+  for (const auto& e : errors) {
+    if (e.field == field) {
+      EXPECT_EQ(e.message, "unknown key");
+    }
+  }
+}
+
 TEST(CampaignScenario, RetiredMacKeysAreUnknown) {
   // WiFi load is a traffic property (wifi[i].traffic.duty_ratio), and the
   // engine never modelled a ZigBee host-processing delay, so neither old
@@ -725,6 +742,30 @@ TEST(CampaignRunner, UnsupportedModeFailsBeforeAnyItemRuns) {
   EXPECT_FALSE(campaign::run_campaign(spec, opts, &report, &errors));
   EXPECT_TRUE(has_error_field(errors, "sledzig.rate")) << sim::describe(errors);
   EXPECT_EQ(report.items_run, 0u);
+}
+
+TEST(CampaignRunner, ZeroContentionWindowFailsBeforeAnyItemRuns) {
+  // cw = 0 used to throw from the WiFi machine inside a pool worker, which
+  // escaped run_campaign and aborted the process with an empty store.
+  // Pre-resolve now rejects the cell at its field path before the store
+  // is opened.
+  CampaignSpec spec;
+  std::vector<ConfigError> errors;
+  ASSERT_TRUE(campaign::campaign_from_text(R"({
+    "name": "bad_cw",
+    "scenario": {"duration_s": 0.1, "wifi": [{"rx": {"x_m": 1.0}}]},
+    "grid": [{"path": "wifi[0].mac.cw", "values": [0]}]
+  })",
+                                           &spec, &errors))
+      << sim::describe(errors);
+  RunnerOptions opts;
+  opts.store_path = temp_path("bad_cw.jsonl");
+  RunnerReport report;
+  EXPECT_FALSE(campaign::run_campaign(spec, opts, &report, &errors));
+  EXPECT_TRUE(has_error_field(errors, "wifi[0].mac.cw"))
+      << sim::describe(errors);
+  EXPECT_EQ(report.items_run, 0u);
+  EXPECT_FALSE(std::filesystem::exists(opts.store_path));
 }
 
 TEST(CampaignSpec, ShippedCampaignsResolveEveryCell) {

@@ -561,6 +561,54 @@ TEST(ScenarioValidate, RejectsModulationRateWithoutRateCode) {
   }
 }
 
+TEST(ScenarioValidate, RejectsBadMacParametersAtTheirFieldPaths) {
+  // Each of these used to get past validate(): cw = 0 threw from inside the
+  // WiFi machine, max_be >= 64 was an undefined shift in the backoff draw,
+  // and a negative interval scheduled events in the past.
+  auto cfg = two_node_paper_scenario(core::SledzigConfig{}, true, 0.5, 4.0,
+                                     1.0, 1.0, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto& w = cfg.wifi[0].mac;
+  w.cw = 0;
+  w.difs_us = -1.0;
+  w.slot_us = nan;
+  w.preamble_us = inf;
+  auto& z = cfg.zigbee[0].mac;
+  z.max_be = 70;
+  z.backoff_period_us = -320.0;
+  z.cca_us = nan;
+  z.turnaround_us = -1.0;
+  z.ack_wait_us = -inf;
+  const std::vector<std::string> expected = {
+      "wifi[0].mac.cw",
+      "wifi[0].mac.difs_us",
+      "wifi[0].mac.slot_us",
+      "wifi[0].mac.preamble_us",
+      "zigbee[0].mac.max_be",
+      "zigbee[0].mac.backoff_period_us",
+      "zigbee[0].mac.cca_us",
+      "zigbee[0].mac.turnaround_us",
+      "zigbee[0].mac.ack_wait_us"};
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), expected.size()) << describe(errors);
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(errors[k].field, expected[k]);
+  }
+  EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
+
+  // The edges stay legal: zero intervals, cw 1, macMaxBE 8, and min_be
+  // above max_be (the machine clamps it).
+  w = mac::WifiMacParams{};
+  w.cw = 1;
+  w.difs_us = 0.0;
+  z = mac::ZigbeeMacParams{};
+  z.max_be = 8;
+  z.min_be = 9;
+  z.turnaround_us = 0.0;
+  EXPECT_TRUE(cfg.validate().empty()) << describe(cfg.validate());
+}
+
 TEST(ScenarioValidate, RejectsMalformedFaultPlans) {
   auto cfg = two_node_paper_scenario(core::SledzigConfig{}, true, 0.5, 4.0,
                                      1.0, 1.0, 1);
