@@ -2,17 +2,23 @@
 //
 // A scenario file describes everything ScenarioConfig holds — topology
 // (explicit node lists or a generator), traffic mixes, the SledZig plan,
-// impairments, fault plans, fast-path and invariant knobs — and
+// impairments, fault plans, fast-path, invariant and control knobs — and
 // round-trips losslessly: scenario_to_json(cfg) parsed back yields a
 // config whose run_scenario digest is bit-identical to the original
-// (asserted for the flagship scenarios in tests/campaign_test.cc).
+// (asserted for the flagship scenarios and for every cell of every shipped
+// campaign in tests/campaign_test.cc).
+//
+// The keys are not spelled here: the writer and the reader walk the field
+// lists of sim/scenario_fields.h, the same lists ScenarioConfig::validate()
+// checks ranges over, so a field is named once and cannot be serialised
+// without a declared range.
 //
 // Error reporting is structural and total: scenario_from_json returns
 // *every* problem found as a ConfigError with a dotted field path
-// ("wifi[2].traffic.kind: ..."), reusing the same machinery as
-// ScenarioConfig::validate(), whose semantic checks are appended when the
-// parse itself succeeds — one call reports both malformed JSON fields and
-// configs the engine would reject.
+// ("wifi[2].traffic.kind: ..."), and appends ScenarioConfig::validate()'s
+// findings when the parse itself succeeds — one call reports both
+// malformed JSON fields and configs the engine would reject, at most one
+// error per field path.
 //
 // Every key is optional and defaults to the engine's defaults, so a file
 // holding only what differs from a stock scenario stays small.  Unknown
@@ -25,11 +31,12 @@
 //    "d_wz_m": 4.0, "d_z_m": 1.0}
 //   {"generator": "campus", "ap_grid_x": 4, "ap_grid_y": 4,
 //    "sensors_per_ap": 6, "spacing_m": 20.0}
+//   {"generator": "control_ab", "controlled": true}
 //
-// which expand through two_node_paper_scenario / campus_scenario using the
-// file's sledzig/duration/seed fields, after which the remaining top-level
-// keys are applied on top.  Generator form and explicit lists are
-// mutually exclusive.
+// which expand through two_node_paper_scenario / campus_scenario /
+// control_ab_scenario using the file's sledzig/duration/seed fields, after
+// which the remaining top-level keys are applied on top.  Generator form
+// and explicit lists are mutually exclusive.
 #pragma once
 
 #include <string>

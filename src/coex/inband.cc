@@ -48,7 +48,7 @@ void observe_subcarrier_power(std::span<const common::Cplx> payload_samples,
 
 InbandOffsets measure_uncached(const core::SledzigConfig& cfg, bool sledzig) {
   common::Rng rng(0xc0ffee);
-  const auto payload = rng.bytes(600);
+  const auto payload = rng.bytes(kInbandPayloadOctets);
 
   wifi::WifiTxConfig tx;
   tx.modulation = cfg.modulation;
@@ -72,7 +72,7 @@ InbandOffsets measure_uncached(const core::SledzigConfig& cfg, bool sledzig) {
   observe_subcarrier_power(payload_samples, common::Hz{f}, sledzig);
   // Reference: total power of a *normal* payload at the same transmit
   // scale.  Measured once per modulation/rate from a random payload.
-  const auto normal = wifi::wifi_transmit(rng.bytes(600), tx);
+  const auto normal = wifi::wifi_transmit(rng.bytes(kInbandPayloadOctets), tx);
   const double reference_dbm = channel::total_power_dbm(
       std::span<const common::Cplx>(normal.samples).subspan(payload_start));
 

@@ -5,6 +5,8 @@
 // budget the MAC simulation uses.
 #pragma once
 
+#include <cstddef>
+
 #include "common/units.h"
 #include "sledzig/significant_bits.h"
 
@@ -18,6 +20,10 @@ struct InbandOffsets {
   /// Identical for normal and SledZig packets — the preamble is untouched.
   common::Db preamble_offset_db{};
 };
+
+/// Size of the random payload each measurement transmits.  SledZig must
+/// leave it room to fit one PSDU (ScenarioConfig::validate() checks).
+inline constexpr std::size_t kInbandPayloadOctets = 600;
 
 /// Measures (and caches) the offsets for one configuration.  `sledzig`
 /// selects a SledZig-encoded payload vs a random normal payload;

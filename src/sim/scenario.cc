@@ -4,7 +4,10 @@
 #include <cmath>
 #include <string>
 
+#include "coex/inband.h"
 #include "sim/link_cache.h"
+#include "sim/scenario_fields.h"
+#include "sledzig/encoder.h"
 #include "wifi/signal_field.h"
 
 namespace sledzig::sim {
@@ -33,248 +36,229 @@ std::string describe(const std::vector<ConfigError>& errors) {
 
 namespace {
 
-bool finite(double x) { return std::isfinite(x); }
+/// The message for a value outside its declaration, or nullptr.
+template <class T>
+const char* problem(const T& x, const Range& range) {
+  return range.contains(number(x)) ? nullptr : range.message;
+}
+template <class Enum>
+const char* problem(Enum x, Names names) {
+  return name_of(names, x) == nullptr ? "has no name" : nullptr;
+}
 
-void check_position(std::vector<ConfigError>& errs, const std::string& field,
-                    const Position& p) {
-  if (!finite(p.x_m) || !finite(p.y_m)) {
-    errs.push_back({field, "position must be finite"});
+/// The range visitor: reports every value outside its declaration, then
+/// runs the struct's cross-field rules (below) on the way out of it.  A
+/// dotted path is built only for a failure, from the (key, index) frames
+/// the walk is inside.
+class RangeCheck {
+ public:
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+  std::vector<ConfigError> errors;
+  std::size_t num_nodes = 0;
+  std::size_t num_jammers = 0;
+  bool sledzig_can_engage = false;
+
+  /// True when every given member passed its range.  Rules read only such
+  /// members, so no path gets two errors.
+  template <class... Members>
+  bool ok(const Members&... members) const {
+    return (... && (std::find(failed_.begin(), failed_.end(),
+                              static_cast<const void*>(&members)) ==
+                    failed_.end()));
+  }
+
+  /// Reports `message` at `key` (and `index`) in the struct being walked.
+  void fail(const char* key, std::string message,
+            const void* member = nullptr, std::size_t index = kNoIndex) {
+    failed_.push_back(member);
+    frames_.push_back({key, index});
+    std::string path;
+    for (const Frame& f : frames_) {
+      if (!path.empty() && *f.key != '\0') path += '.';
+      path += f.key;
+      if (f.index != kNoIndex) {
+        path.append("[").append(std::to_string(f.index)).append("]");
+      }
+    }
+    frames_.pop_back();
+    errors.push_back({std::move(path), std::move(message)});
+  }
+
+  /// Reports `x` at `key` unless `range` holds it.  A rule that narrows a
+  /// member's declared range calls this too, and its message then replaces
+  /// the declaration's: the path keeps one error, and it states the rule.
+  template <class T>
+  void require(const char* key, const T& x, const Range& range) {
+    if (range.contains(number(x))) return;
+    const auto earlier = std::find(failed_.begin(), failed_.end(), &x);
+    if (earlier == failed_.end()) {
+      fail(key, range.message, &x);
+    } else {
+      errors[static_cast<std::size_t>(earlier - failed_.begin())].message =
+          range.message;
+    }
+  }
+
+  template <class T, class... Decl>
+  void operator()(const char* key, const T& x, const Decl&... decl) {
+    if (const char* message = problem(x, decl...)) fail(key, message, &x);
+  }
+  void operator()(const char* /*key*/, bool /*x*/) {}
+  template <class S>
+  void operator()(const char* key, const S& s) {
+    enter(key, kNoIndex, s);
+  }
+  template <class T, class... Decl>
+  void operator()(const char* key, const std::vector<T>& xs,
+                  const Decl&... decl) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if constexpr (sizeof...(Decl) == 0) {
+        enter(key, i, xs[i]);
+      } else if (const char* message = problem(xs[i], decl...)) {
+        fail(key, message, &xs, i);
+      }
+    }
+  }
+
+ private:
+  struct Frame {
+    const char* key;
+    std::size_t index;
+  };
+
+  template <class S>
+  void enter(const char* key, std::size_t index, const S& s) {
+    frames_.push_back({key, index});
+    read_fields(*this, s);
+    rules(*this, s);
+    frames_.pop_back();
+  }
+
+  std::vector<Frame> frames_;
+  std::vector<const void*> failed_;  ///< errors[i] is about failed_[i]
+};
+
+// --- cross-field rules, one overload per struct that has any ---------------
+
+void rules(RangeCheck& /*check*/, const auto& /*s*/) {}
+
+void rules(RangeCheck& check, const TrafficConfig& t) {
+  if (t.kind == TrafficKind::kCbr || t.kind == TrafficKind::kPoisson) {
+    check.require("interval_us", t.interval_us, kPositive);
+  }
+  // duty_ratio == 0 means "a source that is on 0% of the time", i.e. a
+  // run that silently produces nothing — reject it here instead.
+  if (t.kind == TrafficKind::kDutyCycle) {
+    check.require("duty_ratio", t.duty_ratio, kOpenUnit);
   }
 }
 
-/// MAC timing: a negative interval would schedule events in the past.
-/// (`key` is appended to `node` only on error, keeping valid configs free
-/// of string building.)
-void check_interval(std::vector<ConfigError>& errs, const std::string& node,
-                    const char* key, double us) {
-  if (!finite(us) || us < 0.0) {
-    errs.push_back({node + key, "must be finite and >= 0"});
+void rules(RangeCheck& check, const ZigbeeNodeConfig& n) {
+  if (n.channel != 0) {
+    check.require("channel", n.channel,
+                  Range{11.0, 26.0, false, "must be 0 (legacy) or 11..26"});
   }
 }
 
-void check_traffic(std::vector<ConfigError>& errs, const std::string& field,
-                   const TrafficConfig& t) {
-  switch (t.kind) {
-    case TrafficKind::kSaturated:
-      break;
-    case TrafficKind::kCbr:
-    case TrafficKind::kPoisson:
-      if (!(t.interval_us > 0.0) || !finite(t.interval_us)) {
-        errs.push_back({field + ".interval_us", "must be finite and > 0"});
-      }
-      break;
-    case TrafficKind::kDutyCycle:
-      // duty_ratio == 0 means "a source that is on 0% of the time", i.e. a
-      // run that silently produces nothing — reject it here instead.
-      if (!(t.duty_ratio > 0.0) || t.duty_ratio > 1.0 ||
-          !finite(t.duty_ratio)) {
-        errs.push_back({field + ".duty_ratio", "must be in (0, 1]"});
-      }
-      break;
+void rules(RangeCheck& check, const core::SledzigConfig& s) {
+  // The link tables synthesise a frame in this mode even with SledZig off,
+  // so a pair without a RATE code point would throw deep inside the build.
+  const bool mode_ok = check.ok(s.modulation, s.rate) &&
+                       wifi::has_rate_code(s.modulation, s.rate);
+  if (check.ok(s.modulation, s.rate) && !mode_ok) {
+    check.fail("rate", std::string("no ") + wifi::to_string(s.modulation) +
+                           " mode at rate " + wifi::to_string(s.rate));
+  }
+  const bool windows_ok =
+      check.ok(s.width) &&
+      (s.width == wifi::ChannelWidth::k20MHz || !s.window_offsets_hz.empty());
+  if (check.ok(s.width) && !windows_ok) {
+    check.fail("window_offsets_hz", "required for a 40 MHz width");
+  }
+  // The rest matters only where SledZig encodes: the link tables then
+  // encode coex's reference payload into one PSDU under this plan, which
+  // needs lower-power points to force (BPSK and QPSK have none).
+  if (!check.sledzig_can_engage || !mode_ok || !windows_ok) return;
+  if (wifi::bits_per_subcarrier(s.modulation) < 4) {
+    check.fail("modulation", "SledZig needs qam16 or above");
+  } else if (check.ok(s.channel, s.extra_channels, s.forced_subcarriers,
+                      s.window_offsets_hz, s.window_bandwidth_hz) &&
+             !core::fits_one_psdu(coex::kInbandPayloadOctets, s)) {
+    check.fail("", "the forced subcarriers leave a frame too little room");
+  }
+}
+
+void rules(RangeCheck& check, const TimedFault& f) {
+  const bool is_jam = f.kind == FaultKind::kJamOn;
+  if (f.node >= (is_jam ? check.num_jammers : check.num_nodes)) {
+    check.fail("node", is_jam ? "jammer index out of range"
+                              : "node index out of range");
+  }
+  if (f.kind == FaultKind::kSurgeOn) {
+    check.require("magnitude", f.magnitude, kPositive);
+  }
+}
+
+void rules(RangeCheck& check, const JammerConfig& j) {
+  if (check.ok(j.mean_on_us, j.mean_off_us) &&
+      (j.mean_on_us > 0.0) != (j.mean_off_us > 0.0)) {
+    check.fail("mean_on_us/mean_off_us",
+               "must be finite, >= 0, and enabled together");
+  }
+}
+
+void rules(RangeCheck& check, const RandomFaultConfig& r) {
+  const auto process = [&](const double& rate, const double& mean,
+                           const char* mean_key) {
+    if (check.ok(rate) && rate > 0.0) {
+      check.require(mean_key, mean,
+                    Range{0.0, kInf, true,
+                          "must be finite and > 0 when the rate is > 0"});
+    }
+  };
+  process(r.crash_rate_per_s, r.mean_downtime_us, "mean_downtime_us");
+  process(r.mute_rate_per_s, r.mean_mute_us, "mean_mute_us");
+  process(r.deaf_rate_per_s, r.mean_deaf_us, "mean_deaf_us");
+  process(r.surge_rate_per_s, r.mean_surge_us, "mean_surge_us");
+  if (check.ok(r.surge_rate_per_s) && r.surge_rate_per_s > 0.0) {
+    check.require("surge_magnitude", r.surge_magnitude, kPositive);
+  }
+}
+
+/// The control plane's limits apply only while their policy is on.
+void rules(RangeCheck& check, const control::ControlConfig& c) {
+  if (!c.enabled) return;
+  check.require("epoch_us", c.epoch_us, kPositive);
+  if (c.sledzig.enabled) {
+    check.require("sledzig.on_threshold", c.sledzig.on_threshold, kAtLeastOne);
+    check.require("sledzig.off_threshold", c.sledzig.off_threshold,
+                  kAtLeastOne);
+  }
+  if (c.hop.enabled) check.require("hop.patience", c.hop.patience, kAtLeastOne);
+  if (c.duty.enabled) {
+    check.require("duty.rate_scale", c.duty.rate_scale, kOpenUnit);
+    check.require("duty.patience", c.duty.patience, kAtLeastOne);
+    check.require("duty.release", c.duty.release, kAtLeastOne);
   }
 }
 
 }  // namespace
 
 std::vector<ConfigError> ScenarioConfig::validate() const {
-  std::vector<ConfigError> errs;
-  if (!(duration_s > 0.0) || !finite(duration_s)) {
-    errs.push_back({"duration_s", "must be finite and > 0"});
-  }
-  if (queue_capacity < 1) {
-    errs.push_back({"queue_capacity", "must be >= 1"});
-  }
+  RangeCheck check;
+  check.num_nodes = wifi.size() + zigbee.size();
+  check.num_jammers = faults.jammers.size();
+  check.sledzig_can_engage =
+      sledzig_enabled || (control.enabled && control.sledzig.enabled);
+  read_fields(check, *this);
   if (wifi.empty() && zigbee.empty()) {
-    errs.push_back({"wifi/zigbee", "topology is empty: nothing to simulate"});
+    check.fail("wifi/zigbee", "topology is empty: nothing to simulate");
   }
-  if (!finite(shadowing_sigma_db.value()) || shadowing_sigma_db.value() < 0.0) {
-    errs.push_back({"shadowing_sigma_db", "must be finite and >= 0"});
+  if (faults.clocks.size() > check.num_nodes) {
+    check.fail("faults.clocks", "more clock entries than nodes");
   }
-  if (!finite(wifi_capture_sinr_db.value())) {
-    errs.push_back({"wifi_capture_sinr_db", "must be finite"});
-  }
-  // The link tables synthesise a frame in this mode even with SledZig off,
-  // so a pair without a RATE code point would throw deep inside the build.
-  if (!wifi::has_rate_code(sledzig.modulation, sledzig.rate)) {
-    errs.push_back({"sledzig.rate",
-                    std::string("no ") + wifi::to_string(sledzig.modulation) +
-                        " mode at rate " + wifi::to_string(sledzig.rate)});
-  }
-
-  const std::size_t num_nodes = wifi.size() + zigbee.size();
-  for (std::size_t i = 0; i < wifi.size(); ++i) {
-    const std::string field = "wifi[" + std::to_string(i) + "]";
-    const auto& n = wifi[i];
-    check_position(errs, field + ".tx", n.tx);
-    check_position(errs, field + ".rx", n.rx);
-    if (!finite(n.usrp_gain)) {
-      errs.push_back({field + ".usrp_gain", "must be finite (NaN power)"});
-    }
-    if (!(n.mac.airtime_us > 0.0) || !finite(n.mac.airtime_us)) {
-      errs.push_back({field + ".mac.airtime_us", "must be finite and > 0"});
-    }
-    if (n.mac.cw < 1) errs.push_back({field + ".mac.cw", "must be >= 1"});
-    check_interval(errs, field, ".mac.difs_us", n.mac.difs_us);
-    check_interval(errs, field, ".mac.slot_us", n.mac.slot_us);
-    check_interval(errs, field, ".mac.preamble_us", n.mac.preamble_us);
-    if (n.channel > 13) {
-      errs.push_back({field + ".channel", "must be 0 (legacy) or 1..13"});
-    }
-    check_traffic(errs, field + ".traffic", n.traffic);
-  }
-  for (std::size_t j = 0; j < zigbee.size(); ++j) {
-    const std::string field = "zigbee[" + std::to_string(j) + "]";
-    const auto& n = zigbee[j];
-    check_position(errs, field + ".tx", n.tx);
-    check_position(errs, field + ".rx", n.rx);
-    if (!finite(n.sensitivity_dbm.value())) {
-      errs.push_back({field + ".sensitivity_dbm", "must be finite"});
-    }
-    if (n.mac.payload_octets == 0) {
-      errs.push_back({field + ".mac.payload_octets", "must be >= 1"});
-    }
-    // The backoff draws from [0, 2^BE); 802.15.4 bounds macMaxBE by 8.
-    // min_be > max_be stays legal: the machine clamps it to max_be.
-    if (n.mac.max_be > 8) {
-      errs.push_back({field + ".mac.max_be", "must be <= 8 (macMaxBE)"});
-    }
-    check_interval(errs, field, ".mac.backoff_period_us",
-                   n.mac.backoff_period_us);
-    check_interval(errs, field, ".mac.cca_us", n.mac.cca_us);
-    check_interval(errs, field, ".mac.turnaround_us", n.mac.turnaround_us);
-    check_interval(errs, field, ".mac.ack_wait_us", n.mac.ack_wait_us);
-    if (n.channel != 0 && (n.channel < 11 || n.channel > 26)) {
-      errs.push_back({field + ".channel", "must be 0 (legacy) or 11..26"});
-    }
-    check_traffic(errs, field + ".traffic", n.traffic);
-  }
-
-  // --- fault plan ---
-  for (std::size_t k = 0; k < faults.timed.size(); ++k) {
-    const std::string field = "faults.timed[" + std::to_string(k) + "]";
-    const auto& f = faults.timed[k];
-    if (!finite(f.at_us) || f.at_us < 0.0) {
-      errs.push_back({field + ".at_us", "must be finite and >= 0"});
-    }
-    if (!finite(f.duration_us)) {
-      errs.push_back({field + ".duration_us", "must be finite"});
-    }
-    const bool is_jam = f.kind == FaultKind::kJamOn;
-    const std::size_t domain = is_jam ? faults.jammers.size() : num_nodes;
-    if (f.node >= domain) {
-      errs.push_back({field + ".node",
-                      is_jam ? "jammer index out of range"
-                             : "node index out of range"});
-    }
-    if (f.kind == FaultKind::kSurgeOn &&
-        (!(f.magnitude > 0.0) || !finite(f.magnitude))) {
-      errs.push_back({field + ".magnitude", "must be finite and > 0"});
-    }
-  }
-  for (std::size_t k = 0; k < faults.jammers.size(); ++k) {
-    const std::string field = "faults.jammers[" + std::to_string(k) + "]";
-    const auto& jm = faults.jammers[k];
-    check_position(errs, field + ".pos", jm.pos);
-    if (!finite(jm.usrp_gain)) {
-      errs.push_back({field + ".usrp_gain", "must be finite (NaN power)"});
-    }
-    if (!finite(jm.mean_on_us) || !finite(jm.mean_off_us) ||
-        jm.mean_on_us < 0.0 || jm.mean_off_us < 0.0 ||
-        (jm.mean_on_us > 0.0) != (jm.mean_off_us > 0.0)) {
-      errs.push_back({field + ".mean_on_us/mean_off_us",
-                      "must be finite, >= 0, and enabled together"});
-    }
-  }
-  {
-    const auto& r = faults.random;
-    const auto check_process = [&](const char* name, double rate,
-                                   double mean) {
-      if (!finite(rate) || rate < 0.0) {
-        errs.push_back({std::string("faults.random.") + name + "_rate_per_s",
-                        "must be finite and >= 0"});
-      }
-      if (rate > 0.0 && (!finite(mean) || !(mean > 0.0))) {
-        errs.push_back({std::string("faults.random.mean_") + name + "_us",
-                        "must be finite and > 0 when the rate is > 0"});
-      }
-    };
-    check_process("crash", r.crash_rate_per_s, r.mean_downtime_us);
-    check_process("mute", r.mute_rate_per_s, r.mean_mute_us);
-    check_process("deaf", r.deaf_rate_per_s, r.mean_deaf_us);
-    check_process("surge", r.surge_rate_per_s, r.mean_surge_us);
-    if (r.surge_rate_per_s > 0.0 &&
-        (!finite(r.surge_magnitude) || !(r.surge_magnitude > 0.0))) {
-      errs.push_back(
-          {"faults.random.surge_magnitude", "must be finite and > 0"});
-    }
-  }
-  if (faults.clocks.size() > num_nodes) {
-    errs.push_back({"faults.clocks", "more clock entries than nodes"});
-  }
-  for (std::size_t k = 0; k < faults.clocks.size(); ++k) {
-    const std::string field = "faults.clocks[" + std::to_string(k) + "]";
-    const auto& c = faults.clocks[k];
-    if (!finite(c.skew_us)) {
-      errs.push_back({field + ".skew_us", "must be finite"});
-    }
-    // The drift factor 1 + ppm * 1e-6 must stay positive or timers would
-    // fire in the past.
-    if (!finite(c.drift_ppm) || c.drift_ppm <= -1e6) {
-      errs.push_back({field + ".drift_ppm", "must be finite and > -1e6"});
-    }
-  }
-  if (invariants.max_event_gap_us < 0.0 ||
-      !finite(invariants.max_event_gap_us)) {
-    errs.push_back({"invariants.max_event_gap_us", "must be finite and >= 0"});
-  }
-
-  // --- control plane ---
-  if (control.enabled) {
-    if (!(control.epoch_us > 0.0) || !finite(control.epoch_us)) {
-      errs.push_back({"control.epoch_us", "must be finite and > 0"});
-    }
-    if (control.sledzig.enabled) {
-      if (control.sledzig.on_threshold < 1) {
-        errs.push_back({"control.sledzig.on_threshold", "must be >= 1"});
-      }
-      if (control.sledzig.off_threshold < 1) {
-        errs.push_back({"control.sledzig.off_threshold", "must be >= 1"});
-      }
-      if (!finite(control.sledzig.busy_airtime_fraction) ||
-          control.sledzig.busy_airtime_fraction < 0.0) {
-        errs.push_back({"control.sledzig.busy_airtime_fraction",
-                        "must be finite and >= 0"});
-      }
-    }
-    if (control.hop.enabled) {
-      if (!finite(control.hop.min_prr) || control.hop.min_prr < 0.0 ||
-          control.hop.min_prr > 1.0) {
-        errs.push_back({"control.hop.min_prr", "must be in [0, 1]"});
-      }
-      if (control.hop.patience < 1) {
-        errs.push_back({"control.hop.patience", "must be >= 1"});
-      }
-    }
-    if (control.duty.enabled) {
-      if (!finite(control.duty.min_zigbee_prr) ||
-          control.duty.min_zigbee_prr < 0.0 ||
-          control.duty.min_zigbee_prr > 1.0) {
-        errs.push_back({"control.duty.min_zigbee_prr", "must be in [0, 1]"});
-      }
-      if (!(control.duty.rate_scale > 0.0) ||
-          control.duty.rate_scale > 1.0 ||
-          !finite(control.duty.rate_scale)) {
-        errs.push_back({"control.duty.rate_scale", "must be in (0, 1]"});
-      }
-      if (control.duty.patience < 1) {
-        errs.push_back({"control.duty.patience", "must be >= 1"});
-      }
-      if (control.duty.release < 1) {
-        errs.push_back({"control.duty.release", "must be >= 1"});
-      }
-    }
-  }
-  return errs;
+  return std::move(check.errors);
 }
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters)

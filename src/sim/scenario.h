@@ -261,10 +261,11 @@ struct ScenarioConfig {
   InvariantConfig invariants{};
 
   /// Structural validation: rejects configs that would otherwise fail deep
-  /// inside the engine or silently produce empty runs (zero/negative
-  /// durations, empty topologies, NaN powers/positions, zero-rate traffic,
-  /// out-of-range MAC parameters, malformed fault plans).  Returns every problem found, not just the
-  /// first; empty means the config is runnable.  run_scenario and
+  /// inside the engine or silently produce empty runs.  Every field is
+  /// checked against the range its field list declares
+  /// (sim/scenario_fields.h), then the rules that tie fields together run
+  /// over the fields that passed.  Returns every problem found, at most one
+  /// per field path; empty means the config is runnable.  run_scenario and
   /// run_replications both call this up front and throw
   /// std::invalid_argument with describe(errors) on failure.
   std::vector<ConfigError> validate() const;

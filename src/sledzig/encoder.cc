@@ -7,6 +7,7 @@
 #include "wifi/convolutional.h"
 #include "wifi/qam.h"
 #include "wifi/scrambler.h"
+#include "wifi/signal_field.h"
 #include "wifi/subcarriers.h"
 
 namespace sledzig::core {
@@ -14,6 +15,9 @@ namespace sledzig::core {
 namespace {
 
 constexpr common::Bit kUnset = 2;
+
+/// The little-endian payload length that leads the inner data.
+constexpr std::size_t kLengthHeaderOctets = 2;
 
 unsigned gen_of(unsigned branch) {
   return branch == 0 ? wifi::kGen0 : wifi::kGen1;
@@ -105,6 +109,25 @@ double throughput_loss(const SledzigConfig& cfg) {
              wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan()));
 }
 
+bool fits_one_psdu(std::size_t payload_octets, const SledzigConfig& cfg) {
+  // sledzig_encode grows its payload region t, in whole octets, until t
+  // less the extra bits the plan places in t holds the inner data.  Each
+  // step moves t to the first octet boundary at least 8 bits past the
+  // inner data plus the extras of the previous t.  Extras never shrink as
+  // t grows, so t never passes an octet boundary T that holds the inner
+  // data, T's own extras and 8 bits more.  A plan places at most
+  // extra_bits_per_symbol bits in each symbol T reaches into; the check
+  // takes T at the LENGTH cap.
+  if (payload_octets > wifi::kMaxPsduOctets) return false;
+  const std::size_t svc = cfg.include_service_field ? 16 : 0;
+  const std::size_t max_bits = wifi::kMaxPsduOctets * 8;
+  const std::size_t dbps =
+      wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan());
+  const std::size_t symbols = (svc + max_bits + dbps - 1) / dbps;
+  const std::size_t data_bits = (payload_octets + kLengthHeaderOctets) * 8;
+  return extra_bits_per_symbol(cfg) * symbols + data_bits + 8 <= max_bits;
+}
+
 SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
                                    const SledzigConfig& cfg) {
   if (payload.size() > kMaxSledzigPayload) {
@@ -112,7 +135,7 @@ SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
   }
   // Inner data: 2-byte little-endian length header + payload.
   common::Bytes inner;
-  inner.reserve(payload.size() + 2);
+  inner.reserve(payload.size() + kLengthHeaderOctets);
   inner.push_back(static_cast<std::uint8_t>(payload.size() & 0xff));
   inner.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
   inner.insert(inner.end(), payload.begin(), payload.end());

@@ -63,6 +63,13 @@ std::size_t extra_bits_per_symbol(const SledzigConfig& cfg);
 /// (Table IV).
 double throughput_loss(const SledzigConfig& cfg);
 
+/// True when sledzig_encode is sure to fit a payload of `payload_octets`
+/// into one PSDU, which the 12-bit SIGNAL LENGTH caps at
+/// wifi::kMaxPsduOctets.  Cheap, as no plan is built, and conservative:
+/// it counts every significant bit of every symbol as an extra bit.  Like
+/// throughput_loss, it needs 16-QAM or above.
+bool fits_one_psdu(std::size_t payload_octets, const SledzigConfig& cfg);
+
 /// Blind ZigBee-channel detection from the received QAM points (section
 /// IV-G): returns the channel whose forced subcarriers all carry
 /// lowest-power points, or nullopt.  `points` is symbol-major (48 per data

@@ -32,9 +32,9 @@ struct WifiRxConfig {
   /// tens of kHz off at 2.4 GHz; disable only for idealised tests.
   bool correct_cfo = true;
   /// Upper bound accepted from the SIGNAL LENGTH field.  The 12-bit field
-  /// caps at 4095 octets; a lower cap rejects hostile headers before they
-  /// drive long Viterbi runs over what is actually noise.
-  std::size_t max_psdu_octets = 4095;
+  /// caps at kMaxPsduOctets; a lower cap rejects hostile headers before
+  /// they drive long Viterbi runs over what is actually noise.
+  std::size_t max_psdu_octets = kMaxPsduOctets;
 };
 
 /// Timing + CFO synchronisation result.

@@ -59,7 +59,7 @@ std::optional<SignalField> mode_from_rate_code(std::uint8_t code) {
 }
 
 common::Bits encode_signal_bits(const SignalField& field) {
-  if (field.psdu_octets >= (1u << 12)) {
+  if (field.psdu_octets > kMaxPsduOctets) {
     throw std::invalid_argument("encode_signal_bits: LENGTH overflow");
   }
   common::Bits bits;

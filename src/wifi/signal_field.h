@@ -18,6 +18,9 @@
 
 namespace sledzig::wifi {
 
+/// The largest PSDU the 12-bit LENGTH field can announce.
+inline constexpr std::size_t kMaxPsduOctets = 4095;
+
 struct SignalField {
   Modulation modulation = Modulation::kBpsk;
   CodingRate rate = CodingRate::kR12;

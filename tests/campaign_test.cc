@@ -2,11 +2,15 @@
 // round trip, campaign grids, the result store, and the runner's headline
 // promise — one digest for any sharding, threading, or resume history.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "common/seed_domains.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
+#include "sim/scenario_fields.h"
 
 namespace sledzig {
 namespace {
@@ -797,6 +802,287 @@ TEST(CampaignSpec, ShippedCampaignsResolveEveryCell) {
       errors.clear();
     }
   }
+}
+
+TEST(CampaignRunner, PlansThatAbortOrStallFailBeforeAnyItemRuns) {
+  // Each cell used to get past pre-resolve: the SledZig plans aborted the
+  // process from a pool worker (SIGABRT, with a store file left behind) or
+  // stalled their run, and the error models ran to exit 0 with ZigBee PRR
+  // 0.  Each now fails at its field path before the store is opened.
+  const std::pair<const char*, const char*> cases[] = {
+      {"sledzig.scrambler_seed",
+       R"({"path": "sledzig.scrambler_seed", "values": [0]})"},
+      {"sledzig.scrambler_seed",
+       R"({"path": "sledzig.scrambler_seed", "values": [128]})"},
+      {"sledzig.forced_subcarriers",
+       R"({"path": "sledzig.forced_subcarriers", "values": [49]})"},
+      {"sledzig.window_offsets_hz",
+       R"({"path": "sledzig", "values": [{"modulation": "qam64",
+           "rate": "2/3", "width": "40mhz"}]})"},
+      {"sledzig.window_bandwidth_hz",
+       R"({"path": "sledzig", "values": [{"modulation": "qam64",
+           "rate": "2/3", "window_offsets_hz": [3e6],
+           "window_bandwidth_hz": -2e6}]})"},
+      {"sledzig", R"({"path": "sledzig.forced_subcarriers", "values": [48]})"},
+      {"sledzig",
+       R"({"path": "sledzig", "values": [{"modulation": "qam64",
+           "rate": "3/4", "forced_subcarriers": 46}]})"},
+      {"sledzig.modulation",
+       R"({"path": "sledzig", "values": [{"modulation": "bpsk",
+           "rate": "1/2"}]})"},
+      {"sledzig",
+       R"({"path": "sledzig", "values": [{"modulation": "qam64",
+           "rate": "2/3", "window_offsets_hz": [3e6],
+           "window_bandwidth_hz": 20e6}]})"},
+      {"error_model.payload_width_db",
+       R"({"path": "error_model.payload_width_db", "values": [-0.8]})"},
+      {"error_model.payload_width_db",
+       R"({"path": "error_model.payload_width_db", "values": [0]})"},
+      {"error_model.sensitivity_width_db",
+       R"({"path": "error_model.sensitivity_width_db", "values": [-0.4]})"},
+      {"error_model.preamble_max_error",
+       R"({"path": "error_model.preamble_max_error", "values": [3.0]})"},
+  };
+  for (std::size_t k = 0; k < std::size(cases); ++k) {
+    const auto& [field, axis] = cases[k];
+    SCOPED_TRACE(axis);
+    CampaignSpec spec;
+    std::vector<ConfigError> errors;
+    ASSERT_TRUE(campaign::campaign_from_text(
+        std::string(R"({"name": "bad_plan", "scenario": {"duration_s": 0.2,)"
+                    R"( "sledzig": {"modulation": "qam64", "rate": "2/3"},)"
+                    R"( "topology": {"generator": "two_node"}}, "grid": [)") +
+            axis + "]}",
+        &spec, &errors))
+        << sim::describe(errors);
+    RunnerOptions opts;
+    opts.store_path = temp_path("bad_plan_" + std::to_string(k) + ".jsonl");
+    RunnerReport report;
+    EXPECT_FALSE(campaign::run_campaign(spec, opts, &report, &errors));
+    EXPECT_TRUE(has_error_field(errors, field)) << sim::describe(errors);
+    EXPECT_EQ(report.items_run, 0u);
+    EXPECT_FALSE(std::filesystem::exists(opts.store_path));
+  }
+}
+
+TEST(CampaignSpec, ShippedCampaignCellsRoundTripToTheSameDigest) {
+  // Every cell of every shipped campaign, the repository benchmark's
+  // included, resolves, and its scenario_to_json -> scenario_from_json
+  // round trip is a fixed point that runs to the same digest.  A work
+  // item's derived seed uses all 64 bits, more than a JSON number carries
+  // exactly, so the round trip runs on its top 52.
+  std::vector<std::filesystem::path> files;
+  for (const char* dir : {"examples/campaigns", "perfbench/campaigns"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(SLEDZIG_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() == ".json") files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 5u);
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    CampaignSpec spec;
+    std::vector<ConfigError> errors;
+    ASSERT_TRUE(campaign::campaign_from_text(text.str(), &spec, &errors))
+        << file << "\n" << sim::describe(errors);
+    for (std::size_t cell = 0; cell < campaign::cell_count(spec); ++cell) {
+      SCOPED_TRACE(file.filename().string() + " cell " + std::to_string(cell));
+      ScenarioConfig cfg;
+      ASSERT_TRUE(campaign::cell_scenario(spec, cell, 0, &cfg, &errors))
+          << sim::describe(errors);
+      cfg.seed >>= 12;
+      expect_roundtrip_digest(cfg);
+    }
+  }
+}
+
+// ---- the field lists -----------------------------------------------------
+
+/// One number in the field lists, found by walking a config.
+struct NumberField {
+  std::string path;
+  sim::Range range;
+  bool integer = false;
+  double value = 0.0;
+  std::function<void(double)> set;  ///< writes through to the config
+};
+
+/// Walks every field list from one config, recording each number and each
+/// enum under its dotted path.
+struct FieldRecorder {
+  std::vector<NumberField> numbers;
+  std::vector<std::string> enums;
+  std::string prefix;
+
+  template <class T, class Decl>
+  void operator()(const char* key, T& x, const Decl& decl) {
+    leaf(prefix + key, x, decl);
+  }
+  template <class T, class Decl>
+  void operator()(const char* key, std::vector<T>& xs, const Decl& decl) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      leaf(prefix + key + "[" + std::to_string(i) + "]", xs[i], decl);
+    }
+  }
+  void operator()(const char* /*key*/, bool& /*x*/) {}
+  template <class S>
+  void operator()(const char* key, S& s) {
+    nest(prefix + key + ".", s);
+  }
+  template <class S>
+  void operator()(const char* key, std::vector<S>& xs) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      nest(prefix + key + "[" + std::to_string(i) + "].", xs[i]);
+    }
+  }
+
+  template <class S>
+  void nest(std::string inner, S& s) {
+    std::swap(prefix, inner);
+    sim::fields(*this, s);
+    std::swap(prefix, inner);
+  }
+  template <class T>
+  void leaf(std::string path, T& x, const sim::Range& range) {
+    numbers.push_back({std::move(path), range, std::is_integral_v<T>,
+                       sim::number(x), [&x](double v) {
+                         if constexpr (std::is_arithmetic_v<T>) {
+                           x = static_cast<T>(v);
+                         } else {
+                           x = T{v};
+                         }
+                       }});
+  }
+  template <class Enum>
+  void leaf(std::string path, Enum& /*x*/, sim::Names /*names*/) {
+    enums.push_back(std::move(path));
+  }
+};
+
+/// One of everything the field lists hold: a WiFi and a ZigBee node, a
+/// timed surge, a jammer, a clock entry, explicit SledZig windows with an
+/// extra channel, every random fault process and every control policy on.
+ScenarioConfig full_scenario() {
+  ScenarioConfig cfg = sim::two_node_paper_scenario(
+      core::SledzigConfig{}, true, 0.5, 4.0, 1.0, 0.2, 3);
+  cfg.sledzig.extra_channels = {core::OverlapChannel::kCh3};
+  cfg.sledzig.window_offsets_hz = {3e6};
+  sim::TimedFault surge;
+  surge.kind = sim::FaultKind::kSurgeOn;
+  surge.node = 1;
+  surge.duration_us = 50000.0;
+  cfg.faults.timed.push_back(surge);
+  sim::JammerConfig jammer;
+  jammer.mean_on_us = 3000.0;
+  jammer.mean_off_us = 20000.0;
+  cfg.faults.jammers.push_back(jammer);
+  auto& random = cfg.faults.random;
+  random.crash_rate_per_s = random.mute_rate_per_s = 1.0;
+  random.deaf_rate_per_s = random.surge_rate_per_s = 1.0;
+  cfg.faults.clocks = {{12.5, 40.0}};
+  cfg.control.enabled = true;
+  cfg.control.sledzig.enabled = true;
+  cfg.control.hop.enabled = true;
+  cfg.control.duty.enabled = true;
+  return cfg;
+}
+
+TEST(ScenarioFields, EveryNumberDeclaresARangeItsDefaultMeets) {
+  // No visitor accepts a number without a range, so a field declared
+  // without one does not compile.  What is left to check at run time: each
+  // range carries a message, holds the field's default (ranges apply
+  // whatever the other fields say), and "any value" is declared only where
+  // it is true of the type, on unsigned counters.
+  ScenarioConfig cfg;
+  cfg.wifi.resize(1);
+  cfg.zigbee.resize(1);
+  cfg.sledzig.extra_channels.resize(1);
+  cfg.sledzig.window_offsets_hz.resize(1);
+  cfg.faults.timed.resize(1);
+  cfg.faults.jammers.resize(1);
+  cfg.faults.clocks.resize(1);
+  FieldRecorder walk;
+  sim::fields(walk, cfg);
+  EXPECT_GE(walk.numbers.size(), 90u);
+  EXPECT_GE(walk.enums.size(), 8u);
+  std::vector<std::string> paths = walk.enums;
+  for (const auto& f : walk.numbers) {
+    paths.push_back(f.path);
+    ASSERT_NE(f.range.message, nullptr) << f.path;
+    EXPECT_NE(std::string(f.range.message), "") << f.path;
+    EXPECT_TRUE(f.range.contains(f.value)) << f.path << " = " << f.value;
+    if (f.range.message == sim::kAnyCount.message) {
+      EXPECT_TRUE(f.integer) << f.path << " is not a counter";
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  EXPECT_EQ(std::adjacent_find(paths.begin(), paths.end()), paths.end())
+      << "a key is declared twice";
+}
+
+TEST(ScenarioFields, EachValueJustOutsideItsRangeIsOneErrorAtItsPath) {
+  // The field lists are the scenario grammar: write one value just outside
+  // one declared range into an otherwise valid scenario, and parsing must
+  // report exactly that field, once, without throwing.  A value JSON cannot
+  // spell (NaN, for ranges open at both ends) goes in through the struct.
+  ScenarioConfig base = full_scenario();
+  ASSERT_TRUE(base.validate().empty()) << sim::describe(base.validate());
+  const JsonValue base_json = campaign::scenario_to_json(base);
+  FieldRecorder walk;
+  sim::fields(walk, base);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t checked = 0;
+  for (const auto& f : walk.numbers) {
+    const auto& r = f.range;
+    std::vector<double> outside;
+    if (r.lo > -inf) {
+      outside.push_back(f.integer ? r.lo - 1.0
+                        : r.open_low ? r.lo
+                                     : std::nextafter(r.lo, -inf));
+    }
+    if (r.hi < inf) {
+      outside.push_back(f.integer ? r.hi + 1.0 : std::nextafter(r.hi, inf));
+    }
+    for (const double v : outside) {
+      SCOPED_TRACE(f.path + " = " + std::to_string(v));
+      JsonValue json = base_json;
+      std::string error;
+      ASSERT_TRUE(campaign::json_set_path(&json, f.path, JsonValue(v), &error))
+          << error;
+      ScenarioConfig cfg;
+      std::vector<ConfigError> errors;
+      EXPECT_NO_THROW(campaign::scenario_from_json(json, &cfg, &errors));
+      ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+      EXPECT_EQ(errors[0].field, f.path);
+      ++checked;
+    }
+    if (outside.empty()) {
+      SCOPED_TRACE(f.path + " = NaN");
+      f.set(std::numeric_limits<double>::quiet_NaN());
+      const auto errors = base.validate();
+      f.set(f.value);
+      ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+      EXPECT_EQ(errors[0].field, f.path);
+      ++checked;
+    }
+  }
+  for (const auto& path : walk.enums) {
+    SCOPED_TRACE(path);
+    JsonValue json = base_json;
+    std::string error;
+    ASSERT_TRUE(campaign::json_set_path(&json, path, JsonValue("bogus"),
+                                        &error))
+        << error;
+    ScenarioConfig cfg;
+    std::vector<ConfigError> errors;
+    EXPECT_NO_THROW(campaign::scenario_from_json(json, &cfg, &errors));
+    ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+    EXPECT_EQ(errors[0].field, path);
+  }
+  EXPECT_GE(checked, walk.numbers.size());
 }
 
 TEST(CampaignRunner, RejectsBadShardArguments) {

@@ -7,11 +7,15 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "wifi/phy_params.h"
+#include "wifi/signal_field.h"
 
 namespace sledzig::sim {
 namespace {
@@ -622,6 +626,196 @@ TEST(ScenarioValidate, RejectsMalformedFaultPlans) {
   cfg.faults.clocks.assign(3, ClockConfig{});  // more clocks than nodes
   const auto errors = cfg.validate();
   EXPECT_EQ(errors.size(), 5u) << describe(errors);
+}
+
+TEST(ScenarioValidate, RejectsSledzigPlansThatAbortOrStallARun) {
+  // Each plan used to get past validate(): the scrambler throws on seed 0
+  // or 128 (and masks 200 to 72), forced_data_subcarriers throws above 48,
+  // building the forced set throws for a 40 MHz plan without windows or a
+  // window of negative width, and a plan that forces all 48 data
+  // subcarriers (or 45 of them, under one 20 MHz-wide window) leaves a
+  // frame so little room that its run never ends or overflows the PSDU.
+  using Plan = core::SledzigConfig;
+  const std::pair<const char*, void (*)(Plan&)> cases[] = {
+      {"sledzig.scrambler_seed", [](Plan& s) { s.scrambler_seed = 0; }},
+      {"sledzig.scrambler_seed", [](Plan& s) { s.scrambler_seed = 128; }},
+      {"sledzig.scrambler_seed", [](Plan& s) { s.scrambler_seed = 200; }},
+      {"sledzig.forced_subcarriers",
+       [](Plan& s) { s.forced_subcarriers = 49; }},
+      {"sledzig.window_offsets_hz",
+       [](Plan& s) { s.width = wifi::ChannelWidth::k40MHz; }},
+      {"sledzig.window_bandwidth_hz",
+       [](Plan& s) {
+         s.window_offsets_hz = {3e6};
+         s.window_bandwidth_hz = -2e6;
+       }},
+      {"sledzig", [](Plan& s) { s.forced_subcarriers = 48; }},
+      {"sledzig",
+       [](Plan& s) {
+         s.window_offsets_hz = {3e6};
+         s.window_bandwidth_hz = 20e6;
+       }},
+  };
+  for (const auto& [field, apply] : cases) {
+    Plan plan{wifi::Modulation::kQam64, wifi::CodingRate::kR23,
+              core::OverlapChannel::kCh2};
+    apply(plan);
+    const auto cfg =
+        two_node_paper_scenario(plan, true, 0.5, 4.0, 1.0, 0.2, 1);
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u) << field << "\n" << describe(errors);
+    EXPECT_EQ(errors[0].field, field);
+    EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
+  }
+
+  // The edges stay legal: seeds 1 and 127, and 40 forced subcarriers,
+  // which leave a frame room (slow to encode, but a valid plan).
+  for (const std::uint8_t seed : {1, 127}) {
+    Plan plan{wifi::Modulation::kQam64, wifi::CodingRate::kR23,
+              core::OverlapChannel::kCh2};
+    plan.scrambler_seed = seed;
+    plan.forced_subcarriers = 40;
+    const auto cfg =
+        two_node_paper_scenario(plan, true, 0.5, 4.0, 1.0, 0.2, 1);
+    EXPECT_TRUE(cfg.validate().empty()) << describe(cfg.validate());
+  }
+}
+
+TEST(ScenarioValidate, OnlyAnEncodingSledzigNeedsQam16AndRoom) {
+  // SledZig forces lowest-power points, which BPSK and QPSK lack, and its
+  // extra bits must leave coex's reference frame room in one PSDU.  Both
+  // matter only where SledZig can encode: switched on, or armed through
+  // its control policy.  With SledZig off every mode that has a RATE code
+  // validates clean, and validate() never throws.
+  for (const auto m : {wifi::Modulation::kBpsk, wifi::Modulation::kQpsk,
+                       wifi::Modulation::kQam16, wifi::Modulation::kQam64,
+                       wifi::Modulation::kQam256}) {
+    for (const auto r : {wifi::CodingRate::kR12, wifi::CodingRate::kR23,
+                         wifi::CodingRate::kR34, wifi::CodingRate::kR56}) {
+      if (!wifi::has_rate_code(m, r)) continue;
+      for (const int engage : {0, 1, 2}) {
+        auto cfg = two_node_paper_scenario({m, r, core::OverlapChannel::kCh2},
+                                           engage == 1, 0.5, 4.0, 1.0, 0.2, 1);
+        cfg.control.enabled = cfg.control.sledzig.enabled = engage == 2;
+        SCOPED_TRACE(wifi::to_string(m) + " " + wifi::to_string(r) +
+                     " engage " + std::to_string(engage));
+        std::vector<ConfigError> errors;
+        ASSERT_NO_THROW(errors = cfg.validate());
+        if (engage == 0 || wifi::bits_per_subcarrier(m) >= 4) {
+          EXPECT_TRUE(errors.empty()) << describe(errors);
+        } else {
+          ASSERT_EQ(errors.size(), 1u) << describe(errors);
+          EXPECT_EQ(errors[0].field, "sledzig.modulation");
+        }
+      }
+    }
+  }
+
+  // QAM-64 3/4 carries 216 data bits a symbol: 45 forced subcarriers take
+  // 180 of them and leave the frame room, 46 take 184 and do not.
+  core::SledzigConfig dense{wifi::Modulation::kQam64, wifi::CodingRate::kR34,
+                            core::OverlapChannel::kCh2};
+  dense.forced_subcarriers = 46;
+  auto cfg = two_node_paper_scenario(dense, true, 0.5, 4.0, 1.0, 0.2, 1);
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u) << describe(errors);
+  EXPECT_EQ(errors[0].field, "sledzig");
+  cfg.sledzig_enabled = false;
+  EXPECT_TRUE(cfg.validate().empty()) << describe(cfg.validate());
+  cfg.sledzig_enabled = true;
+  cfg.sledzig.forced_subcarriers = 45;
+  EXPECT_TRUE(cfg.validate().empty()) << describe(cfg.validate());
+
+  // A normal-WiFi BPSK run goes through.
+  const auto bpsk = two_node_paper_scenario(
+      {wifi::Modulation::kBpsk, wifi::CodingRate::kR12,
+       core::OverlapChannel::kCh2},
+      false, 0.5, 4.0, 1.0, 0.05, 1);
+  EXPECT_NO_THROW(run_scenario(bpsk));
+}
+
+TEST(ScenarioValidate, ConditionalRulesReportTheirOwnMessage) {
+  // A rule that narrows a field's declared range under a condition reports
+  // its own text in place of the range's, once, so the message names what
+  // the value has to reach.
+  using Mutate = void (*)(ScenarioConfig&);
+  const std::tuple<const char*, const char*, Mutate> cases[] = {
+      {"zigbee[0].traffic.interval_us", "must be finite and > 0",
+       [](ScenarioConfig& c) { c.zigbee[0].traffic.interval_us = -5.0; }},
+      {"wifi[0].traffic.duty_ratio", "must be in (0, 1]",
+       [](ScenarioConfig& c) { c.wifi[0].traffic.duty_ratio = 1.5; }},
+      {"faults.timed[0].magnitude", "must be finite and > 0",
+       [](ScenarioConfig& c) {
+         c.faults.timed.push_back({FaultKind::kSurgeOn, 1, 0.0, 1e4, -1.0});
+       }},
+      {"faults.random.mean_mute_us",
+       "must be finite and > 0 when the rate is > 0",
+       [](ScenarioConfig& c) {
+         c.faults.random.mute_rate_per_s = 1.0;
+         c.faults.random.mean_mute_us = -1.0;
+       }},
+      {"faults.random.surge_magnitude", "must be finite and > 0",
+       [](ScenarioConfig& c) {
+         c.faults.random.surge_rate_per_s = 1.0;
+         c.faults.random.surge_magnitude = -1.0;
+       }},
+      {"control.epoch_us", "must be finite and > 0",
+       [](ScenarioConfig& c) {
+         c.control.enabled = c.control.duty.enabled = true;
+         c.control.epoch_us = -1.0;
+       }},
+      {"control.duty.rate_scale", "must be in (0, 1]",
+       [](ScenarioConfig& c) {
+         c.control.enabled = c.control.duty.enabled = true;
+         c.control.duty.rate_scale = 1.5;
+       }},
+  };
+  for (const auto& [field, message, mutate] : cases) {
+    auto cfg = two_node_paper_scenario(core::SledzigConfig{}, true, 0.5, 4.0,
+                                       1.0, 0.2, 1);
+    mutate(cfg);
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u) << field << "\n" << describe(errors);
+    EXPECT_EQ(errors[0].field, field);
+    EXPECT_EQ(errors[0].message, message);
+  }
+}
+
+TEST(ScenarioValidate, RejectsErrorModelsThatBendTheCurvesTheWrongWay) {
+  // None of these was checked: a width <= 0 inverts or degenerates the
+  // logistic curves, so a run went to completion with ZigBee PRR 0, and a
+  // preamble error above 1 is no probability.
+  using Model = mac::SymbolErrorModel;
+  const std::pair<const char*, void (*)(Model&)> cases[] = {
+      {"error_model.payload_width_db",
+       [](Model& m) { m.payload_width_db = common::Db{-0.8}; }},
+      {"error_model.payload_width_db",
+       [](Model& m) { m.payload_width_db = common::Db{0.0}; }},
+      {"error_model.sensitivity_width_db",
+       [](Model& m) { m.sensitivity_width_db = common::Db{-0.4}; }},
+      {"error_model.preamble_width_db",
+       [](Model& m) { m.preamble_width_db = common::Db{0.0}; }},
+      {"error_model.preamble_max_error",
+       [](Model& m) { m.preamble_max_error = 3.0; }},
+      {"error_model.payload_midpoint_db",
+       [](Model& m) {
+         m.payload_midpoint_db =
+             common::Db{std::numeric_limits<double>::quiet_NaN()};
+       }},
+      {"error_model.preamble_midpoint_db",
+       [](Model& m) {
+         m.preamble_midpoint_db =
+             common::Db{std::numeric_limits<double>::infinity()};
+       }},
+  };
+  for (const auto& [field, apply] : cases) {
+    auto cfg = two_node_paper_scenario(core::SledzigConfig{}, true, 0.5, 4.0,
+                                       1.0, 0.2, 1);
+    apply(cfg.error_model);
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u) << field << "\n" << describe(errors);
+    EXPECT_EQ(errors[0].field, field);
+  }
 }
 
 TEST(ScenarioValidate, RunReplicationsValidatesBeforeFanOut) {

@@ -9,6 +9,7 @@
 #include "sledzig/power_analysis.h"
 #include "sledzig/significant_bits.h"
 #include "wifi/qam.h"
+#include "wifi/signal_field.h"
 #include "wifi/subcarriers.h"
 #include "wifi/transmitter.h"
 
@@ -451,6 +452,36 @@ TEST(SledzigEncoder, DifferentSeedsProduceDifferentTransmitBits) {
   b.scrambler_seed = 0x23;
   EXPECT_NE(sledzig_encode(payload, a).transmit_psdu,
             sledzig_encode(payload, b).transmit_psdu);
+}
+
+TEST(SledzigEncoder, FitsOnePsduHoldsAtTheLengthCap) {
+  // For every SledZig mode, the largest payload fits_one_psdu accepts
+  // encodes into at most kMaxPsduOctets and decodes back, and the bound
+  // wastes little room.  Dense plans take minutes to encode, so the cap is
+  // reached with the payload size instead: the paper's window, and 16
+  // forced subcarriers behind a SERVICE field.
+  common::Rng rng(110);
+  for (const Modulation m :
+       {Modulation::kQam16, Modulation::kQam64, Modulation::kQam256}) {
+    for (const CodingRate r : {CodingRate::kR12, CodingRate::kR23,
+                               CodingRate::kR34, CodingRate::kR56}) {
+      if (!wifi::has_rate_code(m, r)) continue;
+      for (const std::size_t forced : {0, 16}) {
+        SledzigConfig cfg{m, r, OverlapChannel::kCh2};
+        cfg.forced_subcarriers = forced;
+        cfg.include_service_field = forced != 0;
+        SCOPED_TRACE(to_string(m) + " " + to_string(r) + " forced " +
+                     std::to_string(forced));
+        std::size_t n = 0;
+        while (fits_one_psdu(n + 1, cfg)) ++n;
+        const auto payload = rng.bytes(n);
+        const auto enc = sledzig_encode(payload, cfg);
+        EXPECT_LE(enc.transmit_psdu.size(), wifi::kMaxPsduOctets);
+        EXPECT_GE(enc.transmit_psdu.size(), wifi::kMaxPsduOctets - 16);
+        EXPECT_EQ(sledzig_decode(enc.transmit_psdu, cfg), payload);
+      }
+    }
+  }
 }
 
 TEST(SledzigEncoder, NormalWifiDoesNotTriggerChannelDetection) {
