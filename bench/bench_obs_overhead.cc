@@ -1,15 +1,19 @@
 // Observability overhead guard: runs the discrete-event engine with its
-// metric sink detached (cfg.metrics = nullptr) and attached (a live
-// registry, the production default), and writes BENCH_obs.json (override
-// with argv[1]) with the median events/s of each mode.
+// metric sink detached (cfg.metrics = nullptr), attached (a live registry,
+// the production default), and traced (attached plus record_trace, with
+// the run's Chrome spans rendered by sim::render_spans — what a span user
+// pays), and writes BENCH_obs.json (override with argv[1]) with the median
+// events/s of each mode.
 //
 // Two guards ride along:
-//   * the trace digests of both modes must match exactly (obs is
+//   * the trace digests of all three modes must match exactly (obs is
 //     observational — attaching a sink can never perturb the simulation);
 //   * the attached-mode overhead must stay under kMaxOverheadPct.  The
 //     cross-build "compiled out vs enabled" comparison lives in CI (the
 //     obs-off job builds with -DSLEDZIG_OBS=OFF); this binary guards the
-//     enabled-vs-detached gap, which upper-bounds the registry cost.
+//     enabled-vs-detached gap, which upper-bounds the registry cost.  The
+//     traced overhead is reported only: it scales with the trace length,
+//     and shared-runner noise is too high to gate it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -58,18 +62,24 @@ int main(int argc, char** argv) {
   detached.metrics = nullptr;
   auto attached = grid_scenario();
   attached.metrics = &registry;
+  auto traced = attached;
+  traced.record_trace = true;
 
   // Warm allocator, PHY tables, and the registry's metric names.
   const auto warm_base = sim::run_scenario(detached);
   const auto warm_att = sim::run_scenario(attached);
-  if (warm_base.trace_digest != warm_att.trace_digest) {
-    std::fprintf(stderr, "FATAL: attaching metrics changed the digest\n");
+  const auto warm_traced = sim::run_scenario(traced);
+  if (warm_base.trace_digest != warm_att.trace_digest ||
+      warm_base.trace_digest != warm_traced.trace_digest) {
+    std::fprintf(stderr, "FATAL: an obs sink changed the digest\n");
     return 1;
   }
 
-  // Interleave the modes so drift (thermal, scheduler) hits both equally.
+  // Interleave the modes so drift (thermal, scheduler) hits all equally.
   std::vector<double> base_eps;
   std::vector<double> att_eps;
+  std::vector<double> traced_eps;
+  std::size_t span_events = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     auto t0 = Clock::now();
     const auto rb = sim::run_scenario(detached);
@@ -82,14 +92,24 @@ int main(int argc, char** argv) {
     att_eps.push_back(
         static_cast<double>(ra.events_processed) /
         std::chrono::duration<double>(Clock::now() - t0).count());
+
+    t0 = Clock::now();
+    const auto rt = sim::run_scenario(traced);
+    span_events = sim::render_spans(rt).size();
+    traced_eps.push_back(
+        static_cast<double>(rt.events_processed) /
+        std::chrono::duration<double>(Clock::now() - t0).count());
   }
 
   const double base = median(base_eps);
   const double att = median(att_eps);
+  const double tr = median(traced_eps);
   const double overhead_pct = (base / att - 1.0) * 100.0;
+  const double traced_overhead_pct = (base / tr - 1.0) * 100.0;
   std::printf("detached: %10.0f events/s\nattached: %10.0f events/s\n"
-              "overhead: %+.2f%% (obs %s)\n",
-              base, att, overhead_pct,
+              "traced:   %10.0f events/s (%zu spans and instants)\n"
+              "overhead: %+.2f%% attached, %+.2f%% traced (obs %s)\n",
+              base, att, tr, span_events, overhead_pct, traced_overhead_pct,
               obs::kEnabled ? "enabled" : "compiled out");
 
   std::FILE* f = std::fopen(path, "w");
@@ -99,8 +119,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"obs_compiled\": %s,\n  \"baseline_eps\": %.0f,\n"
-               "  \"attached_eps\": %.0f,\n  \"overhead_pct\": %.2f\n}\n",
-               obs::kEnabled ? "true" : "false", base, att, overhead_pct);
+               "  \"attached_eps\": %.0f,\n  \"overhead_pct\": %.2f,\n"
+               "  \"traced_eps\": %.0f,\n  \"traced_overhead_pct\": %.2f\n}\n",
+               obs::kEnabled ? "true" : "false", base, att, overhead_pct, tr,
+               traced_overhead_pct);
   std::fclose(f);
   std::printf("wrote %s\n", path);
 

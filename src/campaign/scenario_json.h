@@ -47,9 +47,9 @@
 
 namespace sledzig::campaign {
 
-/// Serializes every engine-relevant field (sinks and caches — metrics,
-/// span_log, link_cache — are runtime wiring, not scenario identity, and
-/// are omitted).  Output is canonical: equal configs produce equal JSON.
+/// Serializes every engine-relevant field (the metrics sink and the link
+/// cache are runtime wiring, not scenario identity, and are omitted).
+/// Output is canonical: equal configs produce equal JSON.
 JsonValue scenario_to_json(const sim::ScenarioConfig& config);
 
 /// Parses `json` into `*out` (starting from engine defaults).  Appends all

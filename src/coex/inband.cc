@@ -1,5 +1,6 @@
 #include "coex/inband.h"
 
+#include <functional>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -89,21 +90,16 @@ InbandOffsets measure_uncached(const core::SledzigConfig& cfg, bool sledzig) {
 
 InbandOffsets measure_inband_offsets(const core::SledzigConfig& cfg,
                                      bool sledzig) {
-  using Key = std::tuple<int, int, int, unsigned, std::size_t, bool>;
+  // Keyed on the whole plan, since measure_uncached reads most of it; the
+  // transparent comparator finds the caller's plan in place, copying nothing.
+  using Key = std::tuple<core::SledzigConfig, bool>;
   // lint: allow(static-state): memo for a pure function; guarded by mutex
   static std::mutex mutex;
   // lint: allow(static-state): memo for a pure function; guarded by mutex
-  static std::map<Key, InbandOffsets> cache;
-  unsigned extra_mask = 0;
-  for (core::OverlapChannel ch : cfg.extra_channels) {
-    extra_mask |= 1u << static_cast<unsigned>(ch);
-  }
-  const Key key{static_cast<int>(cfg.modulation), static_cast<int>(cfg.rate),
-                static_cast<int>(cfg.channel), extra_mask, cfg.forced_count(),
-                sledzig};
+  static std::map<Key, InbandOffsets, std::less<>> cache;
   {
     std::scoped_lock lock(mutex);
-    const auto it = cache.find(key);
+    const auto it = cache.find(std::tie(cfg, sledzig));
     if (it != cache.end()) return it->second;
   }
   // Miss: run the full transmit/measure pipeline with no lock held, so
@@ -114,7 +110,7 @@ InbandOffsets measure_inband_offsets(const core::SledzigConfig& cfg,
   // duplicate work on a cold cache.
   const InbandOffsets computed = measure_uncached(cfg, sledzig);
   std::scoped_lock lock(mutex);
-  return cache.emplace(key, computed).first->second;
+  return cache.emplace(Key{cfg, sledzig}, computed).first->second;
 }
 
 }  // namespace sledzig::coex

@@ -52,11 +52,6 @@ void TraceLog::instant(std::string_view name, std::uint32_t track,
   events_.push_back(std::move(ev));
 }
 
-void TraceLog::clear() {
-  events_.clear();
-  track_names_.clear();
-}
-
 void TraceLog::write_chrome_json(std::ostream& out) const {
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;

@@ -13,9 +13,9 @@
 //     metadata events.
 //   * write_jsonl(): one JSON object per line, grep/jq-friendly.
 //
-// Ownership/threading: a TraceLog is single-writer (the sim event loop).
-// `sim::run_replications` nulls the sink in its per-replication configs, so
-// a log never sees two engines at once.
+// Ownership/threading: a TraceLog is single-writer.  The simulator never
+// writes one while it runs: `sim::render_spans` builds a fresh log from a
+// finished run's recorded trace, so every replication can have its own.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,6 @@ class TraceLog {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-  void clear();
 
   /// Chrome trace-event JSON (an object with a "traceEvents" array).
   void write_chrome_json(std::ostream& out) const;
@@ -80,7 +79,6 @@ class TraceLog {
   void instant(std::string_view, std::uint32_t, std::uint64_t) {}
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return 0; }
-  void clear() {}
   void write_chrome_json(std::ostream& out) const;
   std::string chrome_json() const;
   void write_jsonl(std::ostream&) const {}

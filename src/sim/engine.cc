@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <deque>
@@ -38,12 +39,6 @@ std::uint64_t fnv_mix(std::uint64_t digest, std::uint64_t value) {
     value >>= 8;
   }
   return digest;
-}
-
-/// Virtual µs for the span log (deterministic rounding; observational
-/// only, the digest keeps full double precision).
-std::uint64_t vus(double t) {
-  return static_cast<std::uint64_t>(std::llround(t));
 }
 
 /// One coupled link's received power under a shadowing draw (`Link` is a
@@ -183,8 +178,10 @@ class Engine {
     return static_cast<std::uint32_t>(num_nodes_ + jam_k);
   }
 
+  /// The one record point: every state transition goes through here into
+  /// the digest, the per-type tallies and (when recorded) the trace.
   void trace(double t, std::uint32_t node, TraceType type,
-             std::int32_t aux = 0);
+             std::int32_t aux = 0, double since_us = 0.0);
   void push_arrival(std::uint32_t node, double t);
   void push_timer(std::uint32_t node, double t, std::uint64_t token);
 
@@ -267,17 +264,10 @@ class Engine {
   std::uint64_t events_ = 0;
   // Per-run tallies, flushed to cfg_.metrics once at the end of run() so
   // the event loop never touches the registry.
-  std::uint64_t arrival_events_ = 0;
-  std::uint64_t timer_events_ = 0;
-  std::uint64_t tx_end_events_ = 0;
-  std::uint64_t fault_events_ = 0;
+  std::array<std::uint64_t, kNumEventTypes> event_counts_{};
+  std::array<std::uint64_t, kNumTraceTypes> trace_counts_{};
   std::uint64_t stale_timers_ = 0;
   std::uint64_t stale_arrivals_ = 0;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t reboots_ = 0;
-  std::uint64_t jam_bursts_ = 0;
-  std::uint64_t tx_aborted_ = 0;
-  std::uint64_t tx_muted_ = 0;
   std::vector<TraceEvent> trace_;
 
   // --- control plane (DESIGN.md §18), inert unless cfg.control.active() ---
@@ -306,7 +296,6 @@ class Engine {
   /// overwrite affected pairs with the pure-function kControl draw.  Only
   /// allocated when a policy can retune (SledZig toggle / channel hop).
   std::vector<double> jitter_db_;
-  std::uint64_t control_events_ = 0;
   std::uint64_t control_actions_ = 0;
 
   void flush_metrics() const;
@@ -563,13 +552,17 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
 }
 
 void Engine::trace(double t, std::uint32_t node, TraceType type,
-                   std::int32_t aux) {
+                   std::int32_t aux, double since_us) {
+  // since_us is recorded but not hashed: digests cover (t, node, type, aux).
   digest_ = fnv_mix(digest_, std::bit_cast<std::uint64_t>(t));
   digest_ = fnv_mix(digest_,
                     (static_cast<std::uint64_t>(node) << 40) |
                         (static_cast<std::uint64_t>(type) << 32) |
                         static_cast<std::uint32_t>(aux));
-  if (cfg_.record_trace) trace_.push_back(TraceEvent{t, node, type, aux});
+  ++trace_counts_[static_cast<std::size_t>(type)];
+  if (cfg_.record_trace) {
+    trace_.push_back(TraceEvent{t, node, type, aux, since_us});
+  }
 }
 
 void Engine::push_arrival(std::uint32_t node, double t) {
@@ -624,11 +617,7 @@ void Engine::apply_zigbee_step(std::size_t j,
     case Kind::kDropCca:
       ++n.stats.cca_dropped;
       trace(now, g, TraceType::kCcaDrop,
-            static_cast<std::int32_t>(n.machine.backoffs()));
-      if (cfg_.span_log != nullptr) {
-        cfg_.span_log->complete("csma", g, vus(n.serve_start_us), vus(now));
-        cfg_.span_log->instant("cca_drop", g, vus(now));
-      }
+            static_cast<std::int32_t>(n.machine.backoffs()), n.serve_start_us);
       n.queue.pop_front();
       n.serving = false;
       serve_next(g, now);
@@ -675,18 +664,12 @@ void Engine::on_arrival(std::uint32_t node, double t) {
 
   ++stats.generated;
   trace(t, node, TraceType::kArrival);
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->instant("arrival", node, vus(t));
-  }
   if (!traffic.completion_clocked()) {
     push_arrival(node, traffic.next_after(t));
   }
   if (queue.size() >= cfg_.queue_capacity) {
     ++stats.queue_dropped;
     trace(t, node, TraceType::kQueueDrop);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->instant("queue_drop", node, vus(t));
-    }
     return;
   }
   queue.push_back(t);
@@ -733,18 +716,11 @@ void Engine::start_wifi_tx(std::size_t i, double now) {
   auto& n = wifi_[i];
   const std::uint32_t g = global(i);
   ++n.stats.sent;
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->complete("csma", g, vus(n.serve_start_us), vus(now));
-  }
   if (fstate_[g].muted) {
     // TX chain is off: the attempt never reaches the air.  WiFi does not
     // retry, so the frame is terminal — it exhausted its zero retries.
-    ++tx_muted_;
     ++n.stats.retry_exhausted;
-    trace(now, g, TraceType::kTxMuted);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->instant("tx_muted", g, vus(now));
-    }
+    trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
     n.machine.tx_done();
     ++n.token;
     n.queue.pop_front();
@@ -753,7 +729,7 @@ void Engine::start_wifi_tx(std::size_t i, double now) {
     return;
   }
   n.stats.airtime_us += n.burst_us;
-  trace(now, g, TraceType::kTxStart);
+  trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
   const std::uint32_t tx_id =
       arbiter_.begin_tx(g, NodeKind::kWifi, now, now + n.cfg.mac.preamble_us,
                         now + n.burst_us);
@@ -767,19 +743,12 @@ void Engine::start_zigbee_tx(std::size_t j, double now) {
   const std::uint32_t g = global_z(j);
   n.machine.tx_started();
   ++n.stats.sent;
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->complete("csma", g, vus(n.serve_start_us), vus(now));
-  }
   if (fstate_[g].muted) {
     // TX chain is off: no energy leaves the node and no ACK will come.
     // The machine sees an undelivered attempt, so macMaxFrameRetries
     // still applies (a muted window shorter than the retry budget only
     // delays the frame).
-    ++tx_muted_;
-    trace(now, g, TraceType::kTxMuted);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->instant("tx_muted", g, vus(now));
-    }
+    trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
     ++n.token;
     const auto step = n.machine.tx_done(now, false);
     if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
@@ -797,7 +766,7 @@ void Engine::start_zigbee_tx(std::size_t j, double now) {
     return;
   }
   n.stats.airtime_us += n.airtime_us;
-  trace(now, g, TraceType::kTxStart);
+  trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
   const std::uint32_t tx_id =
       arbiter_.begin_tx(g, NodeKind::kZigbee, now, now, now + n.airtime_us);
   fstate_[g].active_tx = tx_id;
@@ -1044,11 +1013,8 @@ void Engine::on_tx_end(std::uint32_t tx_id, double t) {
     } else {
       ++n.stats.retry_exhausted;
     }
-    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->complete("tx", tx.node, vus(tx.start_us), vus(t));
-      cfg_.span_log->instant(ok ? "delivered" : "lost", tx.node, vus(t));
-    }
+    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
+          tx.start_us);
     n.machine.tx_done();
     ++n.token;
     n.queue.pop_front();
@@ -1059,11 +1025,8 @@ void Engine::on_tx_end(std::uint32_t tx_id, double t) {
     auto& n = zigbee_[j];
     const bool ok = zigbee_frame_delivered(j, tx);
     if (ok) ++n.stats.delivered;
-    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->complete("tx", tx.node, vus(tx.start_us), vus(t));
-      cfg_.span_log->instant(ok ? "delivered" : "lost", tx.node, vus(t));
-    }
+    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
+          tx.start_us);
     ++n.token;
     const auto step = n.machine.tx_done(t, ok);
     if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
@@ -1074,9 +1037,6 @@ void Engine::on_tx_end(std::uint32_t tx_id, double t) {
       n.serve_start_us = t;
       trace(t, tx.node, TraceType::kRetry,
             static_cast<std::int32_t>(n.machine.retries_left()));
-      if (cfg_.span_log != nullptr) {
-        cfg_.span_log->instant("retry", tx.node, vus(t));
-      }
       apply_zigbee_step(j, step, t);
     } else {
       // Terminal: delivered, or lost with macMaxFrameRetries exhausted.
@@ -1093,7 +1053,6 @@ void Engine::crash_node(std::uint32_t g, double t) {
   auto& fs = fstate_[g];
   if (!fs.alive) return;  // overlapping crash windows: already dead
   fs.alive = false;
-  ++crashes_;
   const bool is_wifi = g < num_wifi_;
   auto& queue = is_wifi ? wifi_[g].queue : zigbee_[g - num_wifi_].queue;
   auto& stats = is_wifi ? wifi_[g].stats : zigbee_[g - num_wifi_].stats;
@@ -1104,12 +1063,7 @@ void Engine::crash_node(std::uint32_t g, double t) {
   if (fs.active_tx != UINT32_MAX) {
     const Transmission tx = arbiter_.tx(fs.active_tx);
     arbiter_.abort_tx(fs.active_tx, t);
-    ++tx_aborted_;
-    trace(t, g, TraceType::kTxAborted);
-    if (cfg_.span_log != nullptr) {
-      cfg_.span_log->complete("tx", g, vus(tx.start_us), vus(t));
-      cfg_.span_log->instant("tx_aborted", g, vus(t));
-    }
+    trace(t, g, TraceType::kTxAborted, 0, tx.start_us);
     stats.airtime_us -= std::max(0.0, tx.end_us - std::max(tx.start_us, t));
     fs.active_tx = UINT32_MAX;
     aborted = true;
@@ -1121,9 +1075,6 @@ void Engine::crash_node(std::uint32_t g, double t) {
   stats.lost_to_crash += queue.size();
   trace(t, g, TraceType::kNodeCrash,
         static_cast<std::int32_t>(queue.size()));
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->instant("crash", g, vus(t));
-  }
   queue.clear();
   if (is_wifi) {
     wifi_[g].serving = false;
@@ -1143,11 +1094,7 @@ void Engine::reboot_node(std::uint32_t g, double t) {
   auto& fs = fstate_[g];
   if (fs.alive) return;  // duplicate recovery: already up
   fs.alive = true;
-  ++reboots_;
   trace(t, g, TraceType::kNodeReboot);
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->instant("reboot", g, vus(t));
-  }
   // Cold MAC (reset at crash time) and a fresh arrival chain under the
   // current epoch — the pre-crash chain stays orphaned.
   auto& traffic =
@@ -1157,11 +1104,7 @@ void Engine::reboot_node(std::uint32_t g, double t) {
 
 void Engine::start_jam_burst(std::size_t jam_k, double t, double len_us) {
   const std::uint32_t g = jammer_index(jam_k);
-  ++jam_bursts_;
   trace(t, g, TraceType::kJam);
-  if (cfg_.span_log != nullptr) {
-    cfg_.span_log->instant("jam", g, vus(t));
-  }
   // The burst is an ordinary ledger entry (kind kJammer): CCA, WiFi
   // deferral and per-symbol delivery all see its energy through the same
   // power tables as a real transmitter.  Its kTxEnd retires it.
@@ -1185,9 +1128,6 @@ void Engine::on_fault(const FaultAction& a, double t) {
       if (fstate_[a.node].muted != on) {
         fstate_[a.node].muted = on;
         trace(t, a.node, TraceType::kMute, on ? 1 : 0);
-        if (cfg_.span_log != nullptr) {
-          cfg_.span_log->instant(on ? "mute_on" : "mute_off", a.node, vus(t));
-        }
       }
       break;
     }
@@ -1197,9 +1137,6 @@ void Engine::on_fault(const FaultAction& a, double t) {
       if (fstate_[a.node].deaf != on) {
         fstate_[a.node].deaf = on;
         trace(t, a.node, TraceType::kDeaf, on ? 1 : 0);
-        if (cfg_.span_log != nullptr) {
-          cfg_.span_log->instant(on ? "deaf_on" : "deaf_off", a.node, vus(t));
-        }
       }
       break;
     }
@@ -1218,9 +1155,6 @@ void Engine::on_fault(const FaultAction& a, double t) {
           a.node < num_wifi_ ? wifi_[a.node].shape_scale : 1.0;
       traffic.set_rate_scale(fstate_[a.node].surge * shape);
       trace(t, a.node, TraceType::kSurge, on ? 1 : 0);
-      if (cfg_.span_log != nullptr) {
-        cfg_.span_log->instant(on ? "surge_on" : "surge_off", a.node, vus(t));
-      }
       break;
     }
   }
@@ -1451,16 +1385,6 @@ void Engine::on_control(double t) {
 
 SimResult Engine::run() {
   SLEDZIG_PROF_SCOPE("sim.run");
-  if (cfg_.span_log != nullptr) {
-    for (std::size_t i = 0; i < num_wifi_; ++i) {
-      cfg_.span_log->set_track_name(global(i),
-                                    "wifi" + std::to_string(i));
-    }
-    for (std::size_t j = 0; j < num_zigbee_; ++j) {
-      cfg_.span_log->set_track_name(global_z(j),
-                                    "zigbee" + std::to_string(j));
-    }
-  }
   for (std::size_t n = 0; n < num_nodes_; ++n) {
     auto& traffic =
         n < num_wifi_ ? wifi_[n].traffic : zigbee_[n - num_wifi_].traffic;
@@ -1480,10 +1404,10 @@ SimResult Engine::run() {
   while (!queue_.empty()) {
     const Event e = queue_.pop();
     ++events_;
+    ++event_counts_[static_cast<std::size_t>(e.type)];
     if (inv_.enabled()) inv_.on_event(e.time_us);
     switch (e.type) {
       case EventType::kArrival:
-        ++arrival_events_;
         if (e.token != fstate_[e.node].arrival_epoch) {
           ++stale_arrivals_;  // chain orphaned by a crash
           break;
@@ -1491,7 +1415,6 @@ SimResult Engine::run() {
         on_arrival(e.node, e.time_us);
         break;
       case EventType::kTimer: {
-        ++timer_events_;
         const std::uint64_t current = e.node < num_wifi_
                                           ? wifi_[e.node].token
                                           : zigbee_[e.node - num_wifi_].token;
@@ -1507,15 +1430,12 @@ SimResult Engine::run() {
         break;
       }
       case EventType::kTxEnd:
-        ++tx_end_events_;
         on_tx_end(e.tx_id, e.time_us);
         break;
       case EventType::kFault:
-        ++fault_events_;
         on_fault(actions_[e.tx_id], e.time_us);
         break;
       case EventType::kControl:
-        ++control_events_;
         on_control(e.time_us);
         break;
     }
@@ -1605,12 +1525,18 @@ void Engine::flush_metrics() const {
   };
   for (const auto& n : wifi_) accumulate(n.stats);
   for (const auto& n : zigbee_) accumulate(n.stats);
+  const auto events = [this](EventType t) {
+    return event_counts_[static_cast<std::size_t>(t)];
+  };
+  const auto traced = [this](TraceType t) {
+    return trace_counts_[static_cast<std::size_t>(t)];
+  };
 
   reg->counter("sim.runs").inc();
   reg->counter("sim.events").add(events_);
-  reg->counter("sim.events.arrival").add(arrival_events_);
-  reg->counter("sim.events.timer").add(timer_events_);
-  reg->counter("sim.events.tx_end").add(tx_end_events_);
+  reg->counter("sim.events.arrival").add(events(EventType::kArrival));
+  reg->counter("sim.events.timer").add(events(EventType::kTimer));
+  reg->counter("sim.events.tx_end").add(events(EventType::kTxEnd));
   reg->counter("sim.timer.stale").add(stale_timers_);
   reg->counter("sim.frames.generated").add(sum.generated);
   reg->counter("sim.frames.delivered").add(sum.delivered);
@@ -1622,19 +1548,19 @@ void Engine::flush_metrics() const {
   reg->counter("sim.tx.attempts").add(sum.sent);
   reg->counter("sim.tx.retries").add(sum.retries);
   // Control-plane tallies: absent entirely without an active policy.
-  if (control_events_ > 0) {
-    reg->counter("sim.events.control").add(control_events_);
+  if (events(EventType::kControl) > 0) {
+    reg->counter("sim.events.control").add(events(EventType::kControl));
     reg->counter("sim.control.actions").add(control_actions_);
   }
   // Fault-layer tallies: all zero (and free) without a fault plan.
-  if (fault_events_ > 0 || stale_arrivals_ > 0) {
-    reg->counter("sim.events.fault").add(fault_events_);
+  if (events(EventType::kFault) > 0 || stale_arrivals_ > 0) {
+    reg->counter("sim.events.fault").add(events(EventType::kFault));
     reg->counter("sim.arrival.stale").add(stale_arrivals_);
-    reg->counter("sim.faults.crashes").add(crashes_);
-    reg->counter("sim.faults.reboots").add(reboots_);
-    reg->counter("sim.faults.jam_bursts").add(jam_bursts_);
-    reg->counter("sim.faults.tx_aborted").add(tx_aborted_);
-    reg->counter("sim.faults.tx_muted").add(tx_muted_);
+    reg->counter("sim.faults.crashes").add(traced(TraceType::kNodeCrash));
+    reg->counter("sim.faults.reboots").add(traced(TraceType::kNodeReboot));
+    reg->counter("sim.faults.jam_bursts").add(traced(TraceType::kJam));
+    reg->counter("sim.faults.tx_aborted").add(traced(TraceType::kTxAborted));
+    reg->counter("sim.faults.tx_muted").add(traced(TraceType::kTxMuted));
   }
 }
 
@@ -1671,10 +1597,6 @@ std::vector<SimResult> run_replications(common::ThreadPool& pool,
     thread_local RunWorkspace ws;
     ScenarioConfig c = config;
     c.seed = common::derive_seed(config.seed, rep);
-    // A TraceLog is single-writer; replications would race on a shared
-    // sink, so spans are a single-run feature.  Metrics stay attached —
-    // the registry is thread-safe and its sums are commutative.
-    c.span_log = nullptr;
     c.link_cache = cache;
     return Engine(c, ws).run();
   });

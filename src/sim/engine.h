@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "obs/trace.h"
 #include "sim/scenario.h"
 
 namespace sledzig::sim {
@@ -50,12 +51,19 @@ enum class TraceType : std::uint8_t {
   kControlHop,    ///< ZigBee channel hop (aux = new 802.15.4 channel)
   kControlShape,  ///< WiFi rate shaping (aux = scale in parts per thousand)
 };
+/// Count of TraceType values: move it when appending an enumerator.
+inline constexpr std::size_t kNumTraceTypes =
+    static_cast<std::size_t>(TraceType::kControlShape) + 1;
 
 struct TraceEvent {
   double time_us = 0.0;
   std::uint32_t node = 0;  ///< global index: WiFi nodes first, then ZigBee
   TraceType type = TraceType::kArrival;
   std::int32_t aux = 0;
+  /// Start of the span this event closes (recorded, never hashed): the
+  /// CSMA entry on kTxStart / kTxMuted / kCcaDrop, the air start on
+  /// kTxDelivered / kTxLost / kTxAborted, 0 otherwise.
+  double since_us = 0.0;
 };
 
 /// Per-node frame accounting.  Every generated frame ends in exactly one
@@ -115,5 +123,11 @@ std::vector<SimResult> run_replications(common::ThreadPool& pool,
 /// Same, over the process-wide default pool (SLEDZIG_THREADS).
 std::vector<SimResult> run_replications(const ScenarioConfig& config,
                                         std::size_t replications);
+
+/// Chrome spans of a run recorded with config.record_trace: one named track
+/// per node (`wifi<i>`, `zigbee<j>`), `csma` and `tx` spans, and an instant
+/// per arrival, drop, retry, delivery verdict and fault.  Timestamps are
+/// virtual µs, so the log is as deterministic as the trace it reads.
+obs::TraceLog render_spans(const SimResult& result);
 
 }  // namespace sledzig::sim

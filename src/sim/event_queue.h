@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -22,6 +23,9 @@ enum class EventType : std::uint8_t {
   kFault,    ///< a compiled FaultScheduler action fires (tx_id = action index)
   kControl,  ///< a control-plane epoch boundary (observation + actions)
 };
+/// Count of EventType values: move it when appending an enumerator.
+inline constexpr std::size_t kNumEventTypes =
+    static_cast<std::size_t>(EventType::kControl) + 1;
 
 struct Event {
   double time_us = 0.0;

@@ -20,7 +20,6 @@
 #include "mac/wifi_csma.h"
 #include "mac/zigbee_csma.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/invariants.h"
 #include "sledzig/significant_bits.h"
 
@@ -226,16 +225,13 @@ struct ScenarioConfig {
   double duration_s = 10.0;
   std::uint64_t seed = 1;
   /// Record the full per-transition trace in SimResult (the run digest is
-  /// always computed, trace or not).
+  /// always computed, trace or not); sim::render_spans draws it as Chrome
+  /// spans.
   bool record_trace = false;
   /// Metrics sink: per-run tallies (event counts, frame accounting, stale
   /// timers) flush here once at the end of run_scenario.  Observational
   /// only — nothing digest-checked reads metrics back.  nullptr disables.
   obs::Registry* metrics = &obs::Registry::global();
-  /// Virtual-time span sink (per-node csma/tx spans, arrival/drop
-  /// instants).  Single-writer: run_replications nulls it in its
-  /// per-replication copies, so set it only for individual runs.
-  obs::TraceLog* span_log = nullptr;
   /// Hybrid-fidelity fast path (DESIGN.md §15): segment-run delivery and
   /// interference-graph pruning.  Defaults on; the two-node flagship
   /// digests are bit-identical either way (asserted in tests).

@@ -12,6 +12,7 @@
 //     not x_{n-1}, and g1 taps x_{n-1} but not x_{n-5}).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +45,10 @@ struct SledzigConfig {
   /// Bandwidth of the explicit windows (2 MHz = ZigBee/BLE; 1 MHz =
   /// classic-Bluetooth hop channel).
   double window_bandwidth_hz = 2e6;
+
+  /// Member-wise, so a memo keyed on the whole plan (the in-band offsets)
+  /// picks up every field a later revision adds.
+  auto operator<=>(const SledzigConfig&) const = default;
 
   const wifi::ChannelPlan& plan() const { return wifi::channel_plan(width); }
 

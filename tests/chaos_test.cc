@@ -339,11 +339,10 @@ TEST(FaultFamilies, ClockDriftPerturbsTimingButConservesEveryFrame) {
 }
 
 TEST(FaultFamilies, FaultInstantsLandInTheObsTraceLog) {
-  obs::TraceLog log;
   auto cfg = saturated_scenario(12);
-  cfg.span_log = &log;
   cfg.faults.timed.push_back({FaultKind::kCrash, 0, 3.0e5, 2.0e5, 4.0});
   const auto r = run_scenario(cfg);
+  const obs::TraceLog log = render_spans(r);
   expect_conservation(r, "obs-instants");
   if (log.size() == 0) GTEST_SKIP() << "obs layer compiled out";
   bool saw_crash = false;

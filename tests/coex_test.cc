@@ -3,6 +3,8 @@
 // and the sample-domain RSSI experiments.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "coex/experiment.h"
 #include "sledzig/power_analysis.h"
 #include "zigbee/cc2420.h"
@@ -32,6 +34,30 @@ TEST(Inband, SledzigReducesPayloadNotPreamble) {
     EXPECT_NEAR(sled.preamble_offset_db.value(), normal.preamble_offset_db.value(),
                 0.7)
         << to_string(ch);
+  }
+}
+
+TEST(Inband, MemoKeysOnTheWholePlan) {
+  // Pairs that differ only in a field the measurement reads, queried in
+  // both orders: neither plan may be served the other's memo entry.
+  core::SledzigConfig lo;
+  lo.window_offsets_hz = {-5e6};
+  core::SledzigConfig hi = lo;
+  hi.window_offsets_hz = {3e6};
+  core::SledzigConfig seed_a;
+  core::SledzigConfig seed_b = seed_a;
+  seed_b.scrambler_seed = 0x2a;
+  for (const auto& [a, b] : {std::pair{lo, hi}, std::pair{seed_a, seed_b}}) {
+    const auto payload = [](const core::SledzigConfig& c) {
+      return measure_inband_offsets(c, true).payload_offset_db.value();
+    };
+    const double a_first = payload(a);
+    const double b_first = payload(b);
+    const double b_again = payload(b);
+    const double a_again = payload(a);
+    EXPECT_NE(a_first, b_first);
+    EXPECT_EQ(a_again, a_first);
+    EXPECT_EQ(b_again, b_first);
   }
 }
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -182,6 +185,103 @@ TEST(GoldenMetrics, TwoNodeScenarioCountersMatchNodeStatsExactly) {
                 snap.counter("sim.frames.in_flight_at_end"));
 }
 
+/// The paper scenario under every fault family: a crash that aborts the
+/// saturated WiFi burst, a ZigBee mute window spanning that outage (so the
+/// mote's muted attempts burn retries), a deaf window, a jammer on the
+/// mote's receiver and a traffic surge.  Two mote crashes inside the mute
+/// window (nothing on air) and a last WiFi crash without reboot make the
+/// crash, reboot and abort counts differ, so a counter read from the wrong
+/// TraceType shows.
+sim::ScenarioConfig fault_heavy_scenario() {
+  auto cfg = paper_scenario();
+  cfg.record_trace = true;
+  cfg.zigbee[0].mac.max_frame_retries = 3;
+  cfg.faults.timed = {
+      {sim::FaultKind::kCrash, /*node=*/0, 3.0e5, 2.0e5, 4.0},
+      {sim::FaultKind::kMuteOn, /*node=*/1, 1.0e5, 3.0e5, 4.0},
+      {sim::FaultKind::kDeafOn, /*node=*/1, 6.0e5, 1.0e5, 4.0},
+      {sim::FaultKind::kSurgeOn, /*node=*/1, 8.0e5, 1.0e5, 3.0},
+      {sim::FaultKind::kCrash, /*node=*/1, 2.0e5, 5.0e4, 4.0},
+      {sim::FaultKind::kCrash, /*node=*/1, 3.5e5, 5.0e4, 4.0},
+      {sim::FaultKind::kCrash, /*node=*/0, 9.5e5, 0.0, 4.0},
+  };
+  sim::JammerConfig jam;
+  jam.pos = cfg.zigbee[0].rx;
+  jam.mean_on_us = 2000.0;
+  jam.mean_off_us = 20000.0;
+  cfg.faults.jammers.push_back(jam);
+  return cfg;
+}
+
+std::uint64_t count_trace(const sim::SimResult& r, sim::TraceType type) {
+  return static_cast<std::uint64_t>(std::count_if(
+      r.trace.begin(), r.trace.end(),
+      [type](const sim::TraceEvent& e) { return e.type == type; }));
+}
+
+void expect_event_counters_sum(const Snapshot& snap) {
+  EXPECT_EQ(snap.counter("sim.events"),
+            snap.counter("sim.events.arrival") +
+                snap.counter("sim.events.timer") +
+                snap.counter("sim.events.tx_end") +
+                snap.counter("sim.events.fault") +
+                snap.counter("sim.events.control"));
+}
+
+TEST(GoldenMetrics, FaultCountersMatchTheRecordedTrace) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  Registry reg;
+  auto cfg = fault_heavy_scenario();
+  cfg.metrics = &reg;
+  const auto r = sim::run_scenario(cfg);
+  const auto snap = reg.snapshot();
+  using sim::TraceType;
+  // The scenario exercises every family it claims to.
+  EXPECT_GT(count_trace(r, TraceType::kTxAborted), 0u);
+  EXPECT_GT(count_trace(r, TraceType::kTxMuted), 0u);
+  EXPECT_GT(count_trace(r, TraceType::kRetry), 0u);
+  EXPECT_EQ(count_trace(r, TraceType::kDeaf), 2u);
+  EXPECT_EQ(count_trace(r, TraceType::kSurge), 2u);
+  EXPECT_GT(count_trace(r, TraceType::kJam), 0u);
+
+  EXPECT_EQ(snap.counter("sim.faults.crashes"),
+            count_trace(r, TraceType::kNodeCrash));
+  EXPECT_EQ(snap.counter("sim.faults.reboots"),
+            count_trace(r, TraceType::kNodeReboot));
+  EXPECT_EQ(snap.counter("sim.faults.jam_bursts"),
+            count_trace(r, TraceType::kJam));
+  EXPECT_EQ(snap.counter("sim.faults.tx_aborted"),
+            count_trace(r, TraceType::kTxAborted));
+  EXPECT_EQ(snap.counter("sim.faults.tx_muted"),
+            count_trace(r, TraceType::kTxMuted));
+  EXPECT_GT(snap.counter("sim.events.fault"), 0u);
+  EXPECT_EQ(snap.counter("sim.events"), r.events_processed);
+  expect_event_counters_sum(snap);
+}
+
+TEST(GoldenMetrics, ControlCountersMatchTheRecordedTrace) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  Registry reg;
+  auto cfg = sim::control_ab_scenario(/*controlled=*/true, /*duration_s=*/2.0,
+                                      /*seed=*/3);
+  cfg.metrics = &reg;
+  cfg.record_trace = true;
+  const auto r = sim::run_scenario(cfg);
+  const auto snap = reg.snapshot();
+  std::uint64_t actions = 0;
+  for (const auto& e : r.trace) {
+    if (e.type == sim::TraceType::kControlEpoch) {
+      actions += static_cast<std::uint64_t>(e.aux);
+    }
+  }
+  EXPECT_GT(actions, 0u);
+  EXPECT_EQ(snap.counter("sim.control.actions"), actions);
+  EXPECT_EQ(snap.counter("sim.events.control"),
+            count_trace(r, sim::TraceType::kControlEpoch));
+  EXPECT_EQ(snap.counter("sim.events"), r.events_processed);
+  expect_event_counters_sum(snap);
+}
+
 TEST(GoldenMetrics, SnapshotJsonIsBitIdenticalAcrossRunsAndThreadCounts) {
   if (!kEnabled) GTEST_SKIP() << "obs compiled out";
   // Same scenario, same seed: every run must flush the same exact integers
@@ -213,11 +313,11 @@ TEST(DigestInvariance, ObsSinksNeverPerturbTheTraceDigest) {
   with_metrics.metrics = &reg;
   const auto metered = sim::run_scenario(with_metrics);
 
-  TraceLog spans;
   auto with_spans = paper_scenario();
   with_spans.metrics = &reg;
-  with_spans.span_log = &spans;
+  with_spans.record_trace = true;
   const auto spanned = sim::run_scenario(with_spans);
+  const TraceLog spans = sim::render_spans(spanned);
 
   EXPECT_EQ(metered.trace_digest, base.trace_digest);
   EXPECT_EQ(spanned.trace_digest, base.trace_digest);
@@ -228,6 +328,123 @@ TEST(DigestInvariance, ObsSinksNeverPerturbTheTraceDigest) {
     EXPECT_GT(spans.size(), 0u);
     for (const auto& e : spans.events()) {
       EXPECT_LE(e.ts_us, 1'100'000u) << e.name;  // horizon + tail tx
+    }
+  }
+}
+
+std::size_t count_named(const TraceLog& log, const std::string& name,
+                        char phase) {
+  return static_cast<std::size_t>(std::count_if(
+      log.events().begin(), log.events().end(), [&](const TraceEvent& e) {
+        return e.name == name && e.phase == phase;
+      }));
+}
+
+TEST(SpanRendering, EverySpanAndInstantComesFromOneTraceRecord) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  const auto r = sim::run_scenario(fault_heavy_scenario());
+  const TraceLog log = sim::render_spans(r);
+  using sim::TraceType;
+  const auto n = [&r](TraceType t) { return count_trace(r, t); };
+  const auto n_aux = [&r](TraceType t, std::int32_t aux) {
+    return static_cast<std::uint64_t>(
+        std::count_if(r.trace.begin(), r.trace.end(), [&](const auto& e) {
+          return e.type == t && e.aux == aux;
+        }));
+  };
+  EXPECT_EQ(count_named(log, "csma", 'X'),
+            n(TraceType::kTxStart) + n(TraceType::kTxMuted) +
+                n(TraceType::kCcaDrop));
+  EXPECT_EQ(count_named(log, "tx", 'X'),
+            n(TraceType::kTxDelivered) + n(TraceType::kTxLost) +
+                n(TraceType::kTxAborted));
+  const std::pair<const char*, std::uint64_t> instants[] = {
+      {"arrival", n(TraceType::kArrival)},
+      {"queue_drop", n(TraceType::kQueueDrop)},
+      {"cca_drop", n(TraceType::kCcaDrop)},
+      {"tx_muted", n(TraceType::kTxMuted)},
+      {"delivered", n(TraceType::kTxDelivered)},
+      {"lost", n(TraceType::kTxLost)},
+      {"tx_aborted", n(TraceType::kTxAborted)},
+      {"retry", n(TraceType::kRetry)},
+      {"crash", n(TraceType::kNodeCrash)},
+      {"reboot", n(TraceType::kNodeReboot)},
+      {"jam", n(TraceType::kJam)},
+      {"mute_on", n_aux(TraceType::kMute, 1)},
+      {"mute_off", n_aux(TraceType::kMute, 0)},
+      {"deaf_on", n_aux(TraceType::kDeaf, 1)},
+      {"deaf_off", n_aux(TraceType::kDeaf, 0)},
+      {"surge_on", n_aux(TraceType::kSurge, 1)},
+      {"surge_off", n_aux(TraceType::kSurge, 0)},
+  };
+  std::size_t total = count_named(log, "csma", 'X') +
+                      count_named(log, "tx", 'X');
+  for (const auto& [name, expected] : instants) {
+    EXPECT_EQ(count_named(log, name, 'i'), expected) << name;
+    total += expected;
+  }
+  EXPECT_EQ(log.size(), total) << "an event with no trace record";
+  // A span's start is recorded before its end, never clamped.  A tx span
+  // opens at its node's last kTxStart; a csma span at the arrival,
+  // completion, drop or retry that put the head frame into CSMA.
+  std::map<std::uint32_t, double> last_tx_start;
+  std::set<std::pair<std::uint32_t, double>> csma_entries;
+  for (const auto& e : r.trace) {
+    EXPECT_LE(e.since_us, e.time_us);
+    switch (e.type) {
+      case TraceType::kTxStart:
+      case TraceType::kTxMuted:
+      case TraceType::kCcaDrop:
+        EXPECT_TRUE(csma_entries.count({e.node, e.since_us}))
+            << "csma span of node " << e.node << " at " << e.time_us;
+        break;
+      case TraceType::kTxDelivered:
+      case TraceType::kTxLost:
+      case TraceType::kTxAborted:
+        EXPECT_EQ(e.since_us, last_tx_start.at(e.node)) << e.time_us;
+        break;
+      default:
+        break;
+    }
+    if (e.type == TraceType::kTxStart) last_tx_start[e.node] = e.time_us;
+    if (e.type == TraceType::kArrival || e.type == TraceType::kTxDelivered ||
+        e.type == TraceType::kTxLost || e.type == TraceType::kTxMuted ||
+        e.type == TraceType::kCcaDrop || e.type == TraceType::kRetry) {
+      csma_entries.insert({e.node, e.time_us});
+    }
+  }
+  const std::string json = log.chrome_json();
+  std::vector<std::string> tracks;
+  for (std::size_t i = 0; i < r.wifi.size(); ++i) {
+    tracks.push_back("wifi" + std::to_string(i));
+  }
+  for (std::size_t j = 0; j < r.zigbee.size(); ++j) {
+    tracks.push_back("zigbee" + std::to_string(j));
+  }
+  for (const auto& track : tracks) {
+    EXPECT_NE(json.find("\"args\": {\"name\": \"" + track + "\"}"),
+              std::string::npos)
+        << track;
+  }
+}
+
+TEST(SpanRendering, ReplicationsRenderLikeSingleRunsForAnyThreadCount) {
+  auto cfg = fault_heavy_scenario();
+  cfg.metrics = nullptr;
+  constexpr std::size_t kReps = 4;
+  std::vector<std::string> single;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    auto one = cfg;
+    one.seed = common::derive_seed(cfg.seed, rep);
+    single.push_back(sim::render_spans(sim::run_scenario(one)).chrome_json());
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    common::ThreadPool pool(threads);
+    const auto reps = sim::run_replications(pool, cfg, kReps);
+    ASSERT_EQ(reps.size(), kReps);
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      EXPECT_EQ(sim::render_spans(reps[rep]).chrome_json(), single[rep])
+          << "threads " << threads << ", rep " << rep;
     }
   }
 }
