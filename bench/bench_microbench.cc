@@ -1,14 +1,27 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the PHY
 // blocks and the SledZig encoder itself.  Not a paper figure — this answers
 // "can a driver afford to run SledZig per packet?"
+//
+// BENCH_microbench.json at the repository root is this binary's output,
+// run with --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+// --benchmark_out=BENCH_microbench.json.
+// Its context records the build type, SLEDZIG_OBS, SLEDZIG_NATIVE and the
+// sweep-pool thread count next to google-benchmark's own host fields.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/medium.h"
 #include "common/dsp.h"
 #include "common/fft.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "sledzig/encoder.h"
+#include "sledzig/significant_bits.h"
 #include "wifi/convolutional.h"
+#include "wifi/qam.h"
 #include "wifi/receiver.h"
 #include "wifi/transmitter.h"
 #include "zigbee/chips.h"
@@ -134,6 +147,86 @@ void BM_ViterbiDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecode)->Arg(1024)->Arg(4096);
 
+/// LLRs of a random terminated codeword at +-4 plus Gaussian noise of
+/// `sigma`.  Clean inputs are the branch predictor's best case; real frames
+/// look like the noisy ones.
+std::vector<double> codeword_llrs(std::uint64_t seed, std::size_t steps,
+                                  double sigma) {
+  common::Rng rng(seed);
+  auto bits = rng.bits(steps);
+  for (std::size_t i = 0; i < wifi::kTailBits; ++i) bits.push_back(0);
+  const auto coded = wifi::convolutional_encode(bits);
+  std::vector<double> llrs(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    llrs[i] = (coded[i] ? 4.0 : -4.0) + rng.gaussian(sigma);
+  }
+  return llrs;
+}
+
+void BM_ViterbiDecodeNoisy(benchmark::State& state) {
+  const auto llrs =
+      codeword_llrs(21, static_cast<std::size_t>(state.range(0)), 2.0);
+  std::vector<std::int8_t> hard(llrs.size());
+  for (std::size_t i = 0; i < llrs.size(); ++i) hard[i] = llrs[i] > 0.0;
+  for (auto _ : state) {
+    auto decoded = wifi::viterbi_decode(hard);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ViterbiDecodeNoisy)->Arg(1024)->Arg(4096);
+
+void BM_ViterbiDecodeSoftNoisy(benchmark::State& state) {
+  const auto llrs =
+      codeword_llrs(22, static_cast<std::size_t>(state.range(0)), 2.0);
+  for (auto _ : state) {
+    auto decoded = wifi::viterbi_decode_soft(llrs);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ViterbiDecodeSoftNoisy)->Arg(1024)->Arg(4096);
+
+/// The paper's three phy_link modes, by benchmark argument.
+core::SledzigConfig paper_mode(std::int64_t index) {
+  constexpr std::pair<wifi::Modulation, wifi::CodingRate> kModes[] = {
+      {wifi::Modulation::kQam16, wifi::CodingRate::kR12},
+      {wifi::Modulation::kQam64, wifi::CodingRate::kR23},
+      {wifi::Modulation::kQam256, wifi::CodingRate::kR34},
+  };
+  const auto [m, r] = kModes[index];
+  return core::SledzigConfig{m, r, core::OverlapChannel::kCh2};
+}
+
+void BM_BuildConstraintPlan(benchmark::State& state) {
+  // A 1000 B payload with its 2-octet length header, as sledzig_encode
+  // sizes it before the extra bits.
+  const auto cfg = paper_mode(state.range(0));
+  for (auto _ : state) {
+    auto plan = core::build_constraint_plan(cfg, 0, 1002 * 8);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.SetLabel(wifi::to_string(cfg.modulation));
+}
+BENCHMARK(BM_BuildConstraintPlan)->DenseRange(0, 2);
+
+void BM_QamDemapSoft(benchmark::State& state) {
+  // One OFDM symbol's 48 equalised points at 30 dB SNR.
+  const auto m = paper_mode(state.range(0)).modulation;
+  common::Rng rng(23);
+  const auto n_bpsc = wifi::bits_per_subcarrier(m);
+  const auto points = wifi::qam_map(rng.bits(48 * n_bpsc), m);
+  common::CplxVec noisy(points.begin(), points.end());
+  for (auto& p : noisy) p += rng.complex_gaussian(1e-3);
+  for (auto _ : state) {
+    auto llrs = wifi::qam_demap_soft(noisy, m);
+    benchmark::DoNotOptimize(llrs);
+  }
+  state.SetItemsProcessed(state.iterations() * 48);
+  state.SetLabel(wifi::to_string(m));
+}
+BENCHMARK(BM_QamDemapSoft)->DenseRange(0, 2);
+
 void BM_WifiTransmit(benchmark::State& state) {
   common::Rng rng(4);
   const auto psdu = rng.bytes(1000);
@@ -176,6 +269,22 @@ void BM_SledzigEncode(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SledzigEncode)->Arg(100)->Arg(1000);
+
+void BM_SledzigEncodeThreeChannels(benchmark::State& state) {
+  // Adjacent protected windows (CH1-CH3) merge into one constraint cluster
+  // spanning the frame; 600 B is the in-band memo's payload size.
+  common::Rng rng(24);
+  const auto payload = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  core::SledzigConfig cfg{wifi::Modulation::kQam64, wifi::CodingRate::kR23,
+                          core::OverlapChannel::kCh1};
+  cfg.extra_channels = {core::OverlapChannel::kCh2, core::OverlapChannel::kCh3};
+  for (auto _ : state) {
+    auto enc = core::sledzig_encode(payload, cfg);
+    benchmark::DoNotOptimize(enc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SledzigEncodeThreeChannels)->Arg(600);
 
 void BM_SledzigDecode(benchmark::State& state) {
   common::Rng rng(7);
@@ -272,4 +381,18 @@ BENCHMARK(BM_Wifi40Transmit);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("build_type", SLEDZIG_BUILD_TYPE);
+  benchmark::AddCustomContext("sledzig_obs", SLEDZIG_OBS_ENABLED ? "ON" : "OFF");
+  benchmark::AddCustomContext("sledzig_native",
+                              SLEDZIG_NATIVE_BUILD ? "ON" : "OFF");
+  // Every kernel runs on the calling thread; the pool size is what the
+  // sweep benches would use on this host.
+  benchmark::AddCustomContext("threads",
+                              std::to_string(common::default_pool().size()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,9 +1,9 @@
 #include "sledzig/encoder.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
+#include "sledzig/gf2_rows.h"
 #include "wifi/convolutional.h"
 #include "wifi/qam.h"
 #include "wifi/scrambler.h"
@@ -19,80 +19,50 @@ constexpr common::Bit kUnset = 2;
 /// The little-endian payload length that leads the inner data.
 constexpr std::size_t kLengthHeaderOctets = 2;
 
-unsigned gen_of(unsigned branch) {
-  return branch == 0 ? wifi::kGen0 : wifi::kGen1;
-}
-
-/// XOR of the generator taps over the *known* stream positions of
-/// [step-6 .. step]; unknown (kUnset) positions are skipped — their
-/// contribution is carried by the cluster system's coefficient matrix.
-/// Positions before the stream start read as 0 (encoder initial state).
-common::Bit known_tap_sum(const common::Bits& x, std::size_t step,
-                          unsigned branch) {
-  const unsigned gen = gen_of(branch);
-  common::Bit acc = 0;
-  for (unsigned i = 0; i <= 6; ++i) {
-    if (((gen >> (6 - i)) & 1u) == 0) continue;  // gen bit for x_{n-i}
-    if (step < i) continue;                      // before stream start: 0
-    const std::size_t pos = step - i;
-    if (x[pos] == kUnset) continue;
-    acc = static_cast<common::Bit>(acc ^ (x[pos] & 1u));
-  }
-  return acc;
-}
-
-/// Generator coefficient of stream position `pos` in the equation of step
-/// `step`: 1 when the generator taps x_{step-pos}.
-common::Bit gen_coeff(unsigned branch, std::size_t step, std::size_t pos) {
-  if (pos > step || step - pos > 6) return 0;
-  return static_cast<common::Bit>((gen_of(branch) >> (6 - (step - pos))) & 1u);
-}
-
 /// Solves the square GF(2) system of one cluster and writes the unknowns
-/// into the stream.  The plan guarantees invertibility.
-void solve_cluster(const Cluster& cluster, common::Bits& x) {
-  const std::size_t k = cluster.equations.size();
-  // Augmented matrix [A | r].
-  std::vector<std::vector<common::Bit>> m(k,
-                                          std::vector<common::Bit>(k + 1, 0));
-  for (std::size_t e = 0; e < k; ++e) {
-    const auto& eq = cluster.equations[e];
-    for (std::size_t u = 0; u < k; ++u) {
-      m[e][u] = gen_coeff(eq.branch, eq.step, cluster.positions[u]);
-    }
-    m[e][k] = static_cast<common::Bit>(
-        (eq.value ^ known_tap_sum(x, eq.step, eq.branch)) & 1u);
-  }
-  // Gauss-Jordan over GF(2).
-  for (std::size_t col = 0; col < k; ++col) {
-    std::size_t pivot = col;
-    while (pivot < k && m[pivot][col] == 0) ++pivot;
-    if (pivot == k) {
-      throw std::logic_error("sledzig: singular cluster system");
-    }
-    std::swap(m[col], m[pivot]);
-    for (std::size_t r = 0; r < k; ++r) {
-      if (r != col && m[r][col]) {
-        for (std::size_t c = col; c <= k; ++c) m[r][c] ^= m[col][c];
+/// into the stream.  Clusters are solved in stream order, so the only
+/// kUnset positions an equation taps are its own cluster's unknowns; every
+/// other tap (positions before the stream start read as 0) is known and
+/// moves to the right-hand side.  The plan's positions are the pivots its
+/// own elimination chose, which guarantees invertibility.
+void solve_cluster(const Cluster& cluster, common::Bits& x, Gf2Rows& rows) {
+  const std::size_t first = cluster.equations.front().step;
+  const std::size_t base = first >= 6 ? first - 6 : 0;
+  rows.reset(cluster.equations.back().step - base + 1);
+  for (std::size_t e = 0; e < cluster.equations.size(); ++e) {
+    const Equation& eq = cluster.equations[e];
+    rows.flip_rhs(eq.value & 1u);
+    for (unsigned o = 0; o <= 6 && o <= eq.step; ++o) {
+      if (!wifi::taps(eq.branch, o)) continue;
+      const std::size_t pos = eq.step - o;
+      if (x[pos] == kUnset) {
+        rows.set(pos - base);
+      } else {
+        rows.flip_rhs(x[pos] & 1u);
       }
     }
+    rows.reduce(eq.step);
+    const std::size_t pivot = cluster.positions[e] - base;
+    if (!rows.test(pivot)) {
+      throw std::logic_error("sledzig: singular cluster system");
+    }
+    rows.keep(eq.step, pivot);
   }
-  for (std::size_t u = 0; u < k; ++u) {
-    x[cluster.positions[u]] = m[u][k];
-  }
+  rows.back_substitute([&](std::size_t r, unsigned value) {
+    x[cluster.positions[r]] = static_cast<common::Bit>(value);
+  });
 }
 
-/// Encoder outputs (y_{2n-1}, y_{2n}) for step n over the finished stream.
-std::pair<common::Bit, common::Bit> encode_outputs(const common::Bits& x,
-                                                   std::size_t step) {
-  common::Bit a = 0, b = 0;
-  for (unsigned i = 0; i <= 6; ++i) {
-    if (step < i) continue;
-    const common::Bit bit = x[step - i] & 1u;
-    if ((wifi::kGen0 >> (6 - i)) & 1u) a ^= bit;
-    if ((wifi::kGen1 >> (6 - i)) & 1u) b ^= bit;
+/// Output `branch` of encoder step `step` over the finished stream, from
+/// the transmitter's own encoder: an independent check of the solver.
+common::Bit encoder_output(const common::Bits& x, std::size_t step,
+                           unsigned branch) {
+  unsigned state = 0;  // x_{n-1} in bit 5 ... x_{n-6} in bit 0
+  for (unsigned i = 1; i <= 6 && i <= step; ++i) {
+    state |= static_cast<unsigned>(x[step - i] & 1u) << (6 - i);
   }
-  return {a, b};
+  const auto r = wifi::encode_step(state, x[step]);
+  return branch == 0 ? r.out_a : r.out_b;
 }
 
 std::size_t round_up8(std::size_t v) { return (v + 7) / 8 * 8; }
@@ -162,14 +132,16 @@ SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
   // data bits (scrambled with a data-indexed keystream), extra positions.
   const auto key_abs = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
   const auto key_data = wifi::scrambler_sequence(cfg.scrambler_seed, capacity);
-  const std::set<std::size_t> extras(plan.extra_positions.begin(),
-                                     plan.extra_positions.end());
 
   common::Bits x(svc + t, kUnset);
   for (std::size_t p = 0; p < svc; ++p) x[p] = key_abs[p];
   std::size_t j = 0;
+  auto extra = plan.extra_positions.begin();  // sorted, inside [svc, svc + t)
   for (std::size_t p = svc; p < svc + t; ++p) {
-    if (extras.contains(p)) continue;
+    if (extra != plan.extra_positions.end() && *extra == p) {
+      ++extra;
+      continue;
+    }
     const common::Bit data = j < data_bits.size() ? data_bits[j] : 0;
     x[p] = static_cast<common::Bit>((data ^ key_data[j]) & 1u);
     ++j;
@@ -181,8 +153,9 @@ SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
   result.num_unforced_tail = plan.num_unforced_tail;
   result.num_unforced_head = plan.num_unforced_head;
   result.num_collisions = plan.num_collisions;
+  Gf2Rows rows;
   for (const auto& cluster : plan.clusters) {
-    solve_cluster(cluster, x);
+    solve_cluster(cluster, x, rows);
     result.num_extra_bits += cluster.positions.size();
   }
   for (auto& bit : x) {
@@ -192,8 +165,9 @@ SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
   // Verify every forced equation against a real encode pass.
   for (const auto& cluster : plan.clusters) {
     for (const auto& eq : cluster.equations) {
-      const auto [a, b] = encode_outputs(x, eq.step);
-      if ((eq.branch == 0 ? a : b) != eq.value) ++result.num_violations;
+      if (encoder_output(x, eq.step, eq.branch) != eq.value) {
+        ++result.num_violations;
+      }
     }
   }
 
@@ -216,12 +190,14 @@ std::optional<common::Bytes> sledzig_decode(const common::Bytes& transmit_psdu,
   const auto key_abs = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
   const auto t_bits = common::bytes_to_bits(transmit_psdu);
 
-  const std::set<std::size_t> extras(plan.extra_positions.begin(),
-                                     plan.extra_positions.end());
   common::Bits residual;
   residual.reserve(t);
+  auto extra = plan.extra_positions.begin();  // sorted, inside [svc, svc + t)
   for (std::size_t p = svc; p < svc + t; ++p) {
-    if (extras.contains(p)) continue;
+    if (extra != plan.extra_positions.end() && *extra == p) {
+      ++extra;
+      continue;
+    }
     residual.push_back(
         static_cast<common::Bit>((t_bits[p - svc] ^ key_abs[p]) & 1u));
   }

@@ -1,10 +1,11 @@
 #include "sledzig/significant_bits.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <span>
 #include <stdexcept>
+#include <tuple>
 
+#include "sledzig/gf2_rows.h"
 #include "wifi/convolutional.h"
 #include "wifi/interleaver.h"
 #include "wifi/puncture.h"
@@ -83,56 +84,15 @@ std::vector<SignificantBit> significant_bits_for_symbol(
   return bits;
 }
 
-std::vector<SignificantBit> significant_bits(const SledzigConfig& cfg,
-                                             std::size_t num_symbols) {
-  std::vector<SignificantBit> all;
-  all.reserve(num_symbols * significant_bits_per_symbol(cfg));
-  for (std::size_t s = 0; s < num_symbols; ++s) {
-    const auto symbol_bits = significant_bits_for_symbol(cfg, s);
-    all.insert(all.end(), symbol_bits.begin(), symbol_bits.end());
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.step, a.branch) < std::tie(b.step, b.branch);
-  });
-  return all;
-}
-
 namespace {
 
-common::Bit gen_coeff(unsigned branch, std::size_t step, std::size_t pos) {
-  const unsigned gen = branch == 0 ? wifi::kGen0 : wifi::kGen1;
-  if (pos > step || step - pos > 6) return 0;
-  return static_cast<common::Bit>((gen >> (6 - (step - pos))) & 1u);
-}
-
-/// Chooses one unknown stream position per equation of a cluster via GF(2)
-/// Gaussian elimination, preferring each equation's own tap positions in the
-/// paper's offset order.  Equations that cannot get an independent unknown
-/// are dropped and reported through `unforced`.
-void solve_cluster_positions(Cluster& cluster, std::size_t payload_begin,
-                             std::size_t payload_end,
-                             std::vector<Equation>& unforced) {
-  // Candidate positions: the union of all tap windows, restricted to the
-  // payload region.
-  std::vector<std::size_t> candidates;
-  for (const auto& eq : cluster.equations) {
-    for (unsigned o = 0; o <= 6; ++o) {
-      if (eq.step < o) continue;
-      const std::size_t pos = eq.step - o;
-      if (pos < payload_begin || pos >= payload_end) continue;
-      if (gen_coeff(eq.branch, eq.step, pos)) candidates.push_back(pos);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  const auto candidate_index = [&](std::size_t pos) -> int {
-    const auto it = std::lower_bound(candidates.begin(), candidates.end(), pos);
-    if (it == candidates.end() || *it != pos) return -1;
-    return static_cast<int>(it - candidates.begin());
-  };
-
+/// Chooses one unknown stream position per equation of a cluster by GF(2)
+/// forward elimination, preferring each equation's own tap positions in the
+/// paper's offset order.  Kept equations and their positions go to `out`;
+/// an equation left without an independent unknown counts as unforced.
+void solve_cluster_positions(std::span<const Equation> eqs,
+                             std::size_t payload_begin, std::size_t payload_end,
+                             Gf2Rows& rows, Cluster& out, ConstraintPlan& plan) {
   // Paper-preferred offsets per generator: a single forces x_n first, and a
   // twin's g0 equation forces x_{n-5} (Algorithm 1 of the paper); the
   // remaining taps are fallbacks (g0 lacks x_{n-1}/x_{n-4}, g1 lacks
@@ -141,59 +101,50 @@ void solve_cluster_positions(Cluster& cluster, std::size_t payload_begin,
                                                     {0, 1, 2, 3, 6}};
   static constexpr unsigned kTwinOffsets[2][5] = {{5, 0, 2, 3, 6},
                                                   {1, 0, 2, 3, 6}};
-  std::map<std::size_t, unsigned> step_counts;
-  for (const auto& eq : cluster.equations) ++step_counts[eq.step];
+  // Columns are stream positions from the cluster's first tap on.
+  const std::size_t first = eqs.front().step;
+  const std::size_t base = first >= 6 ? first - 6 : 0;
+  rows.reset(eqs.back().step - base + 1);
+  out.equations.reserve(eqs.size());
+  out.positions.reserve(eqs.size());
 
-  std::vector<std::vector<common::Bit>> reduced_rows;
-  std::vector<int> pivot_cols;
-  std::vector<Equation> kept;
-  std::vector<std::size_t> positions;
-
-  for (const auto& eq : cluster.equations) {
-    std::vector<common::Bit> row(candidates.size(), 0);
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      row[c] = gen_coeff(eq.branch, eq.step, candidates[c]);
-    }
-    // Reduce against earlier pivots.
-    for (std::size_t r = 0; r < reduced_rows.size(); ++r) {
-      if (row[static_cast<std::size_t>(pivot_cols[r])]) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          row[c] ^= reduced_rows[r][c];
-        }
+  for (std::size_t e = 0; e < eqs.size(); ++e) {
+    const Equation& eq = eqs[e];
+    for (unsigned o = 0; o <= 6 && o <= eq.step; ++o) {
+      const std::size_t pos = eq.step - o;
+      if (wifi::taps(eq.branch, o) && pos >= payload_begin &&
+          pos < payload_end) {
+        rows.set(pos - base);
       }
     }
+    rows.reduce(eq.step);
     // Pick a pivot: the equation's own taps in preference order first, then
-    // any remaining set column (descending position for determinism).
-    int pivot = -1;
-    const auto& prefs =
-        step_counts[eq.step] == 2 ? kTwinOffsets : kSingleOffsets;
-    for (unsigned o : prefs[eq.branch]) {
-      if (eq.step < o) continue;
-      const int idx = candidate_index(eq.step - o);
-      if (idx >= 0 && row[static_cast<std::size_t>(idx)]) {
-        pivot = idx;
+    // the highest remaining set position.  Twins are adjacent in step order.
+    const bool twin = (e > 0 && eqs[e - 1].step == eq.step) ||
+                      (e + 1 < eqs.size() && eqs[e + 1].step == eq.step);
+    std::size_t pivot = Gf2Rows::kNone;
+    for (unsigned o : (twin ? kTwinOffsets : kSingleOffsets)[eq.branch]) {
+      if (o <= eq.step && rows.test(eq.step - o - base)) {
+        pivot = eq.step - o - base;
         break;
       }
     }
-    if (pivot < 0) {
-      for (std::size_t c = candidates.size(); c-- > 0;) {
-        if (row[c]) {
-          pivot = static_cast<int>(c);
-          break;
-        }
+    if (pivot == Gf2Rows::kNone) pivot = rows.highest();
+    if (pivot == Gf2Rows::kNone) {
+      rows.drop();
+      // Equations near the stream head (or the SERVICE field) simply lack
+      // room for an unknown; anything else is a genuine rank collision.
+      if (eq.step < payload_begin + 7) {
+        ++plan.num_unforced_head;
+      } else {
+        ++plan.num_collisions;
       }
-    }
-    if (pivot < 0) {
-      unforced.push_back(eq);
       continue;
     }
-    reduced_rows.push_back(std::move(row));
-    pivot_cols.push_back(pivot);
-    kept.push_back(eq);
-    positions.push_back(candidates[static_cast<std::size_t>(pivot)]);
+    rows.keep(eq.step, pivot);
+    out.equations.push_back(eq);
+    out.positions.push_back(base + pivot);
   }
-  cluster.equations = std::move(kept);
-  cluster.positions = std::move(positions);
 }
 
 }  // namespace
@@ -206,62 +157,78 @@ ConstraintPlan build_constraint_plan(const SledzigConfig& cfg,
   }
   const std::size_t dbps =
       wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan());
+  const std::size_t n_cbps =
+      wifi::coded_bits_per_symbol(cfg.modulation, cfg.plan());
+  // N_CBPS is a whole number of puncture periods in every 802.11 mode, so
+  // symbol s repeats symbol 0's significant bits N_CBPS punctured positions
+  // and N_DBPS encoder steps later.
+  const auto mask = wifi::puncture_mask(cfg.rate);
+  const auto kept = static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), true));
+  if (n_cbps % kept != 0 || n_cbps / kept * mask.size() != 2 * dbps) {
+    throw std::logic_error(
+        "build_constraint_plan: N_CBPS is not whole puncture periods");
+  }
   // Steps < payload_end live in symbols < ceil(payload_end / dbps).
   const std::size_t num_symbols = (payload_end + dbps - 1) / dbps;
-  const auto sig = significant_bits(cfg, num_symbols);
+  const auto pattern = significant_bits_for_symbol(cfg, 0);
 
   ConstraintPlan plan;
 
-  // Count singles/twins and split off the tail region.
-  std::map<std::size_t, unsigned> outputs_per_step;
-  std::vector<Equation> equations;
-  for (const auto& bit : sig) {
-    ++outputs_per_step[bit.step];
-    if (bit.step >= payload_end) {
-      ++plan.num_unforced_tail;
-      continue;
+  // Count singles/twins (runs of equal steps) per symbol.
+  for (std::size_t i = 0; i < pattern.size();) {
+    std::size_t run = 1;
+    while (i + run < pattern.size() && pattern[i + run].step == pattern[i].step) {
+      ++run;
     }
-    equations.push_back(Equation{bit.step, bit.branch, bit.value});
-  }
-  for (const auto& [step, count] : outputs_per_step) {
-    if (count == 1) {
-      ++plan.num_singles;
-    } else if (count == 2) {
-      ++plan.num_twins;
-    } else {
+    if (run > 2) {
       throw std::logic_error("build_constraint_plan: >2 outputs per step");
+    }
+    ++(run == 1 ? plan.num_singles : plan.num_twins);
+    i += run;
+  }
+  plan.num_singles *= num_symbols;
+  plan.num_twins *= num_symbols;
+
+  // Split off the tail region.
+  std::vector<Equation> equations;
+  equations.reserve(num_symbols * pattern.size());
+  for (std::size_t s = 0; s < num_symbols; ++s) {
+    for (const auto& bit : pattern) {
+      const std::size_t step = bit.step + s * dbps;
+      if (step >= payload_end) {
+        ++plan.num_unforced_tail;
+        continue;
+      }
+      equations.push_back(Equation{step, bit.branch, bit.value});
     }
   }
 
   // Cluster equations whose 7-bit tap windows can interact, then choose the
   // unknowns cluster by cluster.
-  std::vector<Equation> unforced;
+  const auto joins_previous = [&](std::size_t i) {
+    return equations[i].step <= equations[i - 1].step + 6;
+  };
+  std::size_t num_clusters = equations.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < equations.size(); ++i) {
+    num_clusters += joins_previous(i) ? 0 : 1;
+  }
+  plan.clusters.reserve(num_clusters);
+  plan.extra_positions.reserve(equations.size());
+  Gf2Rows rows;
   for (std::size_t i = 0; i < equations.size();) {
+    std::size_t end = i + 1;
+    while (end < equations.size() && joins_previous(end)) ++end;
     Cluster cluster;
-    cluster.equations.push_back(equations[i]);
-    std::size_t last_step = equations[i].step;
-    std::size_t jmp = i + 1;
-    while (jmp < equations.size() && equations[jmp].step <= last_step + 6) {
-      last_step = std::max(last_step, equations[jmp].step);
-      cluster.equations.push_back(equations[jmp]);
-      ++jmp;
-    }
-    i = jmp;
-    solve_cluster_positions(cluster, payload_begin, payload_end, unforced);
+    solve_cluster_positions(
+        std::span<const Equation>(equations).subspan(i, end - i),
+        payload_begin, payload_end, rows, cluster, plan);
+    i = end;
     if (!cluster.equations.empty()) {
       plan.extra_positions.insert(plan.extra_positions.end(),
                                   cluster.positions.begin(),
                                   cluster.positions.end());
       plan.clusters.push_back(std::move(cluster));
-    }
-  }
-  for (const auto& eq : unforced) {
-    // Equations near the stream head (or the SERVICE field) simply lack
-    // room for an unknown; anything else would be a genuine rank collision.
-    if (eq.step < payload_begin + 7) {
-      ++plan.num_unforced_head;
-    } else {
-      ++plan.num_collisions;
     }
   }
   std::sort(plan.extra_positions.begin(), plan.extra_positions.end());

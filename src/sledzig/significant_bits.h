@@ -76,10 +76,6 @@ struct SignificantBit {
 std::vector<SignificantBit> significant_bits_for_symbol(
     const SledzigConfig& cfg, std::size_t symbol);
 
-/// Significant bits of symbols [0, num_symbols), sorted by (step, branch).
-std::vector<SignificantBit> significant_bits(const SledzigConfig& cfg,
-                                             std::size_t num_symbols);
-
 /// Number of significant bits per OFDM symbol = forced subcarriers *
 /// significant bits per point (2/4/6).  This is also the number of extra
 /// bits per symbol (Table III).

@@ -1,31 +1,12 @@
 #include "wifi/convolutional.h"
 
 #include <array>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace sledzig::wifi {
-
-namespace {
-
-common::Bit parity7(unsigned v) {
-  v ^= v >> 4;
-  v ^= v >> 2;
-  v ^= v >> 1;
-  return static_cast<common::Bit>(v & 1u);
-}
-
-}  // namespace
-
-EncodeStepResult encode_step(unsigned state, common::Bit input) {
-  // Register layout: bit6 = x_n (current input), bit5..bit0 = x_{n-1}..x_{n-6}.
-  const unsigned reg = (static_cast<unsigned>(input & 1u) << 6) | (state & 0x3f);
-  EncodeStepResult r;
-  r.out_a = parity7(reg & kGen0);
-  r.out_b = parity7(reg & kGen1);
-  r.next_state = (reg >> 1) & 0x3f;  // drop x_{n-6}, x_n becomes x_{n-1}
-  return r;
-}
 
 common::Bits convolutional_encode(const common::Bits& in) {
   common::Bits out;
@@ -42,71 +23,118 @@ common::Bits convolutional_encode(const common::Bits& in) {
 
 namespace {
 
-// Precomputed branch table for (state, input): successor state plus the two
-// output bits.  Shared by the hard- and soft-decision decoders.
-struct Branch {
-  std::uint8_t next;
-  std::uint8_t a, b;
-};
+/// Output bits (a, b) of butterfly j: predecessor 2j on input 0.  The
+/// other three branches of the butterfly flip both bits (2j on input 1,
+/// 2j+1 on input 0) or neither (2j+1 on input 1), since g0 and g1 both tap
+/// x_n and x_{n-6}.
+constexpr auto kButterflyOutputs = [] {
+  std::array<std::pair<unsigned, unsigned>, kNumStates / 2> out{};
+  for (unsigned j = 0; j < kNumStates / 2; ++j) {
+    const auto r = encode_step(2 * j, 0);
+    out[j] = {r.out_a, r.out_b};
+  }
+  return out;
+}();
 
-const std::array<std::array<Branch, 2>, kNumStates>& trellis() {
-  static const auto t = [] {
-    std::array<std::array<Branch, 2>, kNumStates> out{};
-    for (unsigned s = 0; s < kNumStates; ++s) {
-      for (unsigned in = 0; in < 2; ++in) {
-        const auto r = encode_step(s, static_cast<common::Bit>(in));
-        out[s][in] = Branch{static_cast<std::uint8_t>(r.next_state), r.out_a,
-                            r.out_b};
-      }
+/// Butterflies 2p and 2p+1 share b and have opposite a (only g0 taps
+/// x_{n-5}, the lowest bit of j), so one lane pair runs both.
+constexpr bool pairs_share_b() {
+  for (unsigned j = 0; j < kNumStates / 2; j += 2) {
+    if (kButterflyOutputs[j + 1].first != (kButterflyOutputs[j].first ^ 1u) ||
+        kButterflyOutputs[j + 1].second != kButterflyOutputs[j].second) {
+      return false;
     }
-    return out;
-  }();
-  return t;
+  }
+  return true;
+}
+static_assert(pairs_share_b());
+
+// Two butterflies per operation, one per lane.  Lane arithmetic is the
+// scalar IEEE arithmetic, and comparisons yield all-ones masks, so the
+// selects below compile without data-dependent branches.
+typedef double Lanes __attribute__((vector_size(16)));
+using Mask = decltype(Lanes{} < Lanes{});
+
+/// Compare-select of one successor per lane from its even and odd
+/// predecessors' costs; returns the lanes where the odd one survives.
+///
+/// Bit-identical to a per-(state, input) sweep that visits states in
+/// ascending order, starts each successor at the `sentinel` cost and takes
+/// a predecessor's cost only when strictly below the successor's so far:
+/// the even cost counts when below the sentinel (not when equal, inf or
+/// NaN), the odd one only when strictly below that, so a tie keeps the even
+/// predecessor.  A successor left at the sentinel is unreachable and stored
+/// as +inf, from which no cost comes back below the sentinel.
+Mask acs(Lanes cost_even, Lanes cost_odd, Lanes sentinel, Lanes& out) {
+  constexpr double kUnreachable = std::numeric_limits<double>::infinity();
+  const Lanes even = cost_even < sentinel ? cost_even : sentinel;
+  const Mask odd = cost_odd < even;
+  const Lanes best = odd ? cost_odd : even;
+  out = best < sentinel ? best : Lanes{kUnreachable, kUnreachable};
+  return odd;
 }
 
-/// Shared add-compare-select sweep + traceback.
+/// Bit of successor `state` in a step's decision word: lane (the lowest
+/// state bit) picks 16 bits, the input bit (the MSB) 32, the pair index the
+/// rest.
+constexpr unsigned decision_bit(unsigned state) {
+  return ((state >> 5) << 5) | ((state & 1u) << 4) | ((state & 31u) >> 1);
+}
+
+/// Radix-2 butterfly add-compare-select sweep + traceback.
 ///
-/// Survivor storage is one contiguous steps*kNumStates byte buffer (input
-/// bit in bit 6, predecessor state in bits 0..5 — kNumStates == 64), and
-/// per-step branch metrics are hoisted into two 2-entry tables filled by
-/// `fill_tables(t, ca, cb)` (cost contribution of output bit a resp. b
-/// being 0/1).  Costs accumulate as (metric + ca[a]) + cb[b], the same
-/// association order as the pre-flattening decoder, so decisions — and the
-/// decoded bits — are bit-identical to it.
-template <typename Metric, typename FillTables>
-common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
-                           FillTables&& fill_tables) {
-  const auto& tr = trellis();
-  std::array<Metric, kNumStates> metric;
-  std::array<Metric, kNumStates> next_metric;
-  metric.fill(inf);
-  metric[0] = Metric{};  // encoder starts in the all-zero state
+/// Successor states j and j+32 are fed by predecessors 2j and 2j+1 (the
+/// input bit becomes the successor's MSB), so each step runs 32
+/// butterflies and records one decision bit per successor: 1 when the odd
+/// predecessor survived.  Per-step branch metrics come from
+/// `fill_tables(t, ca, cb)` (cost of output bit a resp. b being 0/1), and
+/// costs accumulate as (metric + ca[a]) + cb[b], the association of the
+/// per-state sweep (see acs()).  Traceback never lands on an unreachable
+/// state other than 0, whose decision bit 0 reads as "input 0 from state
+/// 0", as the per-state sweep's never-written survivor entry does.
+template <typename FillTables>
+common::Bits viterbi_sweep(std::size_t steps, double sentinel_cost,
+                           bool terminated, FillTables&& fill_tables) {
+  std::array<double, kNumStates> metric;
+  std::array<double, kNumStates> next;
+  metric.fill(std::numeric_limits<double>::infinity());
+  metric[0] = 0.0;  // encoder starts in the all-zero state
+  const Lanes sentinel = {sentinel_cost, sentinel_cost};
 
-  std::vector<std::uint8_t> survivor(steps * kNumStates, 0);
-
+  std::vector<std::uint64_t> decisions(steps);
   for (std::size_t t = 0; t < steps; ++t) {
-    next_metric.fill(inf);
-    Metric ca[2], cb[2];
+    double ca[2], cb[2];
     fill_tables(t, ca, cb);
-    std::uint8_t* surv_t = survivor.data() + t * kNumStates;
-    for (unsigned s = 0; s < kNumStates; ++s) {
-      if (metric[s] >= inf) continue;
-      for (unsigned in = 0; in < 2; ++in) {
-        const Branch& br = tr[s][in];
-        const Metric cost = (metric[s] + ca[br.a]) + cb[br.b];
-        if (cost < next_metric[br.next]) {
-          next_metric[br.next] = cost;
-          surv_t[br.next] = static_cast<std::uint8_t>((in << 6) | s);
-        }
-      }
+    // Lane costs of output bit a (lane 1 has the opposite a) and b.
+    const Lanes xa[2] = {{ca[0], ca[1]}, {ca[1], ca[0]}};
+    const Lanes yb[2] = {{cb[0], cb[0]}, {cb[1], cb[1]}};
+    Mask lo_bits = {}, hi_bits = {}, bit = {1, 1};
+    for (unsigned j = 0; j < kNumStates / 2; j += 2) {
+      const auto [a, b] = kButterflyOutputs[j];
+      const Lanes even = {metric[2 * j], metric[2 * j + 2]};
+      const Lanes odd = {metric[2 * j + 1], metric[2 * j + 3]};
+      Lanes lo, hi;
+      // Successors j, j+1 (input 0): the even predecessor emits (a, b).
+      lo_bits |= acs((even + xa[a]) + yb[b], (odd + xa[a ^ 1]) + yb[b ^ 1],
+                     sentinel, lo) & bit;
+      // Successors j+32, j+33 (input 1): the odd predecessor emits (a, b).
+      hi_bits |= acs((even + xa[a ^ 1]) + yb[b ^ 1], (odd + xa[a]) + yb[b],
+                     sentinel, hi) & bit;
+      bit <<= 1;
+      std::memcpy(&next[j], &lo, sizeof lo);
+      std::memcpy(&next[j + kNumStates / 2], &hi, sizeof hi);
     }
-    metric.swap(next_metric);
+    decisions[t] = static_cast<std::uint64_t>(lo_bits[0]) |
+                   static_cast<std::uint64_t>(lo_bits[1]) << 16 |
+                   static_cast<std::uint64_t>(hi_bits[0]) << 32 |
+                   static_cast<std::uint64_t>(hi_bits[1]) << 48;
+    metric = next;
   }
 
   // Pick the end state: 0 when terminated, otherwise best metric.
   unsigned state = 0;
   if (!terminated) {
-    Metric best = inf;
+    double best = sentinel_cost;
     for (unsigned s = 0; s < kNumStates; ++s) {
       if (metric[s] < best) {
         best = metric[s];
@@ -117,9 +145,9 @@ common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
 
   common::Bits decoded(steps);
   for (std::size_t t = steps; t-- > 0;) {
-    const std::uint8_t packed = survivor[t * kNumStates + state];
-    decoded[t] = static_cast<common::Bit>(packed >> 6);
-    state = packed & 0x3fu;
+    decoded[t] = static_cast<common::Bit>(state >> 5);
+    state = ((state & 31u) << 1) |
+            static_cast<unsigned>((decisions[t] >> decision_bit(state)) & 1u);
   }
   return decoded;
 }
@@ -131,18 +159,20 @@ common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
   if (coded.size() % 2 != 0) {
     throw std::invalid_argument("viterbi_decode: odd coded length");
   }
-  constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
+  // Hamming costs are small integers, exact in double arithmetic and far
+  // below the sentinel.
+  constexpr double kInf = std::numeric_limits<unsigned>::max() / 2;
   return viterbi_sweep(
       coded.size() / 2, kInf, terminated,
-      [&](std::size_t t, unsigned (&ca)[2], unsigned (&cb)[2]) {
+      [&](std::size_t t, double (&ca)[2], double (&cb)[2]) {
         const std::int8_t ra = coded[2 * t];
         const std::int8_t rb = coded[2 * t + 1];
         // Hamming cost per output bit; an erased position costs nothing
         // either way.
-        ca[0] = (ra != kErased && ra != 0) ? 1u : 0u;
-        ca[1] = (ra != kErased && ra != 1) ? 1u : 0u;
-        cb[0] = (rb != kErased && rb != 0) ? 1u : 0u;
-        cb[1] = (rb != kErased && rb != 1) ? 1u : 0u;
+        ca[0] = (ra != kErased && ra != 0) ? 1.0 : 0.0;
+        ca[1] = (ra != kErased && ra != 1) ? 1.0 : 0.0;
+        cb[0] = (rb != kErased && rb != 0) ? 1.0 : 0.0;
+        cb[1] = (rb != kErased && rb != 1) ? 1.0 : 0.0;
       });
 }
 

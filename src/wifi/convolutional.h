@@ -21,6 +21,16 @@ inline constexpr unsigned kNumStates = 1u << (kConstraintLength - 1);  // 64
 inline constexpr std::uint8_t kGen0 = 0b1011011;  // 133 octal
 inline constexpr std::uint8_t kGen1 = 0b1111001;  // 171 octal
 
+/// Generator of coded output `branch`: 0 = y_{2n-1} (g0), 1 = y_{2n} (g1).
+constexpr unsigned generator(unsigned branch) {
+  return branch == 0 ? kGen0 : kGen1;
+}
+
+/// True when output `branch` of step n taps x_{n-offset}, offset in [0, 6].
+constexpr bool taps(unsigned branch, unsigned offset) {
+  return ((generator(branch) >> (6 - offset)) & 1u) != 0;
+}
+
 /// Encoder state = the previous 6 input bits, x_{n-1} in the MSB-6 position:
 /// state = x_{n-1}<<5 | x_{n-2}<<4 | ... | x_{n-6}.
 struct EncodeStepResult {
@@ -29,9 +39,23 @@ struct EncodeStepResult {
   common::Bit out_b;  // y_{2n},   generator g1
 };
 
-/// One encoder transition.  Pure function; used by both the encoder and the
-/// SledZig extra-bit solver.
-EncodeStepResult encode_step(unsigned state, common::Bit input);
+/// Parity of the taps of generator `branch` in a 7-bit encoder register.
+constexpr common::Bit tap_parity(unsigned reg, unsigned branch) {
+  unsigned v = reg & generator(branch);
+  v ^= v >> 4;
+  v ^= v >> 2;
+  v ^= v >> 1;
+  return static_cast<common::Bit>(v & 1u);
+}
+
+/// One encoder transition.  Pure function; used by the encoder, the Viterbi
+/// butterflies and the SledZig encoder's constraint re-check.
+constexpr EncodeStepResult encode_step(unsigned state, common::Bit input) {
+  // Register layout: bit6 = x_n (current input), bit5..bit0 = x_{n-1}..x_{n-6}.
+  const unsigned reg = (static_cast<unsigned>(input & 1u) << 6) | (state & 0x3f);
+  return EncodeStepResult{(reg >> 1) & 0x3f,  // drop x_{n-6}, x_n -> x_{n-1}
+                          tap_parity(reg, 0), tap_parity(reg, 1)};
+}
 
 /// Encodes the whole input (no tail appended; append kTailBits zeros
 /// upstream if you need the trellis terminated).  Output has 2x the length.

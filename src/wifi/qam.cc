@@ -1,6 +1,9 @@
 #include "wifi/qam.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace sledzig::wifi {
@@ -119,56 +122,118 @@ common::Bits qam_demap(std::span<const common::Cplx> points, Modulation m) {
   return out;
 }
 
-std::vector<double> qam_demap_soft(common::Cplx point, Modulation m) {
-  const std::size_t n_bpsc = bits_per_subcarrier(m);
-  // Enumerate the constellation once per modulation: point + bit labels.
-  struct Entry {
-    common::Cplx point;
-    unsigned label;  // bit b at offset i => (label >> i) & 1
-  };
+namespace {
+
+/// One constellation axis: coord[l] is the mapper's exact coordinate of
+/// the level whose axis label is l, where axis bit t of the label sits at
+/// group offset 2t (I) or 2t+1 (Q).  BPSK's Q axis is one level at 0 with
+/// no bits.
+struct Axis {
+  std::size_t bits = 0;
+  std::size_t levels = 0;
+  std::array<double, 16> coord{};
+};
+
+struct AxisPair {
+  Axis i, q;
+};
+
+const AxisPair& axes(Modulation m) {
   static const auto tables = [] {
-    std::array<std::vector<Entry>, 5> all;
-    for (const auto mod : {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16,
-                     Modulation::kQam64, Modulation::kQam256}) {
-      const std::size_t bits = bits_per_subcarrier(mod);
-      auto& table = all[static_cast<std::size_t>(mod)];
-      table.reserve(1u << bits);
-      for (unsigned v = 0; v < (1u << bits); ++v) {
-        common::Bits group(bits);
-        for (std::size_t i = 0; i < bits; ++i) {
-          group[i] = static_cast<common::Bit>((v >> i) & 1u);
+    std::array<AxisPair, 5> all;
+    for (const auto mod : {Modulation::kBpsk, Modulation::kQpsk,
+                           Modulation::kQam16, Modulation::kQam64,
+                           Modulation::kQam256}) {
+      const std::size_t n_bpsc = bits_per_subcarrier(mod);
+      auto& pair = all[static_cast<std::size_t>(mod)];
+      pair.i.bits = (n_bpsc + 1) / 2;
+      pair.q.bits = n_bpsc / 2;
+      pair.i.levels = std::size_t{1} << pair.i.bits;
+      pair.q.levels = std::size_t{1} << pair.q.bits;
+      // Walk every group label; labels that share an axis label write the
+      // same coordinate.
+      for (unsigned v = 0; v < (1u << n_bpsc); ++v) {
+        common::Bits group(n_bpsc);
+        unsigned li = 0, lq = 0;
+        for (std::size_t b = 0; b < n_bpsc; ++b) {
+          group[b] = static_cast<common::Bit>((v >> b) & 1u);
+          if (b % 2 == 0) {
+            li |= group[b] << (b / 2);
+          } else {
+            lq |= group[b] << (b / 2);
+          }
         }
-        table.push_back(Entry{qam_map_point(group, mod), v});
+        const common::Cplx point = qam_map_point(group, mod);
+        pair.i.coord[li] = point.real();
+        pair.q.coord[lq] = point.imag();
       }
     }
     return all;
   }();
-  const auto& table = tables[static_cast<std::size_t>(m)];
+  return tables[static_cast<std::size_t>(m)];
+}
 
-  // Max-log: LLR_i = min_{s: bit_i=0} |y-s|^2 - min_{s: bit_i=1} |y-s|^2.
-  std::vector<double> min0(n_bpsc, 1e300), min1(n_bpsc, 1e300);
-  for (const auto& e : table) {
-    const double d = std::norm(point - e.point);
-    for (std::size_t i = 0; i < n_bpsc; ++i) {
-      if ((e.label >> i) & 1u) {
-        min1[i] = std::min(min1[i], d);
+/// Squared distance from `y` to every level of `axis` into `d`; returns
+/// the smallest (+inf when y is NaN, whose distances min() skips).
+double axis_distances(double y, const Axis& axis, double* d) {
+  double least = std::numeric_limits<double>::infinity();
+  for (std::size_t l = 0; l < axis.levels; ++l) {
+    const double diff = y - axis.coord[l];
+    d[l] = diff * diff;
+    least = std::min(least, d[l]);
+  }
+  return least;
+}
+
+/// Max-log LLRs of the bits of `axis` into out[offset + 2t].  Each
+/// candidate distance is fl(d[l] + other_min): the nearest point with a
+/// given bit pairs this axis' level with the other axis' nearest level.
+void axis_llrs(const Axis& axis, const double* d, double other_min,
+               std::size_t offset, double* out) {
+  double sum[16];
+  for (std::size_t l = 0; l < axis.levels; ++l) sum[l] = d[l] + other_min;
+  for (std::size_t t = 0; t < axis.bits; ++t) {
+    double min0 = 1e300, min1 = 1e300;
+    for (std::size_t l = 0; l < axis.levels; ++l) {
+      if ((l >> t) & 1u) {
+        min1 = std::min(min1, sum[l]);
       } else {
-        min0[i] = std::min(min0[i], d);
+        min0 = std::min(min0, sum[l]);
       }
     }
+    out[offset + 2 * t] = min0 - min1;
   }
-  std::vector<double> llrs(n_bpsc);
-  for (std::size_t i = 0; i < n_bpsc; ++i) llrs[i] = min0[i] - min1[i];
+}
+
+// Max-log: LLR_i = min_{s: bit_i=0} |y-s|^2 - min_{s: bit_i=1} |y-s|^2,
+// capped at 1e300 per term.  |y-s|^2 is fl(dI + dQ) with dI, dQ the
+// per-axis squares, and rounding is monotone, so the minimum over the
+// other axis folds into its nearest level: min_Q fl(dI + dQ) equals
+// fl(dI + min_Q dQ).  Each term is therefore the exhaustive search's value
+// bit for bit, from 2 * 2^(N_BPSC/2) squares instead of 2^N_BPSC.
+void demap_soft_into(common::Cplx point, const AxisPair& ax, double* out) {
+  double di[16], dq[16];
+  const double min_i = axis_distances(point.real(), ax.i, di);
+  const double min_q = axis_distances(point.imag(), ax.q, dq);
+  axis_llrs(ax.i, di, min_q, 0, out);
+  axis_llrs(ax.q, dq, min_i, 1, out);
+}
+
+}  // namespace
+
+std::vector<double> qam_demap_soft(common::Cplx point, Modulation m) {
+  std::vector<double> llrs(bits_per_subcarrier(m));
+  demap_soft_into(point, axes(m), llrs.data());
   return llrs;
 }
 
 std::vector<double> qam_demap_soft(std::span<const common::Cplx> points,
                                    Modulation m) {
-  std::vector<double> out;
-  out.reserve(points.size() * bits_per_subcarrier(m));
-  for (const auto& p : points) {
-    const auto llrs = qam_demap_soft(p, m);
-    out.insert(out.end(), llrs.begin(), llrs.end());
+  const std::size_t n_bpsc = bits_per_subcarrier(m);
+  const AxisPair& ax = axes(m);
+  std::vector<double> out(points.size() * n_bpsc);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    demap_soft_into(points[p], ax, out.data() + p * n_bpsc);
   }
   return out;
 }

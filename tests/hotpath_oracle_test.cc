@@ -1,0 +1,612 @@
+// Oracle tests for the WiFi/SledZig frame-path kernels (`perf` label).
+//
+// The `ref` namespace holds verbatim copies of the straightforward
+// implementations these kernels replaced: the exhaustive max-log soft
+// demapper, the per-(state, input) Viterbi add-compare-select with a
+// steps x 64 survivor table, and the constraint-plan builder that walks
+// every OFDM symbol through the interleaver and solves each cluster over
+// byte-per-bit rows.  The production kernels must reproduce them bit for bit
+// (memcmp on doubles), including on the edge inputs that decide ties,
+// sentinels and saturation.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "sledzig/channels.h"
+#include "sledzig/significant_bits.h"
+#include "wifi/convolutional.h"
+#include "wifi/phy_params.h"
+#include "wifi/qam.h"
+#include "wifi/signal_field.h"
+
+namespace sledzig {
+namespace {
+
+namespace ref {
+
+// --- Exhaustive max-log soft demapper ------------------------------------
+
+std::vector<double> qam_demap_soft(common::Cplx point, wifi::Modulation m) {
+  const std::size_t n_bpsc = wifi::bits_per_subcarrier(m);
+  struct Entry {
+    common::Cplx point;
+    unsigned label;
+  };
+  static const auto tables = [] {
+    std::array<std::vector<Entry>, 5> all;
+    for (const auto mod :
+         {wifi::Modulation::kBpsk, wifi::Modulation::kQpsk,
+          wifi::Modulation::kQam16, wifi::Modulation::kQam64,
+          wifi::Modulation::kQam256}) {
+      const std::size_t bits = wifi::bits_per_subcarrier(mod);
+      auto& table = all[static_cast<std::size_t>(mod)];
+      for (unsigned v = 0; v < (1u << bits); ++v) {
+        common::Bits group(bits);
+        for (std::size_t i = 0; i < bits; ++i) {
+          group[i] = static_cast<common::Bit>((v >> i) & 1u);
+        }
+        table.push_back(Entry{wifi::qam_map_point(group, mod), v});
+      }
+    }
+    return all;
+  }();
+  const auto& table = tables[static_cast<std::size_t>(m)];
+  std::vector<double> min0(n_bpsc, 1e300), min1(n_bpsc, 1e300);
+  for (const auto& e : table) {
+    const double d = std::norm(point - e.point);
+    for (std::size_t i = 0; i < n_bpsc; ++i) {
+      if ((e.label >> i) & 1u) {
+        min1[i] = std::min(min1[i], d);
+      } else {
+        min0[i] = std::min(min0[i], d);
+      }
+    }
+  }
+  std::vector<double> llrs(n_bpsc);
+  for (std::size_t i = 0; i < n_bpsc; ++i) llrs[i] = min0[i] - min1[i];
+  return llrs;
+}
+
+// --- Per-(state, input) Viterbi ------------------------------------------
+
+struct Branch {
+  std::uint8_t next;
+  std::uint8_t a, b;
+};
+
+std::array<std::array<Branch, 2>, wifi::kNumStates> trellis() {
+  std::array<std::array<Branch, 2>, wifi::kNumStates> out{};
+  for (unsigned s = 0; s < wifi::kNumStates; ++s) {
+    for (unsigned in = 0; in < 2; ++in) {
+      const auto r = wifi::encode_step(s, static_cast<common::Bit>(in));
+      out[s][in] =
+          Branch{static_cast<std::uint8_t>(r.next_state), r.out_a, r.out_b};
+    }
+  }
+  return out;
+}
+
+template <typename Metric, typename FillTables>
+common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
+                           FillTables&& fill_tables) {
+  const auto tr = trellis();
+  std::array<Metric, wifi::kNumStates> metric;
+  std::array<Metric, wifi::kNumStates> next_metric;
+  metric.fill(inf);
+  metric[0] = Metric{};
+  std::vector<std::uint8_t> survivor(steps * wifi::kNumStates, 0);
+  for (std::size_t t = 0; t < steps; ++t) {
+    next_metric.fill(inf);
+    Metric ca[2], cb[2];
+    fill_tables(t, ca, cb);
+    std::uint8_t* surv_t = survivor.data() + t * wifi::kNumStates;
+    for (unsigned s = 0; s < wifi::kNumStates; ++s) {
+      if (metric[s] >= inf) continue;
+      for (unsigned in = 0; in < 2; ++in) {
+        const Branch& br = tr[s][in];
+        const Metric cost = (metric[s] + ca[br.a]) + cb[br.b];
+        if (cost < next_metric[br.next]) {
+          next_metric[br.next] = cost;
+          surv_t[br.next] = static_cast<std::uint8_t>((in << 6) | s);
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+  unsigned state = 0;
+  if (!terminated) {
+    Metric best = inf;
+    for (unsigned s = 0; s < wifi::kNumStates; ++s) {
+      if (metric[s] < best) {
+        best = metric[s];
+        state = s;
+      }
+    }
+  }
+  common::Bits decoded(steps);
+  for (std::size_t t = steps; t-- > 0;) {
+    const std::uint8_t packed = survivor[t * wifi::kNumStates + state];
+    decoded[t] = static_cast<common::Bit>(packed >> 6);
+    state = packed & 0x3fu;
+  }
+  return decoded;
+}
+
+common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
+                            bool terminated) {
+  constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
+  return viterbi_sweep(
+      coded.size() / 2, kInf, terminated,
+      [&](std::size_t t, unsigned (&ca)[2], unsigned (&cb)[2]) {
+        const std::int8_t ra = coded[2 * t];
+        const std::int8_t rb = coded[2 * t + 1];
+        ca[0] = (ra != wifi::kErased && ra != 0) ? 1u : 0u;
+        ca[1] = (ra != wifi::kErased && ra != 1) ? 1u : 0u;
+        cb[0] = (rb != wifi::kErased && rb != 0) ? 1u : 0u;
+        cb[1] = (rb != wifi::kErased && rb != 1) ? 1u : 0u;
+      });
+}
+
+common::Bits viterbi_decode_soft(const std::vector<double>& llrs,
+                                 bool terminated) {
+  constexpr double kInf = 1e300;
+  return viterbi_sweep(
+      llrs.size() / 2, kInf, terminated,
+      [&](std::size_t t, double (&ca)[2], double (&cb)[2]) {
+        const double la = llrs[2 * t];
+        const double lb = llrs[2 * t + 1];
+        ca[0] = la;
+        ca[1] = -la;
+        cb[0] = lb;
+        cb[1] = -lb;
+      });
+}
+
+// --- Constraint-plan builder ---------------------------------------------
+
+std::vector<core::SignificantBit> all_significant_bits(
+    const core::SledzigConfig& cfg, std::size_t num_symbols) {
+  std::vector<core::SignificantBit> all;
+  for (std::size_t s = 0; s < num_symbols; ++s) {
+    const auto symbol_bits = core::significant_bits_for_symbol(cfg, s);
+    all.insert(all.end(), symbol_bits.begin(), symbol_bits.end());
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.step, a.branch) < std::tie(b.step, b.branch);
+  });
+  return all;
+}
+
+common::Bit gen_coeff(unsigned branch, std::size_t step, std::size_t pos) {
+  const unsigned gen = branch == 0 ? wifi::kGen0 : wifi::kGen1;
+  if (pos > step || step - pos > 6) return 0;
+  return static_cast<common::Bit>((gen >> (6 - (step - pos))) & 1u);
+}
+
+void solve_cluster_positions(core::Cluster& cluster, std::size_t payload_begin,
+                             std::size_t payload_end,
+                             std::vector<core::Equation>& unforced) {
+  std::vector<std::size_t> candidates;
+  for (const auto& eq : cluster.equations) {
+    for (unsigned o = 0; o <= 6; ++o) {
+      if (eq.step < o) continue;
+      const std::size_t pos = eq.step - o;
+      if (pos < payload_begin || pos >= payload_end) continue;
+      if (gen_coeff(eq.branch, eq.step, pos)) candidates.push_back(pos);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  const auto candidate_index = [&](std::size_t pos) -> int {
+    const auto it = std::lower_bound(candidates.begin(), candidates.end(), pos);
+    if (it == candidates.end() || *it != pos) return -1;
+    return static_cast<int>(it - candidates.begin());
+  };
+  static constexpr unsigned kSingleOffsets[2][5] = {{0, 5, 2, 3, 6},
+                                                    {0, 1, 2, 3, 6}};
+  static constexpr unsigned kTwinOffsets[2][5] = {{5, 0, 2, 3, 6},
+                                                  {1, 0, 2, 3, 6}};
+  std::map<std::size_t, unsigned> step_counts;
+  for (const auto& eq : cluster.equations) ++step_counts[eq.step];
+
+  std::vector<std::vector<common::Bit>> reduced_rows;
+  std::vector<int> pivot_cols;
+  std::vector<core::Equation> kept;
+  std::vector<std::size_t> positions;
+  for (const auto& eq : cluster.equations) {
+    std::vector<common::Bit> row(candidates.size(), 0);
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      row[c] = gen_coeff(eq.branch, eq.step, candidates[c]);
+    }
+    for (std::size_t r = 0; r < reduced_rows.size(); ++r) {
+      if (row[static_cast<std::size_t>(pivot_cols[r])]) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+          row[c] ^= reduced_rows[r][c];
+        }
+      }
+    }
+    int pivot = -1;
+    const auto& prefs =
+        step_counts[eq.step] == 2 ? kTwinOffsets : kSingleOffsets;
+    for (unsigned o : prefs[eq.branch]) {
+      if (eq.step < o) continue;
+      const int idx = candidate_index(eq.step - o);
+      if (idx >= 0 && row[static_cast<std::size_t>(idx)]) {
+        pivot = idx;
+        break;
+      }
+    }
+    if (pivot < 0) {
+      for (std::size_t c = candidates.size(); c-- > 0;) {
+        if (row[c]) {
+          pivot = static_cast<int>(c);
+          break;
+        }
+      }
+    }
+    if (pivot < 0) {
+      unforced.push_back(eq);
+      continue;
+    }
+    reduced_rows.push_back(std::move(row));
+    pivot_cols.push_back(pivot);
+    kept.push_back(eq);
+    positions.push_back(candidates[static_cast<std::size_t>(pivot)]);
+  }
+  cluster.equations = std::move(kept);
+  cluster.positions = std::move(positions);
+}
+
+core::ConstraintPlan build_constraint_plan(const core::SledzigConfig& cfg,
+                                           std::size_t payload_begin,
+                                           std::size_t payload_end) {
+  const std::size_t dbps =
+      wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan());
+  const std::size_t num_symbols = (payload_end + dbps - 1) / dbps;
+  const auto sig = all_significant_bits(cfg, num_symbols);
+  core::ConstraintPlan plan;
+  std::map<std::size_t, unsigned> outputs_per_step;
+  std::vector<core::Equation> equations;
+  for (const auto& bit : sig) {
+    ++outputs_per_step[bit.step];
+    if (bit.step >= payload_end) {
+      ++plan.num_unforced_tail;
+      continue;
+    }
+    equations.push_back(core::Equation{bit.step, bit.branch, bit.value});
+  }
+  for (const auto& [step, count] : outputs_per_step) {
+    if (count == 1) {
+      ++plan.num_singles;
+    } else if (count == 2) {
+      ++plan.num_twins;
+    } else {
+      throw std::logic_error("build_constraint_plan: >2 outputs per step");
+    }
+  }
+  std::vector<core::Equation> unforced;
+  for (std::size_t i = 0; i < equations.size();) {
+    core::Cluster cluster;
+    cluster.equations.push_back(equations[i]);
+    std::size_t last_step = equations[i].step;
+    std::size_t jmp = i + 1;
+    while (jmp < equations.size() && equations[jmp].step <= last_step + 6) {
+      last_step = std::max(last_step, equations[jmp].step);
+      cluster.equations.push_back(equations[jmp]);
+      ++jmp;
+    }
+    i = jmp;
+    solve_cluster_positions(cluster, payload_begin, payload_end, unforced);
+    if (!cluster.equations.empty()) {
+      plan.extra_positions.insert(plan.extra_positions.end(),
+                                  cluster.positions.begin(),
+                                  cluster.positions.end());
+      plan.clusters.push_back(std::move(cluster));
+    }
+  }
+  for (const auto& eq : unforced) {
+    if (eq.step < payload_begin + 7) {
+      ++plan.num_unforced_head;
+    } else {
+      ++plan.num_collisions;
+    }
+  }
+  std::sort(plan.extra_positions.begin(), plan.extra_positions.end());
+  return plan;
+}
+
+}  // namespace ref
+
+// ---------------------------------------------------------------------------
+// Soft demapper
+
+constexpr wifi::Modulation kAllModulations[] = {
+    wifi::Modulation::kBpsk, wifi::Modulation::kQpsk, wifi::Modulation::kQam16,
+    wifi::Modulation::kQam64, wifi::Modulation::kQam256};
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Seeded Gaussian points plus the inputs where rounding decides the
+/// result: constellation levels, decision boundaries (even multiples of
+/// K_mod), levels and boundaries nudged by 1e-300, far-out points at
+/// +-1e6, and points far enough out that the 1e300 cap saturates.
+std::vector<common::Cplx> demapper_points(wifi::Modulation m) {
+  common::Rng rng(0xd3a9 + static_cast<std::uint64_t>(m));
+  std::vector<common::Cplx> pts;
+  for (int i = 0; i < 10000; ++i) pts.push_back(rng.complex_gaussian(1.0));
+  for (int i = 0; i < 2000; ++i) pts.push_back(rng.complex_gaussian(1e-3));
+  const double k = wifi::qam_norm(m);
+  std::vector<double> axis;
+  for (int v = -17; v <= 17; ++v) {
+    axis.push_back(k * v);  // odd v: levels; even v: decision boundaries
+    axis.push_back(k * v + 1e-300);
+    axis.push_back(k * v - 1e-300);
+  }
+  axis.insert(axis.end(), {0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6, 1e160,
+                           -1e160});
+  for (double re : axis) {
+    for (double im : axis) pts.emplace_back(re, im);
+  }
+  return pts;
+}
+
+TEST(HotpathOracle, SoftDemapperMatchesExhaustiveReference) {
+  for (const auto m : kAllModulations) {
+    const auto pts = demapper_points(m);
+    std::vector<double> expected;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const auto want = ref::qam_demap_soft(pts[i], m);
+      const auto got = wifi::qam_demap_soft(pts[i], m);
+      ASSERT_TRUE(same_doubles(got, want))
+          << wifi::to_string(m) << " point " << i << " = " << pts[i];
+      expected.insert(expected.end(), want.begin(), want.end());
+    }
+    EXPECT_TRUE(same_doubles(wifi::qam_demap_soft(pts, m), expected))
+        << wifi::to_string(m);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Viterbi
+
+common::Bits random_codeword(std::uint64_t seed, std::size_t steps) {
+  common::Rng rng(seed);
+  auto info = rng.bits(steps);
+  return wifi::convolutional_encode(info);
+}
+
+TEST(HotpathOracle, HardViterbiMatchesReference) {
+  std::size_t cases = 0;
+  for (std::size_t steps : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 6000u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const auto coded = random_codeword(seed * 131 + steps, steps);
+      common::Rng rng(seed);
+      std::vector<std::int8_t> hard(coded.begin(), coded.end());
+      // Seed 1 decodes the clean codeword; the others flip and erase a
+      // growing share of the positions, down to pure erasures (all ties).
+      const double flip = 0.04 * static_cast<double>(seed - 1);
+      const double erase = seed == 6 ? 1.0 : 0.1 * static_cast<double>(seed - 1);
+      for (auto& c : hard) {
+        if (rng.uniform() < flip) c ^= 1;
+        if (rng.uniform() < erase) c = wifi::kErased;
+      }
+      for (bool terminated : {true, false}) {
+        EXPECT_EQ(wifi::viterbi_decode(hard, terminated),
+                  ref::viterbi_decode(hard, terminated))
+            << "steps " << steps << " seed " << seed << " terminated "
+            << terminated;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 120u);
+}
+
+TEST(HotpathOracle, SoftViterbiMatchesReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<double> llrs;
+  };
+  std::vector<Case> cases;
+  for (std::size_t steps : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 6000u}) {
+    const auto coded = random_codeword(0x50f7 + steps, steps);
+    for (double sigma : {0.0, 0.5, 2.0, 4.0}) {
+      common::Rng rng(static_cast<std::uint64_t>(sigma * 8) + steps);
+      std::vector<double> llrs(coded.size());
+      for (std::size_t i = 0; i < coded.size(); ++i) {
+        const double noise = sigma > 0 ? rng.gaussian(sigma) : 0.0;
+        llrs[i] = (coded[i] ? 1.0 : -1.0) + noise;
+      }
+      cases.push_back({"noisy", llrs});
+      // Punctured positions carry LLR 0, as depuncture_soft writes them.
+      for (std::size_t i = 3; i < llrs.size(); i += 4) llrs[i] = 0.0;
+      cases.push_back({"punctured", llrs});
+    }
+    cases.push_back({"all-zero", std::vector<double>(coded.size(), 0.0)});
+    common::Rng sign(0x1e300 + steps);
+    std::vector<double> huge(coded.size());
+    for (auto& l : huge) l = sign.uniform() < 0.5 ? -1e300 : 1e300;
+    cases.push_back({"+-1e300", huge});
+    for (std::size_t i = 0; i < huge.size(); ++i) {
+      huge[i] = coded[i] ? 1e300 : -1e300;
+    }
+    cases.push_back({"clean 1e300", huge});
+    if (steps == 0) continue;
+    // One +-inf pair at the start, the middle and the last step.
+    for (std::size_t at : {std::size_t{0}, steps / 2, steps - 1}) {
+      for (auto [la, lb] : {std::pair{kInf, -kInf}, std::pair{-kInf, kInf},
+                            std::pair{kInf, kInf}, std::pair{-kInf, -kInf}}) {
+        std::vector<double> llrs(coded.size());
+        common::Rng rng(at * 7 + steps);
+        for (std::size_t i = 0; i < coded.size(); ++i) {
+          llrs[i] = (coded[i] ? 1.0 : -1.0) + rng.gaussian(2.0);
+        }
+        llrs[2 * at] = la;
+        llrs[2 * at + 1] = lb;
+        cases.push_back({"inf pair", llrs});
+      }
+    }
+  }
+  for (const auto& c : cases) {
+    for (bool terminated : {true, false}) {
+      EXPECT_EQ(wifi::viterbi_decode_soft(c.llrs, terminated),
+                ref::viterbi_decode_soft(c.llrs, terminated))
+          << c.name << " steps " << c.llrs.size() / 2 << " terminated "
+          << terminated;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Constraint plans
+
+void expect_same_plan(const core::ConstraintPlan& got,
+                      const core::ConstraintPlan& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.extra_positions, want.extra_positions) << what;
+  EXPECT_EQ(got.num_singles, want.num_singles) << what;
+  EXPECT_EQ(got.num_twins, want.num_twins) << what;
+  EXPECT_EQ(got.num_unforced_tail, want.num_unforced_tail) << what;
+  EXPECT_EQ(got.num_unforced_head, want.num_unforced_head) << what;
+  EXPECT_EQ(got.num_collisions, want.num_collisions) << what;
+  ASSERT_EQ(got.clusters.size(), want.clusters.size()) << what;
+  for (std::size_t c = 0; c < got.clusters.size(); ++c) {
+    const auto& g = got.clusters[c];
+    const auto& w = want.clusters[c];
+    EXPECT_EQ(g.positions, w.positions) << what << " cluster " << c;
+    ASSERT_EQ(g.equations.size(), w.equations.size())
+        << what << " cluster " << c;
+    for (std::size_t e = 0; e < g.equations.size(); ++e) {
+      EXPECT_EQ(g.equations[e].step, w.equations[e].step)
+          << what << " cluster " << c << " eq " << e;
+      EXPECT_EQ(g.equations[e].branch, w.equations[e].branch)
+          << what << " cluster " << c << " eq " << e;
+      EXPECT_EQ(g.equations[e].value, w.equations[e].value)
+          << what << " cluster " << c << " eq " << e;
+    }
+  }
+}
+
+std::string describe(const core::SledzigConfig& cfg, std::size_t begin,
+                     std::size_t end) {
+  std::ostringstream s;
+  s << wifi::to_string(cfg.modulation) << ' ' << wifi::to_string(cfg.rate)
+    << ' ' << core::to_string(cfg.channel);
+  for (auto ch : cfg.extra_channels) s << '+' << core::to_string(ch);
+  for (double w : cfg.window_offsets_hz) s << " @" << w;
+  s << ' ' << wifi::to_string(cfg.width) << " forced "
+    << cfg.forced_subcarriers << " [" << begin << ", " << end << ')';
+  return s.str();
+}
+
+void check_plan(const core::SledzigConfig& cfg, std::size_t begin,
+                std::size_t end) {
+  expect_same_plan(core::build_constraint_plan(cfg, begin, end),
+                   ref::build_constraint_plan(cfg, begin, end),
+                   describe(cfg, begin, end));
+}
+
+TEST(HotpathOracle, PlansMatchReferenceForEveryPaperCombination) {
+  for (const auto& mode : wifi::paper_phy_modes()) {
+    for (auto ch : core::kAllOverlapChannels) {
+      const core::SledzigConfig cfg{mode.modulation, mode.rate, ch};
+      for (std::size_t svc : {0u, 16u}) {
+        // The phy_link sizes, plus odd ends that cut a symbol mid-way.
+        for (std::size_t octets : {0u, 1u, 60u, 100u, 400u, 1000u, 1500u}) {
+          check_plan(cfg, svc, svc + octets * 8 + 16);
+        }
+        check_plan(cfg, svc, svc + 1);
+        check_plan(cfg, svc, svc + 777);
+      }
+    }
+  }
+}
+
+TEST(HotpathOracle, PlansMatchReferenceAcrossPayloadEndsToTheLengthCap) {
+  for (const auto& mode : {wifi::paper_phy_modes()[0], wifi::paper_phy_modes()[2],
+                           wifi::paper_phy_modes()[5]}) {
+    const core::SledzigConfig cfg{mode.modulation, mode.rate,
+                                  core::OverlapChannel::kCh3};
+    for (std::size_t svc : {0u, 16u}) {
+      for (std::size_t end = 0; end <= wifi::kMaxPsduOctets * 8; end += 1637) {
+        check_plan(cfg, svc, std::max(svc, end));
+      }
+      check_plan(cfg, svc, svc + wifi::kMaxPsduOctets * 8);
+    }
+  }
+}
+
+TEST(HotpathOracle, PlansMatchReferenceForEveryForcedCount) {
+  for (const auto& mode : wifi::paper_phy_modes()) {
+    for (auto ch : core::kAllOverlapChannels) {
+      for (std::size_t forced = 1; forced <= 7; ++forced) {
+        core::SledzigConfig cfg{mode.modulation, mode.rate, ch};
+        cfg.forced_subcarriers = forced;
+        check_plan(cfg, 0, 400 * 8 + 16);
+      }
+    }
+  }
+}
+
+TEST(HotpathOracle, PlansMatchReferenceForMultiChannelSets) {
+  using core::OverlapChannel;
+  const std::vector<std::vector<OverlapChannel>> sets = {
+      {OverlapChannel::kCh2},
+      {OverlapChannel::kCh2, OverlapChannel::kCh4},
+      {OverlapChannel::kCh1, OverlapChannel::kCh2, OverlapChannel::kCh4},
+      {OverlapChannel::kCh4, OverlapChannel::kCh1, OverlapChannel::kCh2},
+      // Adjacent windows merge into one cluster spanning the whole frame.
+      {OverlapChannel::kCh1, OverlapChannel::kCh2, OverlapChannel::kCh3},
+  };
+  for (const auto& set : sets) {
+    core::SledzigConfig cfg{wifi::Modulation::kQam64, wifi::CodingRate::kR23,
+                            set.front()};
+    cfg.extra_channels.assign(set.begin() + 1, set.end());
+    for (std::size_t svc : {0u, 16u}) {
+      for (std::size_t octets : {60u, 200u, 400u}) {
+        check_plan(cfg, svc, svc + octets * 8 + 16);
+      }
+    }
+  }
+}
+
+TEST(HotpathOracle, PlansMatchReferenceForExplicitWindows) {
+  for (const auto& mode : wifi::paper_phy_modes()) {
+    core::SledzigConfig narrow{mode.modulation, mode.rate,
+                               core::OverlapChannel::kCh2};
+    narrow.window_offsets_hz = {-5e6, 3e6};
+    check_plan(narrow, 0, 400 * 8 + 16);
+    narrow.window_bandwidth_hz = 1e6;
+    narrow.window_offsets_hz = {2e6};
+    check_plan(narrow, 16, 16 + 1000 * 8 + 16);
+
+    core::SledzigConfig wide = narrow;
+    wide.width = wifi::ChannelWidth::k40MHz;
+    wide.window_bandwidth_hz = 2e6;
+    wide.window_offsets_hz = {-12e6, 3e6};
+    for (std::size_t svc : {0u, 16u}) {
+      check_plan(wide, svc, svc + 400 * 8 + 16);
+      check_plan(wide, svc, svc + 1500 * 8 + 16);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sledzig
