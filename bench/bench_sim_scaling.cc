@@ -3,15 +3,13 @@
 // first non-flag argument).  Committed snapshots let later PRs regress the
 // event loop's wall-time without re-reading bench logs.
 //
-// Every point is timed twice: once on the per-symbol reference path
-// (fastpath off: per-symbol ZigBee delivery, no pruning, each run builds
-// its own link cache) and once on the dense-deployment fast path (shared
-// link cache + pruning + segment runs, the default).  Both arms run over
-// the same indexed power tables and per-component ledgers, which every
-// run builds.  The two trace digests are compared — on these geometries
-// the fast path is bit-exact, so a speedup can never silently trade the
-// engine's determinism away.  Each configuration is additionally run
-// twice to guard repeatability.
+// Every point builds its link cache once, as run_replications and the
+// campaign runner do, then runs once to warm the allocator and the in-band
+// memo and times kRepetitions more runs.  Every timed run's digest and
+// event count must equal the warm-up's (a mismatch is fatal), so a speed
+// change can never silently trade the engine's determinism away.  Each
+// point records min/median/max events/s; the file records the build type,
+// thread count and repetitions.
 //
 // `--smoke` runs only the small grid points (CI determinism guard);
 // the full sweep tops out at a 1100-node campus.  `--seed N` re-seeds the
@@ -53,15 +51,18 @@ sim::ScenarioConfig grid_scenario(std::size_t n_wifi, std::size_t n_zigbee) {
   return cfg;
 }
 
+constexpr int kRepetitions = 5;
+
 struct Point {
   std::string label;
   std::size_t nodes;
   std::uint64_t events;
-  double ref_events_per_s;
-  double fast_events_per_s;
+  double min_events_per_s;
+  double median_events_per_s;
+  double max_events_per_s;
 };
 
-/// Wall-time of one run (a warm-up run precedes every timed one).
+/// Wall-time of one run.
 double time_run(const sim::ScenarioConfig& cfg, std::uint64_t* digest,
                 std::uint64_t* events) {
   const auto t0 = Clock::now();
@@ -72,53 +73,31 @@ double time_run(const sim::ScenarioConfig& cfg, std::uint64_t* digest,
   return s;
 }
 
-bool bench_point(const sim::ScenarioConfig& base, const std::string& label,
+bool bench_point(sim::ScenarioConfig cfg, const std::string& label,
                  std::vector<Point>& out) {
-  sim::ScenarioConfig fast = base;  // defaults: segment runs + pruning on
-  // The cache is part of the fast path: built once per scenario and shared
-  // by every run/replication of it.  The reference arm leaves it unset, so
-  // each run re-derives the geometry inline — the pre-cache behaviour.
-  fast.link_cache = sim::LinkCache::build(fast);
-  sim::ScenarioConfig ref = base;
-  ref.fastpath.segment_runs = false;
-  ref.fastpath.prune = false;
-
-  std::uint64_t warm_digest = 0, digest = 0, events = 0, warm_events = 0;
-  time_run(fast, &warm_digest, &warm_events);  // warms allocator + tables
-  // Best-of-N per arm: the minimum wall-time is the run least disturbed by
-  // scheduler noise, which matters on small shared machines.  Every trial's
-  // digest is still checked — repeatability and fast/reference equivalence
-  // are part of the benchmark contract, not a separate test.
-  constexpr int kTrials = 3;
-  double fast_s = 1e300, ref_s = 1e300;
-  for (int i = 0; i < kTrials; ++i) {
-    fast_s = std::min(fast_s, time_run(fast, &digest, &events));
-    if (digest != warm_digest) {
-      std::fprintf(stderr, "FATAL: repeated fast run diverged at %s\n",
+  cfg.link_cache = sim::LinkCache::build(cfg);
+  std::uint64_t warm_digest = 0, warm_events = 0, digest = 0, events = 0;
+  time_run(cfg, &warm_digest, &warm_events);
+  std::vector<double> rates;
+  for (int i = 0; i < kRepetitions; ++i) {
+    const double s = time_run(cfg, &digest, &events);
+    if (digest != warm_digest || events != warm_events) {
+      std::fprintf(stderr, "FATAL: repeated run diverged at %s\n",
                    label.c_str());
       return false;
     }
+    rates.push_back(static_cast<double>(events) / s);
   }
-  for (int i = 0; i < kTrials; ++i) {
-    ref_s = std::min(ref_s, time_run(ref, &warm_digest, &warm_events));
-    if (warm_digest != digest || warm_events != events) {
-      std::fprintf(stderr,
-                   "FATAL: fast path diverged from per-symbol reference at %s\n",
-                   label.c_str());
-      return false;
-    }
-  }
+  std::sort(rates.begin(), rates.end());
 
-  const std::size_t nodes = base.wifi.size() + base.zigbee.size();
-  out.push_back({label, nodes, events,
-                 static_cast<double>(events) / ref_s,
-                 static_cast<double>(events) / fast_s});
-  std::printf(
-      "%-16s %5zu nodes: %9llu events, ref %10.0f ev/s, fast %10.0f ev/s "
-      "(%.1fx)\n",
-      label.c_str(), nodes, static_cast<unsigned long long>(events),
-      out.back().ref_events_per_s, out.back().fast_events_per_s,
-      out.back().fast_events_per_s / out.back().ref_events_per_s);
+  const std::size_t nodes = cfg.wifi.size() + cfg.zigbee.size();
+  out.push_back({label, nodes, events, rates.front(),
+                 rates[rates.size() / 2], rates.back()});
+  std::printf("%-16s %5zu nodes: %9llu events, median %10.0f ev/s "
+              "(min %.0f, max %.0f)\n",
+              label.c_str(), nodes, static_cast<unsigned long long>(events),
+              out.back().median_events_per_s, out.back().min_events_per_s,
+              out.back().max_events_per_s);
   return true;
 }
 
@@ -143,9 +122,9 @@ int main(int argc, char** argv) {
   }
 
   if (!smoke) {
-    // Dense multi-channel campuses: the fast path's target regime.  The
-    // simulated duration shrinks with size so the reference path stays
-    // benchmarkable; events/s is duration-independent.
+    // Dense multi-channel campuses, where the link index, pruning and
+    // segment-run delivery matter.  The simulated duration shrinks with
+    // size to keep the sweep short; events/s is duration-independent.
     struct Campus {
       std::size_t gx, gy, sensors;
       double duration_s;
@@ -171,16 +150,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"deterministic\": true,\n");
+  std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", SLEDZIG_BUILD_TYPE);
+  // Every run is a single run_scenario on the calling thread.
+  std::fprintf(f, "  \"threads\": 1,\n");
+  std::fprintf(f, "  \"repetitions\": %d,\n", kRepetitions);
+  std::fprintf(f, "  \"deterministic\": true,\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     std::fprintf(f,
                  "  \"%s\": {\"nodes\": %zu, \"events\": %llu, "
-                 "\"ref_events_per_s\": %.0f, \"fast_events_per_s\": %.0f, "
-                 "\"speedup\": %.2f}%s\n",
+                 "\"min_events_per_s\": %.0f, \"median_events_per_s\": %.0f, "
+                 "\"max_events_per_s\": %.0f}%s\n",
                  p.label.c_str(), p.nodes,
-                 static_cast<unsigned long long>(p.events), p.ref_events_per_s,
-                 p.fast_events_per_s, p.fast_events_per_s / p.ref_events_per_s,
+                 static_cast<unsigned long long>(p.events), p.min_events_per_s,
+                 p.median_events_per_s, p.max_events_per_s,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "}\n");

@@ -17,6 +17,7 @@
 #include "control/controller.h"
 #include "obs/profile.h"
 #include "sim/arbiter.h"
+#include "sim/delivery.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/invariants.h"
@@ -25,7 +26,6 @@
 #include "sledzig/encoder.h"
 #include "wifi/phy_params.h"
 #include "zigbee/cc2420.h"
-#include "zigbee/chips.h"
 
 namespace sledzig::sim {
 namespace {
@@ -56,24 +56,6 @@ SegmentPower shadowed(const Link& e, common::Db jitter) {
   return sp;
 }
 
-/// One frame-relevant interferer, staged flat for the delivery scan: the
-/// transmission's segment times plus its received powers and the
-/// precomputed symbol error probabilities it would impose.  A frame's
-/// staging (a few dozen entries) lives in L1 across every window the
-/// delivery loop evaluates, where chasing the ledger and the power table
-/// per window re-missed cache on each of the ~40 entries every time.
-/// Kept in ledger (start-time) order so the worst-interferer scan visits
-/// entries exactly as the per-symbol reference does.
-struct RelevantTx {
-  double start_us;
-  double payload_start_us;
-  double end_us;
-  common::MilliWatt preamble_mw;
-  common::MilliWatt payload_mw;
-  double p_err_preamble;
-  double p_err_payload;
-};
-
 /// Recyclable heap storage for one run: the event heap, the arbiter's
 /// tables and ledger, the perr cache, the notify adjacency lists, and the
 /// delivery scratch vectors.  A run adopts the capacity on entry and hands
@@ -90,8 +72,9 @@ struct RunWorkspace {
   std::vector<double> bounds;          // delivery scratch: segment boundaries
 };
 
-/// Does a prebuilt cache describe this config's topology?  (Guards against
-/// a stale shared cache being carried into a differently-shaped scenario.)
+/// Does a prebuilt cache have this config's dimensions?  Only the node
+/// counts are checked: a cache of the right shape is used as is, so its
+/// content is the caller's (see ScenarioConfig::link_cache).
 bool cache_matches(const LinkCache* cache, const ScenarioConfig& cfg) {
   return cache != nullptr && cache->num_wifi == cfg.wifi.size() &&
          cache->num_nodes == cfg.wifi.size() + cfg.zigbee.size() &&
@@ -252,10 +235,6 @@ class Engine {
   common::MilliWatt noise20_mw_;
   common::MilliWatt noise2_mw_;
   common::Db impair_penalty_db_;
-  std::shared_ptr<const LinkCache> cache_;
-  /// True powers of pruned links, filled only under fastpath.cross_check
-  /// (same 2T x T layout as the arbiter tables; empty otherwise).
-  std::vector<SegmentPower> shadow_;
   RunWorkspace* ws_;
   Arbiter arbiter_;
   EventQueue queue_;
@@ -419,10 +398,10 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
   // so the RNG stream (and therefore every digest) is independent of the
   // interference graph and bit-exact with the legacy fill on every
   // single-channel scenario (where all pairs are coupled).
-  cache_ = cache_matches(cfg_.link_cache.get(), cfg_)
-               ? cfg_.link_cache
-               : LinkCache::build(cfg_);
-  common::Rng shadow_rng(
+  const std::shared_ptr<const LinkCache> cache =
+      cache_matches(cfg_.link_cache.get(), cfg_) ? cfg_.link_cache
+                                                 : LinkCache::build(cfg_);
+  common::Rng jitter_rng(
       common::derive_seed(cfg_.seed, 4 * num_nodes_ + 3));
   ArbiterStorage storage = std::move(ws.arb);
   ArbiterTables& tables = storage.tables;
@@ -448,13 +427,9 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
     tables.comp.assign(num_total_, 0);
     tables.num_comps = 1;
   } else {
-    tables.comp.assign(cache_->comp.begin(), cache_->comp.end());
-    tables.num_comps = cache_->num_comps;
+    tables.comp.assign(cache->comp.begin(), cache->comp.end());
+    tables.num_comps = cache->num_comps;
   }
-  const bool keep_shadow = cfg_.fastpath.cross_check;
-  shadow_.clear();
-  if (keep_shadow) shadow_.assign(2 * num_total_ * num_total_, SegmentPower{});
-
   // Walk the cache's compact coupled-pair rows: only spectrally-coupled
   // pairs consume a draw — which is every pair in a single-channel
   // (legacy) scenario, so those streams are untouched; disjoint-band pairs
@@ -462,23 +437,30 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
   // Pruned pairs still draw: the stream is invariant to the interference
   // graph.
   for (std::size_t p = 0; p < 2 * num_total_; ++p) {
-    for (std::size_t k = cache_->coupled_off[p]; k < cache_->coupled_off[p + 1];
+    for (std::size_t k = cache->coupled_off[p]; k < cache->coupled_off[p + 1];
          ++k) {
-      const CoupledLink& e = cache_->coupled[k];
+      const CoupledLink& e = cache->coupled[k];
       const common::Db jitter{
-          shadow_rng.gaussian(cfg_.shadowing_sigma_db.value())};
+          jitter_rng.gaussian(cfg_.shadowing_sigma_db.value())};
       // Retuning policies replay the exact draw later, so capture it.
       if (!jitter_db_.empty()) {
         jitter_db_[p * num_total_ + e.tx] = jitter.value();
       }
       if (e.state == LinkState::kLive) {
         tables.set_link(p, e.tx, shadowed(e, jitter));
-      } else if (keep_shadow && e.state == LinkState::kPruned) {
-        // What the table *would* have held: the cross-check compares this
-        // against the prune epsilon at every delivery.
-        shadow_[p * num_total_ + e.tx] = shadowed(e, jitter);
+      } else if (e.state == LinkState::kPruned) {
+        // Zeroing a pruned link is sound only while its drawn power stays
+        // under the listener's prune epsilon, where it could never have
+        // moved a SINR or a CCA decision.
+        const SegmentPower sp = shadowed(e, jitter);
+        if (std::max(sp.payload_mw, sp.preamble_mw) >
+            cache->eps_mw[p % num_total_]) {
+          throw std::logic_error(
+              "pruned link above the prune epsilon at listening point " +
+              std::to_string(p) + " (tx " + std::to_string(e.tx) + ")");
+        }
       }
-      // kZero (and kPruned): the table entry stays exactly 0 mW — inert in
+      // kZero and kPruned: the table entry stays exactly 0 mW — inert in
       // CCA energy sums and unable to win a strict-> worst-interferer.
     }
   }
@@ -841,77 +823,14 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
   // Frame-level sensitivity cliff (CC2420 practical sensitivity).
   if (n.delivery_rng.uniform() < n.sensitivity_loss) return false;
 
-  const double symbol_us = zigbee::kSymbolDurationUs;
-  const auto num_symbols =
-      static_cast<std::size_t>((tx.end_us - tx.start_us) / symbol_us);
-  const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
-
-  if (!cfg_.fastpath.segment_runs) {
-    // Reference path: resolve the worst interferer per 16 us symbol (a
-    // payload segment displaces a preamble hit only at strictly higher
-    // power).
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      const double s0 = tx.start_us + static_cast<double>(s) * symbol_us;
-      const double s1 = s0 + symbol_us;
-      common::MilliWatt worst_mw{};
-      bool preamble_seg = false;
-      std::uint32_t worst_tx = UINT32_MAX;
-      for (const std::uint32_t* it = lo; it != hi; ++it) {
-        const auto& x = arbiter_.tx(*it);
-        if (x.node == g) continue;
-        const auto& sp = arbiter_.rx_power(g, x.node);
-        if (std::min(s1, x.payload_start_us) > std::max(s0, x.start_us) &&
-            sp.preamble_mw > worst_mw) {
-          worst_mw = sp.preamble_mw;
-          preamble_seg = true;
-          worst_tx = x.node;
-        }
-        if (std::min(s1, x.end_us) > std::max(s0, x.payload_start_us) &&
-            sp.payload_mw > worst_mw) {
-          worst_mw = sp.payload_mw;
-          preamble_seg = false;
-          worst_tx = x.node;
-        }
-      }
-      const double p = worst_tx == UINT32_MAX ? n.p_err_idle
-                                              : perr(j, worst_tx, preamble_seg);
-      if (n.delivery_rng.uniform() < p) return false;
-    }
-    return true;
-  }
-
-  // Fast path (DESIGN.md §15).  Exactness: between consecutive boundary
-  // times (every overlapping transmission's start, payload start and end,
-  // clamped to the frame) each interval endpoint used by the per-symbol
-  // overlap tests is either <= the segment's left edge or >= its right
-  // edge, so every symbol fully inside a segment reaches the identical
-  // worst-interferer verdict — compute it once and reuse it.  Symbols that
-  // straddle a boundary fall back to the per-symbol scan.  One uniform()
-  // is still drawn per symbol, stopping at the first failure, so the RNG
-  // stream and the digest are bit-identical to the reference path.
-  if (!shadow_.empty()) {
-    // Cross-check: would any pruned link have been worth hearing here?
-    // (Pruned links couple, so they are inside the listener's component.)
-    for (const std::uint32_t* it = lo; it != hi; ++it) {
-      const auto& x = arbiter_.tx(*it);
-      if (x.node == g) continue;
-      const auto& sh = shadow_[(num_total_ + g) * num_total_ + x.node];
-      if (std::max(sh.payload_mw, sh.preamble_mw) > cache_->eps_mw[g]) {
-        throw std::logic_error(
-            "fastpath cross-check: pruned link above the prune epsilon at "
-            "listener " +
-            std::to_string(g) + " (tx " + std::to_string(x.node) + ")");
-      }
-    }
-  }
-
-  // Zero-power ledger entries (pruned or channel-disjoint interferers,
-  // which the table holds as exactly 0 mW) can never win the strict->
-  // comparison; dropping them up front is what makes the scan O(degree).
-  // The bit index answers "is the link nonzero" without touching the
-  // power table at all.
+  // Stage the interferers in ledger (start-time) order.  Zero-power
+  // entries (pruned or channel-disjoint interferers, which the table holds
+  // as exactly 0 mW) can never win the strict-> comparison; dropping them
+  // up front is what makes the scan O(degree).  The bit index answers "is
+  // the link nonzero" without touching the power table at all.
   auto& rel = ws_->rel;
   rel.clear();
+  const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
     if (x.node == g) continue;
@@ -920,72 +839,8 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
     rel.push_back({x.start_us, x.payload_start_us, x.end_us, sp.preamble_mw,
                    sp.payload_mw, perr(j, x.node, true), perr(j, x.node, false)});
   }
-  if (rel.empty()) {
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      if (n.delivery_rng.uniform() < n.p_err_idle) return false;
-    }
-    return true;
-  }
-
-  auto& b = ws_->bounds;
-  b.clear();
-  b.push_back(tx.start_us);
-  for (const auto& e : rel) {
-    for (const double v : {e.start_us, e.payload_start_us, e.end_us}) {
-      if (v > tx.start_us && v < tx.end_us) b.push_back(v);
-    }
-  }
-  b.push_back(tx.end_us);
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-
-  // Identical scan to the reference inner loop, over the staged entries:
-  // same order, same strict-> comparisons — the tracked probability is
-  // exactly the perr() value of the tracked (worst_tx, segment) pair.
-  // Entries are start-ordered, so once one starts at/after the window
-  // nothing later can overlap it and the scan stops early.
-  const auto window_p = [&](double w0, double w1) {
-    common::MilliWatt worst_mw{};
-    double p = n.p_err_idle;
-    for (const auto& e : rel) {
-      if (e.start_us >= w1) break;
-      if (std::min(w1, e.payload_start_us) > std::max(w0, e.start_us) &&
-          e.preamble_mw > worst_mw) {
-        worst_mw = e.preamble_mw;
-        p = e.p_err_preamble;
-      }
-      if (std::min(w1, e.end_us) > std::max(w0, e.payload_start_us) &&
-          e.payload_mw > worst_mw) {
-        worst_mw = e.payload_mw;
-        p = e.p_err_payload;
-      }
-    }
-    return p;
-  };
-
-  std::size_t bi = 0;
-  double seg_p = 0.0;
-  bool seg_valid = false;
-  for (std::size_t s = 0; s < num_symbols; ++s) {
-    const double s0 = tx.start_us + static_cast<double>(s) * symbol_us;
-    const double s1 = s0 + symbol_us;
-    while (bi + 2 < b.size() && b[bi + 1] <= s0) {
-      ++bi;
-      seg_valid = false;
-    }
-    double p;
-    if (s1 <= b[bi + 1]) {
-      if (!seg_valid) {
-        seg_p = window_p(b[bi], b[bi + 1]);
-        seg_valid = true;
-      }
-      p = seg_p;
-    } else {
-      p = window_p(s0, s1);  // straddles a boundary (or FP end overshoot)
-    }
-    if (n.delivery_rng.uniform() < p) return false;
-  }
-  return true;
+  return zigbee_symbols_survive({tx.start_us, tx.end_us, n.p_err_idle}, rel,
+                                ws_->bounds, n.delivery_rng);
 }
 
 void Engine::on_tx_end(std::uint32_t tx_id, double t) {
@@ -1238,10 +1093,6 @@ void Engine::retune_pair(std::size_t point, std::size_t tx) {
   arbiter_.set_link(point, tx,
                     e.state == LinkState::kLive ? shadowed(e, jitter)
                                                 : SegmentPower{});
-  // The entry is live (or exactly zero) now; any pruned-link shadow from
-  // the build-time picture is stale, and the cross-check must not trip on
-  // a pair the control plane has since retuned.
-  if (!shadow_.empty()) shadow_[point * num_total_ + tx] = SegmentPower{};
 }
 
 void Engine::apply_sledzig(bool engage, double t) {

@@ -198,8 +198,8 @@ std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {
   // Prune epsilons: kPruneFloorDb under the listener's noise floor.
   // The decision below adds a 10-sigma shadowing margin on top, so a
   // pruned link stays under epsilon for any jitter draw short of a
-  // ~1e-23-probability tail (the cross-check would catch even that).
-  for (std::size_t n = 0; n < T && cfg.fastpath.prune; ++n) {
+  // ~1e-23-probability tail (the engine's table fill checks even that).
+  for (std::size_t n = 0; n < T; ++n) {
     const bool is_zigbee = n >= num_wifi && n < num_nodes;
     const common::Dbm noise_dbm = is_zigbee ? channel::kNoiseFloor2MhzDbm
                                             : channel::kNoiseFloor20MhzDbm;
@@ -245,8 +245,7 @@ std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {
 
       // Interference-graph decision.  A node's own receive link (its
       // signal) is never pruned — pruning is for interference edges only.
-      if (lc->eps_mw[listener] > common::MilliWatt{} &&
-          !(rx_point && t == listener)) {
+      if (!(rx_point && t == listener)) {
         const common::Dbm best_dbm =
             std::max(e.payload_dbm, e.preamble_dbm) + e.coupling_db +
             margin_db;

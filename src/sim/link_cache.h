@@ -14,13 +14,13 @@
 //   kLive    — filled into the run's power table as usual;
 //   kZero    — structurally silent (a node's own CCA point, or two bands
 //              that do not spectrally overlap at all): exactly 0 mW;
-//   kPruned  — epsilon-pruned (FastPathConfig::prune): the mean power plus
-//              a 10-sigma shadowing margin still lands more than 30 dB
-//              below the listener's noise floor, so the link is zeroed
-//              at table-build time.  Zero entries are inert
-//              downstream: they add exactly 0.0 to CCA energy sums and can
-//              never win the strict-> worst-interferer comparison, which
-//              is why pruning needs no code-path change at query time.
+//   kPruned  — epsilon-pruned: the mean power plus a 10-sigma shadowing
+//              margin still lands more than 30 dB below the listener's
+//              noise floor, so the link is zeroed at table-build time.
+//              Zero entries are inert downstream: they add exactly 0.0 to
+//              CCA energy sums and can never win the strict->
+//              worst-interferer comparison, which is why pruning needs no
+//              code-path change at query time.
 //
 // Multi-channel coupling: each node carries a channel (WifiNodeConfig /
 // ZigbeeNodeConfig, 0 = the legacy single-BSS sentinel).  A ZigBee node
@@ -93,8 +93,8 @@ struct LinkCache {
   std::vector<CoupledLink> coupled;
   std::vector<std::uint32_t> coupled_off;  ///< 2T + 1 row offsets
   /// Per listening node: the prune epsilon (listener-band noise floor
-  /// minus a fixed 30 dB prune floor); 0 mW when pruning is off.  The
-  /// fast path's cross-check compares shadow powers against this.
+  /// minus a fixed 30 dB prune floor).  The engine's table fill throws
+  /// std::logic_error if a pruned link's drawn power exceeds it.
   std::vector<common::MilliWatt> eps_mw;
   /// Spectral coupling components: comp[node] in 0..num_comps-1 for every
   /// node (jammer pseudo-nodes included).  Two nodes share a component iff

@@ -84,32 +84,6 @@ struct ZigbeeNodeConfig {
   unsigned channel = 0;
 };
 
-/// Hybrid-fidelity fast-path knobs (DESIGN.md §15).  The link index and
-/// the coupling components are not knobs: every run builds them, because
-/// skipping exactly-zero links changes no arithmetic.  The defaults are
-/// safe for every scenario: segment runs are bit-exact, and the prune
-/// epsilon sits a fixed 30 dB under the listener's noise floor with a
-/// 10-sigma shadowing margin, so a pruned link could never have moved a
-/// SINR by a measurable amount.
-struct FastPathConfig {
-  /// Segment-run delivery: the interferer set is piecewise-constant
-  /// between transmission boundaries, so the worst interferer is resolved
-  /// once per segment instead of once per 16 us symbol.  Exact: the
-  /// per-symbol RNG stream and every delivery verdict are bit-identical
-  /// to the per-symbol reference (turn off to time the reference path).
-  bool segment_runs = true;
-  /// Interference-graph pruning: zero out links whose received power can
-  /// never come within 30 dB of the listener's noise floor (10-sigma
-  /// shadowing margin included), so delivery and CCA iterate over
-  /// O(degree) neighbors.  Conservative approximation; cross-checked when
-  /// `cross_check` is set.
-  bool prune = true;
-  /// Debug: keep a shadow table of the true (unpruned) powers and throw
-  /// std::logic_error if a pruned link ever shows up above the prune
-  /// epsilon at a delivery — i.e. if it could have won worst-interferer.
-  bool cross_check = false;
-};
-
 // --- fault model (DESIGN.md §14) -----------------------------------------
 //
 // A FaultPlanConfig declares *what can go wrong* during a run: explicit
@@ -232,17 +206,15 @@ struct ScenarioConfig {
   /// timers) flush here once at the end of run_scenario.  Observational
   /// only — nothing digest-checked reads metrics back.  nullptr disables.
   obs::Registry* metrics = &obs::Registry::global();
-  /// Hybrid-fidelity fast path (DESIGN.md §15): segment-run delivery and
-  /// interference-graph pruning.  Defaults on; the two-node flagship
-  /// digests are bit-identical either way (asserted in tests).
-  FastPathConfig fastpath{};
   /// Optional shared per-scenario link cache: the mean (pre-shadowing)
   /// received power of every transmitter at every listening point, which
   /// is seed-independent and therefore identical across replications.
   /// run_replications builds one and shares it across the fan-out; leave
-  /// null to let each run build its own.  Rebuilt automatically if the
-  /// dimensions don't match the topology, so a stale handle can degrade
-  /// performance but never correctness.
+  /// null to let each run build its own.  Only the dimensions are checked
+  /// (a cache whose node counts differ from the topology is rebuilt); the
+  /// content is the caller's.  A cache built for other positions, channels
+  /// or scheme is used as is and changes the results, which is also how a
+  /// deliberately edited cache (bench_ablation_preamble) reaches a run.
   std::shared_ptr<const LinkCache> link_cache;
   /// Fault-injection plan (empty by default: no faults, digests untouched).
   FaultPlanConfig faults{};

@@ -267,12 +267,6 @@ void fields(auto& v, FaultPlanConfig& f) {
   v("clocks", f.clocks);
 }
 
-void fields(auto& v, FastPathConfig& f) {
-  v("segment_runs", f.segment_runs);
-  v("prune", f.prune);
-  v("cross_check", f.cross_check);
-}
-
 void fields(auto& v, InvariantConfig& i) {
   v("enabled", i.enabled);
   v("max_event_gap_us", i.max_event_gap_us, kNonNegative);
@@ -332,7 +326,6 @@ void overlay_fields(auto& v, ScenarioConfig& c) {
   v("impairment", c.impairment);
   v("error_model", c.error_model);
   v("faults", c.faults);
-  v("fastpath", c.fastpath);
   v("invariants", c.invariants);
   v("control", c.control);
 }

@@ -255,7 +255,6 @@ TEST(CampaignScenario, NonDefaultKnobsRoundTrip) {
   cfg.impairment.cfo_hz = 11000.0;
   cfg.queue_capacity = 16;
   cfg.wifi_capture_sinr_db = common::Db{8.0};
-  cfg.fastpath.prune = false;
   cfg.invariants.enabled = true;
   cfg.zigbee[0].traffic.kind = sim::TrafficKind::kPoisson;
   cfg.zigbee[0].traffic.interval_us = 9000.0;
@@ -361,19 +360,32 @@ TEST(CampaignScenario, MalformedInputsReportFieldPaths) {
 }
 
 TEST(CampaignScenario, RetiredPruneFloorKeyIsUnknown) {
-  // The prune floor is a fixed 30 dB, not a fast-path knob.  Spelled in two
-  // pieces for the same reason as the retired MAC keys below.
+  // The prune floor is a fixed 30 dB, not a knob, and the section that
+  // once held it is gone too, so the error lands on the section.  Spelled
+  // in two pieces for the same reason as the retired MAC keys below.
   const std::string key = std::string("prune_floor") + "_db";
   ScenarioConfig cfg;
   std::vector<ConfigError> errors;
   EXPECT_FALSE(campaign::scenario_from_text(
       "{\"fastpath\": {\"" + key + "\": 0.0}}", &cfg, &errors));
-  const std::string field = "fastpath." + key;
-  ASSERT_TRUE(has_error_field(errors, field)) << sim::describe(errors);
-  for (const auto& e : errors) {
-    if (e.field == field) {
-      EXPECT_EQ(e.message, "unknown key");
-    }
+  ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+  EXPECT_EQ(errors[0].field, "fastpath");
+  EXPECT_EQ(errors[0].message, "unknown key");
+}
+
+TEST(CampaignScenario, RetiredFastPathSectionIsUnknown) {
+  // Segment-run delivery and pruning are what the engine does, not
+  // switches, so none of the section's three old keys parses any more.
+  for (const char* key : {"segment_runs", "prune", "cross_check"}) {
+    SCOPED_TRACE(key);
+    ScenarioConfig cfg;
+    std::vector<ConfigError> errors;
+    EXPECT_FALSE(campaign::scenario_from_text(
+        std::string("{\"fastpath\": {\"") + key + "\": false}}", &cfg,
+        &errors));
+    ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+    EXPECT_EQ(errors[0].field, "fastpath");
+    EXPECT_EQ(errors[0].message, "unknown key");
   }
 }
 

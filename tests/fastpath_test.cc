@@ -1,49 +1,193 @@
-// Tests for the dense-deployment fast path (DESIGN.md §15): the link
+// Tests for the dense-deployment engine paths (DESIGN.md §15): the link
 // cache, interference-graph pruning, segment-run delivery, the notify
 // adjacency, and the multi-channel topology layer.
 //
-// The headline property is *exact equivalence*: with pruning inert (the
-// fixed 30 dB floor never fires at office ranges) the fast path must
-// reproduce the per-symbol reference path bit-for-bit — same digest, same
-// event count — on every scenario shape we ship.  Active pruning is an
-// approximation by construction, so it is validated statistically instead,
-// with the engine's own cross-check armed.
+// Segment-run delivery is checked two ways.  Directly, against the
+// per-symbol scan it replaced, over randomised interferer sets: same
+// verdict, same RNG draws.  End to end, against trace digests recorded
+// while the engine could still run that per-symbol scan with pruning off;
+// both arms produced these digests bit for bit.  Active pruning is an
+// approximation by construction, so it is validated statistically
+// against an unpruned copy of the link cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "sim/arbiter.h"
+#include "sim/delivery.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/link_cache.h"
+#include "zigbee/chips.h"
 
 namespace sledzig::sim {
 namespace {
 
-/// Runs a scenario with the fast path fully on (the default) or fully off
-/// (per-symbol reference, no pruning) and returns the trace digest.
-std::uint64_t digest_of(ScenarioConfig cfg, bool fast) {
-  cfg.fastpath.segment_runs = fast;
-  cfg.fastpath.prune = fast;
-  return run_scenario(cfg).trace_digest;
+void expect_digest(const ScenarioConfig& cfg, std::uint64_t expected,
+                   const char* context) {
+  const std::uint64_t got = run_scenario(cfg).trace_digest;
+  EXPECT_EQ(got, expected) << context << std::hex << ": got 0x" << got;
 }
 
-void expect_fast_matches_reference(const ScenarioConfig& cfg,
-                                   const char* context) {
-  EXPECT_EQ(digest_of(cfg, true), digest_of(cfg, false)) << context;
+/// The per-symbol reference: resolve the worst interferer of every 16 us
+/// symbol by scanning the whole unfiltered ledger, zero-power entries
+/// included (a payload segment displaces a preamble hit only at strictly
+/// higher power), and draw one uniform per symbol until one fails.
+bool per_symbol_scan(const ZigbeeReception& rx,
+                     const std::vector<RelevantTx>& ledger,
+                     common::Rng& rng) {
+  const double symbol_us = zigbee::kSymbolDurationUs;
+  const auto num_symbols =
+      static_cast<std::size_t>((rx.end_us - rx.start_us) / symbol_us);
+  for (std::size_t s = 0; s < num_symbols; ++s) {
+    const double s0 = rx.start_us + static_cast<double>(s) * symbol_us;
+    const double s1 = s0 + symbol_us;
+    common::MilliWatt worst_mw{};
+    const RelevantTx* worst = nullptr;
+    bool preamble_seg = false;
+    for (const auto& x : ledger) {
+      if (std::min(s1, x.payload_start_us) > std::max(s0, x.start_us) &&
+          x.preamble_mw > worst_mw) {
+        worst_mw = x.preamble_mw;
+        preamble_seg = true;
+        worst = &x;
+      }
+      if (std::min(s1, x.end_us) > std::max(s0, x.payload_start_us) &&
+          x.payload_mw > worst_mw) {
+        worst_mw = x.payload_mw;
+        preamble_seg = false;
+        worst = &x;
+      }
+    }
+    const double p = worst == nullptr ? rx.p_err_idle
+                     : preamble_seg   ? worst->p_err_preamble
+                                      : worst->p_err_payload;
+    if (rng.uniform() < p) return false;
+  }
+  return true;
+}
+
+TEST(FastPath, SegmentRunsMatchThePerSymbolScan) {
+  // Randomised frames built to hit the exactness argument's edges: times
+  // on symbol edges and at the frame's start and end, equal start times,
+  // equal powers with different error probabilities, frames that are not
+  // a whole number of symbols, zero-power and non-overlapping entries.
+  constexpr double kSym = zigbee::kSymbolDurationUs;
+  common::Rng gen(20240607);
+  const double powers_mw[] = {0.0, 1e-9, 1e-9, 4e-9, 1e-8};
+  const double p_scales[] = {0.002, 0.01, 0.05, 0.3};
+  std::size_t delivered = 0, lost = 0, draws = 0;
+  std::vector<RelevantTx> ledger, staged;
+  std::vector<double> bounds;
+  constexpr std::size_t kFrames = 20000;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const double p_scale = p_scales[gen.uniform_int(0, 3)];
+    ZigbeeReception rx;
+    rx.start_us = kSym * static_cast<double>(gen.uniform_int(0, 40)) +
+                  (gen.uniform() < 0.5 ? 0.0 : gen.uniform(0.0, kSym));
+    rx.end_us = rx.start_us +
+                kSym * static_cast<double>(gen.uniform_int(0, 60)) +
+                (gen.uniform() < 0.7 ? 0.0 : gen.uniform(0.0, kSym));
+    rx.p_err_idle = gen.uniform() < 0.3 ? 0.0 : gen.uniform(0.0, p_scale);
+
+    // An instant of interest: a symbol edge of the frame, its start or
+    // end, an earlier entry's start, or anywhere around the frame.
+    const auto instant = [&]() {
+      switch (gen.uniform_int(0, 4)) {
+        case 0:
+          return rx.start_us +
+                 kSym * static_cast<double>(gen.uniform_int(-4, 64));
+        case 1:
+          return rx.start_us;
+        case 2:
+          return rx.end_us;
+        case 3:
+          if (!ledger.empty()) {
+            return ledger[static_cast<std::size_t>(gen.uniform_int(
+                              0, static_cast<std::int64_t>(ledger.size()) -
+                                     1))]
+                .start_us;
+          }
+          [[fallthrough]];
+        default:
+          return gen.uniform(rx.start_us - 400.0, rx.end_us + 50.0);
+      }
+    };
+    ledger.clear();
+    const auto n = gen.uniform_int(0, 10);
+    for (std::int64_t i = 0; i < n; ++i) {
+      RelevantTx x{};
+      x.start_us = instant();
+      // ZigBee-like (no preamble segment), a WiFi preamble, or a
+      // preamble ending on an instant of interest.
+      const auto shape = gen.uniform_int(0, 2);
+      x.payload_start_us = shape == 0   ? x.start_us
+                           : shape == 1 ? x.start_us + 20.0
+                                        : std::max(x.start_us, instant());
+      x.end_us = gen.uniform() < 0.5
+                     ? std::max(x.payload_start_us, instant())
+                     : x.payload_start_us + gen.uniform(1.0, 600.0);
+      x.payload_mw = common::MilliWatt{powers_mw[gen.uniform_int(0, 4)]};
+      x.preamble_mw = gen.uniform() < 0.5
+                          ? x.payload_mw
+                          : common::MilliWatt{powers_mw[gen.uniform_int(0, 4)]};
+      x.p_err_payload = gen.uniform(0.0, p_scale);
+      x.p_err_preamble = gen.uniform(0.0, p_scale);
+      ledger.push_back(x);
+    }
+    // The ledger is in start order; ties keep their arrival order.
+    std::stable_sort(ledger.begin(), ledger.end(),
+                     [](const RelevantTx& a, const RelevantTx& b) {
+                       return a.start_us < b.start_us;
+                     });
+    // The engine stages only entries with some nonzero power.
+    staged.clear();
+    for (const auto& x : ledger) {
+      if (x.payload_mw > common::MilliWatt{} ||
+          x.preamble_mw > common::MilliWatt{}) {
+        staged.push_back(x);
+      }
+    }
+
+    const std::uint64_t seed = gen.engine()();
+    common::Rng ref_rng(seed), rng(seed);
+    const bool expected = per_symbol_scan(rx, ledger, ref_rng);
+    ASSERT_EQ(zigbee_symbols_survive(rx, staged, bounds, rng), expected);
+    // Same number of uniform() draws: both streams end in the same state.
+    ASSERT_TRUE(rng.engine() == ref_rng.engine());
+    common::Rng count_rng(seed);
+    while (!(count_rng.engine() == ref_rng.engine())) {
+      count_rng.uniform();
+      ++draws;
+    }
+    ++(expected ? delivered : lost);
+  }
+  // Both verdicts must be common for the comparison to mean much.
+  EXPECT_GT(delivered, kFrames / 5);
+  EXPECT_GT(lost, kFrames / 5);
+  EXPECT_GT(draws, 10 * kFrames);
 }
 
 TEST(FastPath, TwoNodePaperScenarioIsBitIdentical) {
+  const std::uint64_t expected[2][2] = {
+      {0xb7bbe1d5bb913a62ull, 0x4cfd8e5491200517ull},   // SledZig off
+      {0x8553a2c2ff72a558ull, 0xff114aa0559a678bull}};  // SledZig on
   for (const bool sledzig_on : {false, true}) {
     for (const double duty : {1.0, 0.5}) {
       const auto cfg = two_node_paper_scenario(
           core::SledzigConfig{}, sledzig_on, duty, /*d_wz_m=*/4.0,
           /*d_z_m=*/1.0, /*duration_s=*/3.0, /*seed=*/17);
-      expect_fast_matches_reference(
-          cfg, sledzig_on ? "sledzig on" : "sledzig off");
+      expect_digest(cfg, expected[sledzig_on ? 1 : 0][duty == 1.0 ? 0 : 1],
+                    sledzig_on ? "sledzig on" : "sledzig off");
     }
   }
 }
@@ -72,16 +216,16 @@ TEST(FastPath, MultiNodeGridWithJammerAndFaultsIsBitIdentical) {
   cfg.faults.jammers.push_back(jam);
   cfg.faults.random.crash_rate_per_s = 0.5;
   cfg.faults.random.mean_downtime_us = 200000.0;
-  expect_fast_matches_reference(cfg, "grid + jammer + crashes");
+  expect_digest(cfg, 0xdb409278eecf44e8ull, "grid + jammer + crashes");
 }
 
 TEST(FastPath, CampusScenarioIsBitIdentical) {
   const auto cfg = campus_scenario(/*ap_grid_x=*/2, /*ap_grid_y=*/2,
                                    /*sensors_per_ap=*/3, /*spacing_m=*/20.0,
                                    /*duration_s=*/1.0, /*seed=*/31);
-  // At 20 m spacing nothing reaches the default prune floor, so even with
-  // pruning armed the fast path must be exact here.
-  expect_fast_matches_reference(cfg, "campus 2x2x3");
+  // At 20 m spacing nothing reaches the prune floor, so this digest is
+  // the unpruned per-symbol one as well.
+  expect_digest(cfg, 0x9baaf7990779d476ull, "campus 2x2x3");
 }
 
 TEST(FastPath, ReplicationDigestsAreThreadCountInvariant) {
@@ -103,8 +247,9 @@ TEST(FastPath, ReplicationDigestsAreThreadCountInvariant) {
 
 TEST(FastPath, ControlledRunsAreBitIdentical) {
   // Control-plane retunes (SledZig toggles, ZigBee channel hops) rewrite
-  // links mid-run through the same writer as the build-time fill, so both
-  // arms must still agree after every retune.
+  // links mid-run through the same writer as the build-time fill, and
+  // segment-run delivery must read the retuned tables exactly as the
+  // per-symbol scan did.
   auto ab = control_ab_scenario(/*controlled=*/true, /*duration_s=*/1.0,
                                 /*seed=*/11);
   ab.metrics = nullptr;
@@ -122,7 +267,9 @@ TEST(FastPath, ControlledRunsAreBitIdentical) {
 
   std::size_t hops = 0;
   std::size_t toggles = 0;
-  for (const auto* cfg : {&ab, &campus}) {
+  const std::pair<const ScenarioConfig*, std::uint64_t> runs[] = {
+      {&ab, 0x9a6e201303ece269ull}, {&campus, 0x6ddc3c814da0b25bull}};
+  for (const auto& [cfg, expected] : runs) {
     ScenarioConfig traced = *cfg;
     traced.record_trace = true;
     const auto r = run_scenario(traced);
@@ -130,7 +277,7 @@ TEST(FastPath, ControlledRunsAreBitIdentical) {
       hops += e.type == TraceType::kControlHop ? 1 : 0;
       toggles += e.type == TraceType::kControlSledzig ? 1 : 0;
     }
-    EXPECT_EQ(r.trace_digest, digest_of(*cfg, /*fast=*/false));
+    EXPECT_EQ(r.trace_digest, expected) << std::hex << r.trace_digest;
   }
   // Both retune paths must actually run for the comparison to mean much.
   EXPECT_GT(hops, 0u);
@@ -205,21 +352,61 @@ TEST(FastPath, ActivePruningMatchesReferenceStatistically) {
     EXPECT_EQ(far->at(point, 0).state, LinkState::kPruned) << point;
   }
 
+  // The unpruned arm: a copy of the cache with every pruned link
+  // relabelled live, so the AP's drawn powers reach the tables.  Pruned
+  // links are filled under the prune-epsilon check, so a bad prune would
+  // throw in the pruned arm.
   const ScenarioConfig cfg = scenario(10000.0);
+  auto unpruned = std::make_shared<LinkCache>(*far);
+  for (auto& link : unpruned->coupled) {
+    if (link.state == LinkState::kPruned) link.state = LinkState::kLive;
+  }
   constexpr std::size_t kReps = 40;
-  const auto mean_prr = [&](bool prune) {
+  const auto mean_prr = [&](std::shared_ptr<const LinkCache> cache) {
     ScenarioConfig c = cfg;
-    c.fastpath.prune = prune;
-    c.fastpath.cross_check = prune;  // armed: a bad prune would throw
+    c.link_cache = std::move(cache);
     const auto runs = run_replications(c, kReps);
     double sum = 0.0;
     for (const auto& r : runs) sum += r.zigbee[0].prr;
     return sum / static_cast<double>(kReps);
   };
-  const double pruned = mean_prr(true);
-  const double reference = mean_prr(false);
+  const double pruned = mean_prr(far);
+  const double reference = mean_prr(unpruned);
   EXPECT_GT(reference, 0.5);  // the link itself must be healthy
   EXPECT_NEAR(pruned, reference, 0.02);
+}
+
+TEST(FastPath, LoudPrunedLinkFailsTheTableFill) {
+  // A pruned link is held as exactly 0 mW, which is sound only while its
+  // drawn power stays under the listener's prune epsilon.  Relabel the
+  // AP's loud link at the mote's receiver point as pruned: the fill must
+  // refuse it, naming the listening point and the transmitter.
+  ScenarioConfig cfg = two_node_paper_scenario(
+      core::SledzigConfig{}, /*sledzig_on=*/true, /*wifi_duty_ratio=*/0.5,
+      /*d_wz_m=*/4.0, /*d_z_m=*/1.0, /*duration_s=*/0.2, /*seed=*/3);
+  auto cache = std::make_shared<LinkCache>(*LinkCache::build(cfg));
+  // T = 2: the mote (node 1) receives at point T + 1 = 3; the AP is tx 0.
+  const std::size_t point = 3;
+  const std::uint32_t tx = 0;
+  ASSERT_EQ(cache->at(point, tx).state, LinkState::kLive);
+  for (auto k = cache->coupled_off[point]; k < cache->coupled_off[point + 1];
+       ++k) {
+    if (cache->coupled[k].tx == tx) {
+      cache->coupled[k].state = LinkState::kPruned;
+    }
+  }
+  ASSERT_EQ(cache->at(point, tx).state, LinkState::kPruned);
+  cfg.link_cache = cache;
+  try {
+    run_scenario(cfg);
+    FAIL() << "a loud pruned link passed the table fill";
+  } catch (const std::invalid_argument& e) {
+    FAIL() << "rejected as an invalid config instead: " << e.what();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("listening point 3 "), std::string::npos) << what;
+    EXPECT_NE(what.find("(tx 0)"), std::string::npos) << what;
+  }
 }
 
 TEST(FastPath, CrossChannelWifiCellsDoNotDefer) {

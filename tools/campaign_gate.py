@@ -6,10 +6,10 @@ baseline, field by field, under configurable tolerance bands:
 
     campaign_gate.py --baseline BENCH_faults.json --candidate new.json
     campaign_gate.py --baseline BENCH_sim.json --candidate new.json \\
-        --band '*events_per_s=10' --band '*speedup=10'
+        --band '*events_per_s=10'
 
 Every leaf value is flattened to a dotted path ("crash_rate_2.prr",
-"campus_1100.fast_events_per_s").  Numeric leaves compare under the first
+"campus_1100.median_events_per_s").  Numeric leaves compare under the first
 matching band (fnmatch glob -> max relative deviation); non-numeric leaves
 and structure (missing / extra paths) must match exactly.
 
