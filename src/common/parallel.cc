@@ -18,6 +18,7 @@ namespace {
 
 /// Set while a thread is executing batch indices; nested parallel calls
 /// from inside a trial degrade to serial loops instead of deadlocking.
+// lint: allow(static-state): per-thread reentrancy flag; picks serial vs pool
 thread_local bool tl_in_batch = false;
 
 /// Handles resolved once; per-batch bumps only (never per index), so the

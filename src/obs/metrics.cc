@@ -41,6 +41,7 @@ struct TlsShardCache {
   void* shard = nullptr;
   std::map<std::uint64_t, void*> others;
 };
+// lint: allow(static-state): per-thread shard cache, one writer by construction
 thread_local TlsShardCache tls_shard_cache;
 
 template <typename T, std::size_t N>

@@ -7,6 +7,17 @@
 
 namespace sledzig::sim {
 
+ArbiterTables::ArbiterTables(std::size_t n)
+    : num_nodes(n),
+      power(2 * n * n),
+      audible(n * n, 0),
+      cca_noise_mw(n),
+      cca_threshold_dbm(n),
+      bit_words((n + 63) / 64),
+      comp(n, 0) {
+  nonzero_bits.assign(2 * n * bit_words, 0);
+}
+
 void ArbiterTables::set_link(std::size_t point, std::size_t tx,
                              const SegmentPower& sp) {
   power[point * num_nodes + tx] = sp;
@@ -26,27 +37,6 @@ void ArbiterTables::set_link(std::size_t point, std::size_t tx,
 
 Arbiter::Arbiter(ArbiterTables tables) : tables_(std::move(tables)) {
   by_comp_.resize(std::max<std::size_t>(1, tables_.num_comps));
-}
-
-Arbiter::Arbiter(ArbiterStorage storage)
-    : tables_(std::move(storage.tables)),
-      txs_(std::move(storage.txs)),
-      active_(std::move(storage.active)),
-      by_comp_(std::move(storage.by_comp)) {
-  txs_.clear();
-  active_.clear();
-  for (auto& v : by_comp_) v.clear();  // keep each ledger's capacity
-  by_comp_.resize(std::max<std::size_t>(1, tables_.num_comps));
-}
-
-ArbiterStorage Arbiter::release() {
-  ArbiterStorage out{std::move(tables_), std::move(txs_), std::move(active_),
-                     std::move(by_comp_)};
-  tables_ = ArbiterTables{};
-  txs_ = std::vector<Transmission>();
-  active_ = std::vector<std::uint32_t>();
-  by_comp_ = std::vector<std::vector<std::uint32_t>>();
-  return out;
 }
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters)

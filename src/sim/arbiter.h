@@ -45,6 +45,10 @@ struct Transmission {
 /// (delivery): power[point * N + tx_node].  set_link is the only writer of
 /// `power`, `nonzero_bits` and `audible`, so the three always agree.
 struct ArbiterTables {
+  /// Tables for `num_nodes` nodes: every link 0 mW and inaudible, CCA
+  /// noise and thresholds zero, and every node in coupling component 0.
+  explicit ArbiterTables(std::size_t num_nodes = 0);
+
   std::size_t num_nodes = 0;
   std::vector<SegmentPower> power;        // 2N x N
   std::vector<char> audible;  // N x N: ED-visible at tx point
@@ -72,26 +76,9 @@ struct ArbiterTables {
   void set_link(std::size_t point, std::size_t tx, const SegmentPower& sp);
 };
 
-/// Everything an Arbiter owns, as recyclable storage: the power tables and
-/// the ledger vectors.  A run hands its storage back via release() and the
-/// next run adopts the capacity through the storage constructor — only
-/// capacity survives (tables are refilled, ledgers cleared), so reuse can
-/// never leak state between runs.
-struct ArbiterStorage {
-  ArbiterTables tables;
-  std::vector<Transmission> txs;
-  std::vector<std::uint32_t> active;
-  std::vector<std::vector<std::uint32_t>> by_comp;
-};
-
 class Arbiter {
  public:
   explicit Arbiter(ArbiterTables tables);
-  /// Adopts recycled storage: `storage.tables` must already be filled for
-  /// this run; the ledger vectors are cleared (capacity kept).
-  explicit Arbiter(ArbiterStorage storage);
-  /// Hands all storage back for reuse.  The arbiter is left empty.
-  ArbiterStorage release();
 
   /// Registers a transmission starting now.  Starts are non-decreasing
   /// (event time only moves forward), which keeps the ledger sorted.
@@ -110,7 +97,6 @@ class Arbiter {
   void abort_tx(std::uint32_t tx_id, double now_us);
 
   const Transmission& tx(std::uint32_t tx_id) const { return txs_[tx_id]; }
-  std::size_t tx_count() const { return txs_.size(); }
 
   /// Energy detect at `listener`'s transmitter position: is any audible
   /// foreign transmission on air at `t`?  (Single-source ED: a source is

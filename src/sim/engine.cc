@@ -6,6 +6,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -56,22 +57,6 @@ SegmentPower shadowed(const Link& e, common::Db jitter) {
   return sp;
 }
 
-/// Recyclable heap storage for one run: the event heap, the arbiter's
-/// tables and ledger, the perr cache, the notify adjacency lists, and the
-/// delivery scratch vectors.  A run adopts the capacity on entry and hands
-/// it back on exit; every buffer is resized or cleared before use, so only
-/// *capacity* survives between runs — contents never do, which keeps
-/// workspace reuse invisible to the digest.
-struct RunWorkspace {
-  std::vector<Event> events;
-  ArbiterStorage arb;
-  std::vector<double> perr;
-  std::vector<std::uint32_t> adj;      // CSR: audible wifi listeners per tx
-  std::vector<std::uint32_t> adj_off;  // num_total + 1 offsets into adj
-  std::vector<RelevantTx> rel;         // delivery scratch: staged interferers
-  std::vector<double> bounds;          // delivery scratch: segment boundaries
-};
-
 /// Does a prebuilt cache have this config's dimensions?  Only the node
 /// counts are checked: a cache of the right shape is used as is, so its
 /// content is the caller's (see ScenarioConfig::link_cache).
@@ -86,56 +71,32 @@ bool cache_matches(const LinkCache* cache, const ScenarioConfig& cfg) {
 /// no global state and replications can fan out freely.
 class Engine {
  public:
-  Engine(const ScenarioConfig& cfg, RunWorkspace& ws);
+  explicit Engine(const ScenarioConfig& cfg);
   SimResult run();
 
  private:
-  struct WifiNode {
-    WifiNodeConfig cfg;
-    mac::WifiCsmaMachine machine;
+  /// One record per real node, at its global index (WiFi 0..W-1, then
+  /// ZigBee): the state both kinds share, fault-layer state included.
+  /// The MAC machine and the kind-only fields live in WifiNode /
+  /// ZigbeeNode at the kind-local index; the node's config is
+  /// cfg_.wifi[i] / cfg_.zigbee[j].
+  struct Node {
     TrafficSource traffic;
     std::deque<double> queue;  // arrival times of queued frames
     std::uint64_t token = 0;
     bool serving = false;  // a frame is between frame_ready and completion
-    NodeStats stats;
-    double burst_us = 0.0;
-    double bits_per_frame = 0.0;
-    // Own frame's power at the served station.
-    common::MilliWatt signal_mw{};
-    double serve_start_us = 0.0;  // when the head frame entered CSMA
-    /// Payload bits actually delivered, accumulated at the per-frame rate
-    /// current at delivery time — the throughput source of truth when the
-    /// control plane can retoggle SledZig (and the frame rate) mid-run.
-    double delivered_bits = 0.0;
-    /// The control plane's traffic-shaping factor (1.0 when unshaped).
-    double shape_scale = 1.0;
-  };
-
-  struct ZigbeeNode {
-    ZigbeeNodeConfig cfg;
-    mac::ZigbeeCsmaMachine machine;
-    TrafficSource traffic;
-    common::Rng delivery_rng;
-    std::deque<double> queue;
-    std::uint64_t token = 0;
-    bool serving = false;
-    NodeStats stats;
-    double airtime_us = 0.0;  // frame duration
-    double bits_per_frame = 0.0;
-    common::MilliWatt signal_mw{};
-    double sensitivity_loss = 0.0;
-    double p_err_idle = 0.0;           // payload shape, no interferer
-    double p_err_idle_preamble = 0.0;  // preamble shape, no interferer
     double serve_start_us = 0.0;  // when the head frame (re-)entered CSMA
-    // CCA assessment tallies, observed by the control plane as per-epoch
-    // deltas (a deterministic in-engine stand-in for a busy-channel scan).
-    std::uint64_t cca_busy_count = 0;
-    std::uint64_t cca_clear_count = 0;
-  };
+    NodeStats stats;
+    double bits_per_frame = 0.0;
+    /// Own frame's power at the node's receiver.
+    common::MilliWatt signal_mw{};
+    // CCA assessment tallies (ZigBee only; WiFi carrier sense is not
+    // tallied), observed by the control plane as per-epoch deltas (a
+    // deterministic in-engine stand-in for a busy-channel scan).
+    std::uint64_t cca_busy = 0;
+    std::uint64_t cca_clear = 0;
 
-  /// Fault-layer state for one real node, kept beside (not inside) the node
-  /// structs so the aggregate initializers above stay untouched.
-  struct NodeFaultState {
+    // --- fault layer ---
     bool alive = true;
     bool muted = false;  ///< TX chain off: transmit attempts fail silently
     bool deaf = false;   ///< RX chain off: frames at this receiver are lost
@@ -149,6 +110,26 @@ class Engine {
     double surge = 1.0;    ///< traffic-rate factor of the current surge
     double skew_us = 0.0;  ///< first-arrival clock offset
     std::uint32_t active_tx = UINT32_MAX;  ///< in-flight ledger id, if any
+  };
+
+  struct WifiNode {
+    mac::WifiCsmaMachine machine;
+    double burst_us = 0.0;  // preamble + payload airtime
+    /// Payload bits actually delivered, accumulated at the per-frame rate
+    /// current at delivery time — the throughput source of truth when the
+    /// control plane can retoggle SledZig (and the frame rate) mid-run.
+    double delivered_bits = 0.0;
+    /// The control plane's traffic-shaping factor (1.0 when unshaped).
+    double shape_scale = 1.0;
+  };
+
+  struct ZigbeeNode {
+    mac::ZigbeeCsmaMachine machine;
+    common::Rng delivery_rng;
+    double airtime_us = 0.0;  // frame duration
+    double sensitivity_loss = 0.0;
+    double p_err_idle = 0.0;           // payload shape, no interferer
+    double p_err_idle_preamble = 0.0;  // preamble shape, no interferer
   };
 
   std::uint32_t global(std::size_t wifi_i) const {
@@ -183,7 +164,8 @@ class Engine {
   /// constructor fill would have produced for the same spectrum picture.
   void retune_pair(std::size_t point, std::size_t tx);
   void rebuild_adjacency();
-  double zig_symbol_perr(const ZigbeeNode& zn, common::MilliWatt interference,
+  /// Node g's symbol error probability under `interference`.
+  double zig_symbol_perr(std::uint32_t g, common::MilliWatt interference,
                          bool preamble) const;
   /// Mote j's own-link budget and its whole perr_ row, from the current
   /// receiver-point powers.
@@ -201,11 +183,17 @@ class Engine {
   void apply_zigbee_step(std::size_t j, mac::ZigbeeCsmaMachine::Step step,
                          double now);
   void serve_next(std::uint32_t node, double t);
+  /// The head frame is terminal (delivered, lost or dropped): dequeue it
+  /// and serve the next.
+  void finish_frame(std::uint32_t g, double t);
   void start_wifi_tx(std::size_t i, double now);
   void start_zigbee_tx(std::size_t j, double now);
   void notify_busy(std::uint32_t tx_node, double now);
   void notify_idle(double now);
 
+  /// WiFi node i's payload bits per frame, with or without SledZig's
+  /// extra bits: the frame keeps its airtime, so SledZig trades bits.
+  double wifi_frame_bits(std::size_t i, bool sledzig) const;
   bool wifi_frame_delivered(std::size_t i, const Transmission& tx) const;
   bool zigbee_frame_delivered(std::size_t j, const Transmission& tx);
 
@@ -216,7 +204,7 @@ class Engine {
   /// A node's own-clock mapping of an absolute step time: the interval the
   /// MAC asked for, stretched by the node's drift factor.
   double warp(std::uint32_t g, double now, double at) const {
-    const double d = fstate_[g].drift;
+    const double d = nodes_[g].drift;
     return d == 1.0 ? at : now + (at - now) * d;
   }
 
@@ -227,17 +215,20 @@ class Engine {
   std::size_t num_nodes_;
   std::size_t num_jammers_;
   std::size_t num_total_;  // nodes + jammer pseudo-nodes (power-table dim)
+  std::vector<Node> nodes_;  // per real node, by global index
   std::vector<WifiNode> wifi_;
   std::vector<ZigbeeNode> zigbee_;
-  std::vector<NodeFaultState> fstate_;  // per real node
-  std::vector<FaultAction> actions_;    // compiled fault schedule
+  std::vector<FaultAction> actions_;  // compiled fault schedule
   std::vector<double> perr_;  // M x num_total x {payload, preamble segment}
   common::MilliWatt noise20_mw_;
   common::MilliWatt noise2_mw_;
   common::Db impair_penalty_db_;
-  RunWorkspace* ws_;
   Arbiter arbiter_;
   EventQueue queue_;
+  std::vector<std::uint32_t> adj_;      // CSR: audible wifi listeners per tx
+  std::vector<std::uint32_t> adj_off_;  // num_total + 1 offsets into adj_
+  std::vector<RelevantTx> rel_;         // delivery scratch: staged interferers
+  std::vector<double> bounds_;          // delivery scratch: segment bounds
   SimInvariants inv_;
   std::uint64_t digest_ = kFnvOffset;
   std::uint64_t events_ = 0;
@@ -250,23 +241,14 @@ class Engine {
   std::vector<TraceEvent> trace_;
 
   // --- control plane (DESIGN.md §18), inert unless cfg.control.active() ---
-  /// Cumulative counter values at the previous epoch boundary; the epoch
-  /// observation is the delta against these.
-  struct PrevCounters {
-    std::uint64_t generated = 0;
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t cca_busy = 0;
-    std::uint64_t cca_clear = 0;
-    double airtime_us = 0.0;
-  };
   bool control_active_ = false;
   bool sledzig_on_ = false;  ///< runtime scheme (starts at cfg.sledzig_enabled)
   std::unique_ptr<control::Controller> controller_;
   std::uint64_t control_epoch_ = 0;
-  std::vector<control::NodeObservation> obs_wifi_, obs_zigbee_;
-  std::vector<PrevCounters> prev_wifi_, prev_zigbee_;
+  /// Per real node: the epoch's observation, and the cumulative counters
+  /// at the previous boundary it is the delta against.
+  std::vector<control::NodeObservation> obs_;
+  std::vector<control::NodeObservation> obs_base_;
   /// Current band centre per real node (hops update it); only filled when
   /// the control plane is active.
   std::vector<double> center_hz_;
@@ -280,7 +262,7 @@ class Engine {
   void flush_metrics() const;
 };
 
-Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
+Engine::Engine(const ScenarioConfig& cfg)
     : cfg_(cfg),
       duration_us_(cfg.duration_s * 1e6),
       num_wifi_(cfg.wifi.size()),
@@ -291,9 +273,7 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
       noise20_mw_(common::to_mw(channel::kNoiseFloor20MhzDbm)),
       noise2_mw_(common::to_mw(channel::kNoiseFloor2MhzDbm)),
       impair_penalty_db_(cfg.impairment.snr_penalty_db()),
-      ws_(&ws),
       arbiter_(ArbiterTables{}),
-      queue_(std::move(ws.events)),
       inv_(cfg.invariants, cfg.seed) {
   if (!(cfg_.duration_s > 0.0)) {
     throw std::invalid_argument("ScenarioConfig: duration_s must be > 0");
@@ -303,6 +283,7 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
   }
 
   // --- nodes, their machines and RNG streams (all index-derived) ---
+  nodes_.reserve(num_nodes_);
   wifi_.reserve(num_wifi_);
   for (std::size_t i = 0; i < num_wifi_; ++i) {
     const auto& nc = cfg_.wifi[i];
@@ -311,51 +292,33 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
     const double csma_gap =
         nc.mac.difs_us +
         nc.mac.slot_us * static_cast<double>(nc.mac.cw - 1) / 2.0;
-    double bits = static_cast<double>(wifi::data_bits_per_symbol(
-                      cfg_.sledzig.modulation, cfg_.sledzig.rate)) *
-                  (nc.mac.airtime_us / wifi::kSymbolDurationUs);
-    if (cfg_.sledzig_enabled) bits *= 1.0 - core::throughput_loss(cfg_.sledzig);
+    nodes_.push_back(Node{
+        .traffic = TrafficSource(nc.traffic, burst, csma_gap,
+                                 common::derive_seed(cfg_.seed, 4 * g + 2)),
+        .bits_per_frame = wifi_frame_bits(i, cfg_.sledzig_enabled)});
     wifi_.push_back(WifiNode{
-        nc,
         mac::WifiCsmaMachine(nc.mac, common::derive_seed(cfg_.seed, 4 * g)),
-        TrafficSource(nc.traffic, burst, csma_gap,
-                      common::derive_seed(cfg_.seed, 4 * g + 2)),
-        {},
-        0,
-        false,
-        {},
-        burst,
-        bits,
-        {}});
+        burst});
   }
   zigbee_.reserve(num_zigbee_);
   for (std::size_t j = 0; j < num_zigbee_; ++j) {
     const auto& nc = cfg_.zigbee[j];
     const std::uint64_t g = global_z(j);
     const double airtime = mac::zigbee_frame_airtime_us(nc.mac.payload_octets);
+    nodes_.push_back(Node{
+        .traffic = TrafficSource(nc.traffic, airtime, 0.0,
+                                 common::derive_seed(cfg_.seed, 4 * g + 2)),
+        .bits_per_frame = static_cast<double>(nc.mac.payload_octets) * 8.0});
     zigbee_.push_back(ZigbeeNode{
-        nc,
         mac::ZigbeeCsmaMachine(nc.mac, common::derive_seed(cfg_.seed, 4 * g)),
-        TrafficSource(nc.traffic, airtime, 0.0,
-                      common::derive_seed(cfg_.seed, 4 * g + 2)),
-        common::Rng(common::derive_seed(cfg_.seed, 4 * g + 1)),
-        {},
-        0,
-        false,
-        {},
-        airtime,
-        static_cast<double>(nc.mac.payload_octets) * 8.0,
-        {},
-        0.0,
-        0.0});
+        common::Rng(common::derive_seed(cfg_.seed, 4 * g + 1)), airtime});
   }
 
-  // --- fault layer: per-node state, clocks and the compiled schedule ---
-  fstate_.assign(num_nodes_, NodeFaultState{});
+  // --- fault layer: clocks and the compiled schedule ---
   for (std::size_t n = 0;
        n < std::min(cfg_.faults.clocks.size(), num_nodes_); ++n) {
-    fstate_[n].skew_us = cfg_.faults.clocks[n].skew_us;
-    fstate_[n].drift = 1.0 + cfg_.faults.clocks[n].drift_ppm * 1e-6;
+    nodes_[n].skew_us = cfg_.faults.clocks[n].skew_us;
+    nodes_[n].drift = 1.0 + cfg_.faults.clocks[n].drift_ppm * 1e-6;
   }
   if (cfg_.faults.any()) {
     actions_ = FaultScheduler::compile(cfg_.faults, cfg_.seed, duration_us_,
@@ -372,10 +335,8 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
       control_active_ &&
       (cfg_.control.sledzig.enabled || cfg_.control.hop.enabled);
   if (control_active_) {
-    prev_wifi_.assign(num_wifi_, PrevCounters{});
-    prev_zigbee_.assign(num_zigbee_, PrevCounters{});
-    obs_wifi_.assign(num_wifi_, control::NodeObservation{});
-    obs_zigbee_.assign(num_zigbee_, control::NodeObservation{});
+    obs_.assign(num_nodes_, control::NodeObservation{});
+    obs_base_.assign(num_nodes_, control::NodeObservation{});
     center_hz_.assign(num_nodes_, 0.0);
     for (std::size_t w = 0; w < num_wifi_; ++w) {
       center_hz_[w] = wifi_node_center_hz(cfg_.wifi[w].channel);
@@ -403,15 +364,7 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
                                                  : LinkCache::build(cfg_);
   common::Rng jitter_rng(
       common::derive_seed(cfg_.seed, 4 * num_nodes_ + 3));
-  ArbiterStorage storage = std::move(ws.arb);
-  ArbiterTables& tables = storage.tables;
-  tables.num_nodes = num_total_;
-  tables.power.assign(2 * num_total_ * num_total_, SegmentPower{});
-  tables.audible.assign(num_total_ * num_total_, 0);
-  tables.bit_words = (num_total_ + 63) / 64;
-  tables.nonzero_bits.assign(2 * num_total_ * tables.bit_words, 0);
-  tables.cca_noise_mw.resize(num_total_);
-  tables.cca_threshold_dbm.resize(num_total_);
+  ArbiterTables tables(num_total_);
   for (std::size_t n = 0; n < num_total_; ++n) {
     const bool is_zigbee = n >= num_wifi_ && n < num_nodes_;
     tables.cca_noise_mw[n] = common::to_mw(
@@ -420,13 +373,10 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
                                             : channel::kWifiCcaThresholdDbm;
   }
   // A runtime channel hop can couple nodes across the cache's static
-  // components, so a hop-armed run keeps every node in component 0: one
-  // global ledger (cross-component power is 0 mW, so splitting is a scan
-  // optimisation, never a semantic one).
-  if (control_active_ && cfg_.control.hop.enabled) {
-    tables.comp.assign(num_total_, 0);
-    tables.num_comps = 1;
-  } else {
+  // components, so a hop-armed run keeps every node in component 0 (the
+  // tables' default): one global ledger (cross-component power is 0 mW, so
+  // splitting is a scan optimisation, never a semantic one).
+  if (!(control_active_ && cfg_.control.hop.enabled)) {
     tables.comp.assign(cache->comp.begin(), cache->comp.end());
     tables.num_comps = cache->num_comps;
   }
@@ -464,16 +414,15 @@ Engine::Engine(const ScenarioConfig& cfg, RunWorkspace& ws)
       // CCA energy sums and unable to win a strict-> worst-interferer.
     }
   }
-  arbiter_ = Arbiter(std::move(storage));
+  arbiter_ = Arbiter(std::move(tables));
 
   // --- notify adjacency: the audible WiFi listeners of each transmitter ---
   rebuild_adjacency();
 
   // --- own-link budgets and cached per-interferer symbol error probs ---
   for (std::size_t i = 0; i < num_wifi_; ++i) {
-    wifi_[i].signal_mw = arbiter_.rx_power(global(i), global(i)).payload_mw;
+    nodes_[i].signal_mw = arbiter_.rx_power(global(i), global(i)).payload_mw;
   }
-  perr_ = std::move(ws.perr);
   perr_.assign(num_zigbee_ * num_total_ * 2, 0.0);
   for (std::size_t j = 0; j < num_zigbee_; ++j) refresh_mote(j);
 
@@ -551,7 +500,7 @@ void Engine::push_arrival(std::uint32_t node, double t) {
   // The arrival carries the node's current epoch; a crash bumps the epoch,
   // so the whole pending chain goes stale at once.
   if (t < duration_us_) {
-    queue_.push(t, EventType::kArrival, node, fstate_[node].arrival_epoch);
+    queue_.push(t, EventType::kArrival, node, nodes_[node].arrival_epoch);
   }
 }
 
@@ -564,18 +513,19 @@ void Engine::push_timer(std::uint32_t node, double t, std::uint64_t token) {
   } else {
     // The node's next MAC step lands past the horizon: remember that the
     // run (not a bug) cut it off, for the end-of-run liveness check.
-    fstate_[node].horizon_cut = true;
+    nodes_[node].horizon_cut = true;
   }
 }
 
 void Engine::apply_wifi_step(std::size_t i, mac::WifiCsmaMachine::Step step,
                              double now) {
   using Kind = mac::WifiCsmaMachine::Step::Kind;
+  const std::uint32_t g = global(i);
   switch (step.kind) {
     case Kind::kNone:
       break;
     case Kind::kTimerAt:
-      push_timer(global(i), warp(global(i), now, step.at), wifi_[i].token);
+      push_timer(g, warp(g, now, step.at), nodes_[g].token);
       break;
     case Kind::kTransmit:
       start_wifi_tx(i, now);
@@ -587,8 +537,8 @@ void Engine::apply_zigbee_step(std::size_t j,
                                mac::ZigbeeCsmaMachine::Step step,
                                double now) {
   using Kind = mac::ZigbeeCsmaMachine::Step::Kind;
-  auto& n = zigbee_[j];
   const std::uint32_t g = global_z(j);
+  auto& n = nodes_[g];
   switch (step.kind) {
     case Kind::kNone:
       break;
@@ -599,90 +549,81 @@ void Engine::apply_zigbee_step(std::size_t j,
     case Kind::kDropCca:
       ++n.stats.cca_dropped;
       trace(now, g, TraceType::kCcaDrop,
-            static_cast<std::int32_t>(n.machine.backoffs()), n.serve_start_us);
-      n.queue.pop_front();
-      n.serving = false;
-      serve_next(g, now);
+            static_cast<std::int32_t>(zigbee_[j].machine.backoffs()),
+            n.serve_start_us);
+      finish_frame(g, now);
       break;
   }
 }
 
 void Engine::serve_next(std::uint32_t node, double t) {
-  if (!fstate_[node].alive) return;  // a dead node schedules nothing
-  if (node < num_wifi_) {
-    auto& n = wifi_[node];
-    if (!n.queue.empty()) {
-      n.serving = true;
-      n.serve_start_us = t;
-      ++n.token;
-      apply_wifi_step(node, n.machine.frame_ready(t, arbiter_.busy_at(node, t)),
-                      t);
-    } else if (n.traffic.completion_clocked()) {
-      push_arrival(node, n.traffic.next_after(t));
+  auto& n = nodes_[node];
+  if (!n.alive) return;  // a dead node schedules nothing
+  if (!n.queue.empty()) {
+    n.serving = true;
+    n.serve_start_us = t;
+    ++n.token;
+    if (node < num_wifi_) {
+      apply_wifi_step(
+          node, wifi_[node].machine.frame_ready(t, arbiter_.busy_at(node, t)),
+          t);
+    } else {
+      const std::size_t j = node - num_wifi_;
+      apply_zigbee_step(j, zigbee_[j].machine.frame_ready(t), t);
     }
-  } else {
-    const std::size_t j = node - num_wifi_;
-    auto& n = zigbee_[j];
-    if (!n.queue.empty()) {
-      n.serving = true;
-      n.serve_start_us = t;
-      ++n.token;
-      apply_zigbee_step(j, n.machine.frame_ready(t), t);
-    } else if (n.traffic.completion_clocked()) {
-      push_arrival(node, n.traffic.next_after(t));
-    }
+  } else if (n.traffic.completion_clocked()) {
+    push_arrival(node, n.traffic.next_after(t));
   }
+}
+
+void Engine::finish_frame(std::uint32_t g, double t) {
+  auto& n = nodes_[g];
+  n.queue.pop_front();
+  n.serving = false;
+  serve_next(g, t);
 }
 
 void Engine::on_arrival(std::uint32_t node, double t) {
-  auto& stats =
-      node < num_wifi_ ? wifi_[node].stats : zigbee_[node - num_wifi_].stats;
-  auto& queue =
-      node < num_wifi_ ? wifi_[node].queue : zigbee_[node - num_wifi_].queue;
-  auto& traffic = node < num_wifi_ ? wifi_[node].traffic
-                                   : zigbee_[node - num_wifi_].traffic;
-  const bool serving =
-      node < num_wifi_ ? wifi_[node].serving : zigbee_[node - num_wifi_].serving;
-
-  ++stats.generated;
+  auto& n = nodes_[node];
+  ++n.stats.generated;
   trace(t, node, TraceType::kArrival);
-  if (!traffic.completion_clocked()) {
-    push_arrival(node, traffic.next_after(t));
+  if (!n.traffic.completion_clocked()) {
+    push_arrival(node, n.traffic.next_after(t));
   }
-  if (queue.size() >= cfg_.queue_capacity) {
-    ++stats.queue_dropped;
+  if (n.queue.size() >= cfg_.queue_capacity) {
+    ++n.stats.queue_dropped;
     trace(t, node, TraceType::kQueueDrop);
     return;
   }
-  queue.push_back(t);
+  n.queue.push_back(t);
   if (inv_.enabled()) {
-    inv_.on_queue_depth(node, queue.size(), cfg_.queue_capacity, t);
+    inv_.on_queue_depth(node, n.queue.size(), cfg_.queue_capacity, t);
   }
-  if (!serving) serve_next(node, t);
+  if (!n.serving) serve_next(node, t);
 }
 
 void Engine::on_wifi_timer(std::size_t i, double t) {
-  auto& n = wifi_[i];
-  ++n.token;
-  apply_wifi_step(i, n.machine.timer_fired(t), t);
+  ++nodes_[global(i)].token;
+  apply_wifi_step(i, wifi_[i].machine.timer_fired(t), t);
 }
 
 void Engine::on_zigbee_timer(std::size_t j, double t) {
-  auto& n = zigbee_[j];
+  auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
-  switch (n.machine.awaiting()) {
+  auto& n = nodes_[g];
+  switch (z.machine.awaiting()) {
     case mac::ZigbeeCsmaMachine::Awaiting::kCca: {
       const bool busy =
-          arbiter_.zigbee_cca_busy(g, t - n.cfg.mac.cca_us, t);
+          arbiter_.zigbee_cca_busy(g, t - cfg_.zigbee[j].mac.cca_us, t);
       if (busy) {
-        ++n.cca_busy_count;
+        ++n.cca_busy;
       } else {
-        ++n.cca_clear_count;
+        ++n.cca_clear;
       }
       trace(t, g, busy ? TraceType::kCcaBusy : TraceType::kCcaClear,
-            static_cast<std::int32_t>(n.machine.backoffs()));
+            static_cast<std::int32_t>(z.machine.backoffs()));
       ++n.token;
-      apply_zigbee_step(j, n.machine.cca_result(t, busy), t);
+      apply_zigbee_step(j, z.machine.cca_result(t, busy), t);
       break;
     }
     case mac::ZigbeeCsmaMachine::Awaiting::kTxStart:
@@ -695,64 +636,60 @@ void Engine::on_zigbee_timer(std::size_t j, double t) {
 }
 
 void Engine::start_wifi_tx(std::size_t i, double now) {
-  auto& n = wifi_[i];
+  auto& w = wifi_[i];
   const std::uint32_t g = global(i);
+  auto& n = nodes_[g];
   ++n.stats.sent;
-  if (fstate_[g].muted) {
+  if (n.muted) {
     // TX chain is off: the attempt never reaches the air.  WiFi does not
     // retry, so the frame is terminal — it exhausted its zero retries.
     ++n.stats.retry_exhausted;
     trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
-    n.machine.tx_done();
+    w.machine.tx_done();
     ++n.token;
-    n.queue.pop_front();
-    n.serving = false;
-    serve_next(g, now);
+    finish_frame(g, now);
     return;
   }
-  n.stats.airtime_us += n.burst_us;
+  n.stats.airtime_us += w.burst_us;
   trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
-  const std::uint32_t tx_id =
-      arbiter_.begin_tx(g, NodeKind::kWifi, now, now + n.cfg.mac.preamble_us,
-                        now + n.burst_us);
-  fstate_[g].active_tx = tx_id;
-  queue_.push(now + n.burst_us, EventType::kTxEnd, g, 0, tx_id);
+  n.active_tx = arbiter_.begin_tx(g, NodeKind::kWifi, now,
+                                  now + cfg_.wifi[i].mac.preamble_us,
+                                  now + w.burst_us);
+  queue_.push(now + w.burst_us, EventType::kTxEnd, g, 0, n.active_tx);
   notify_busy(g, now);
 }
 
 void Engine::start_zigbee_tx(std::size_t j, double now) {
-  auto& n = zigbee_[j];
+  auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
-  n.machine.tx_started();
+  auto& n = nodes_[g];
+  z.machine.tx_started();
   ++n.stats.sent;
-  if (fstate_[g].muted) {
+  if (n.muted) {
     // TX chain is off: no energy leaves the node and no ACK will come.
     // The machine sees an undelivered attempt, so macMaxFrameRetries
     // still applies (a muted window shorter than the retry budget only
     // delays the frame).
     trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
     ++n.token;
-    const auto step = n.machine.tx_done(now, false);
+    const auto step = z.machine.tx_done(now, false);
     if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
       ++n.stats.retries;
       n.serve_start_us = now;
       trace(now, g, TraceType::kRetry,
-            static_cast<std::int32_t>(n.machine.retries_left()));
+            static_cast<std::int32_t>(z.machine.retries_left()));
       apply_zigbee_step(j, step, now);
     } else {
       ++n.stats.retry_exhausted;
-      n.queue.pop_front();
-      n.serving = false;
-      serve_next(g, now);
+      finish_frame(g, now);
     }
     return;
   }
-  n.stats.airtime_us += n.airtime_us;
+  n.stats.airtime_us += z.airtime_us;
   trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
-  const std::uint32_t tx_id =
-      arbiter_.begin_tx(g, NodeKind::kZigbee, now, now, now + n.airtime_us);
-  fstate_[g].active_tx = tx_id;
-  queue_.push(now + n.airtime_us, EventType::kTxEnd, g, 0, tx_id);
+  n.active_tx =
+      arbiter_.begin_tx(g, NodeKind::kZigbee, now, now, now + z.airtime_us);
+  queue_.push(now + z.airtime_us, EventType::kTxEnd, g, 0, n.active_tx);
   notify_busy(g, now);
 }
 
@@ -761,12 +698,12 @@ void Engine::notify_busy(std::uint32_t tx_node, double now) {
   // unslotted 802.15.4 is oblivious outside its CCA windows.  The
   // adjacency list holds exactly the audible listeners, in the ascending
   // order the old all-pairs loop visited them, so this is O(degree).
-  const auto lo = ws_->adj_off[tx_node];
-  const auto hi = ws_->adj_off[tx_node + 1];
+  const auto lo = adj_off_[tx_node];
+  const auto hi = adj_off_[tx_node + 1];
   for (auto a = lo; a < hi; ++a) {
-    const std::size_t w = ws_->adj[a];
-    if (!fstate_[w].alive) continue;
-    ++wifi_[w].token;
+    const std::size_t w = adj_[a];
+    if (!nodes_[w].alive) continue;
+    ++nodes_[w].token;
     apply_wifi_step(w, wifi_[w].machine.medium_busy(now), now);
   }
 }
@@ -779,17 +716,25 @@ void Engine::notify_idle(double now) {
     // — the busy_at scan runs just for the few nodes actually deferring.
     if (!wifi_[w].machine.waiting()) continue;
     const auto g = global(w);
-    if (!fstate_[g].alive || arbiter_.busy_at(g, now)) continue;
-    ++wifi_[w].token;
+    if (!nodes_[g].alive || arbiter_.busy_at(g, now)) continue;
+    ++nodes_[g].token;
     apply_wifi_step(w, wifi_[w].machine.medium_idle(now), now);
   }
 }
 
+double Engine::wifi_frame_bits(std::size_t i, bool sledzig) const {
+  double bits = static_cast<double>(wifi::data_bits_per_symbol(
+                    cfg_.sledzig.modulation, cfg_.sledzig.rate)) *
+                (cfg_.wifi[i].mac.airtime_us / wifi::kSymbolDurationUs);
+  if (sledzig) bits *= 1.0 - core::throughput_loss(cfg_.sledzig);
+  return bits;
+}
+
 bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
-  const auto& n = wifi_[i];
   const std::uint32_t g = global(i);
+  const auto& n = nodes_[g];
   // A deaf station cannot decode anything, interference or not.
-  if (fstate_[g].deaf) return false;
+  if (n.deaf) return false;
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
@@ -815,32 +760,32 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
 }
 
 bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
-  auto& n = zigbee_[j];
+  auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
   // A deaf receiver loses the frame outright (and draws nothing from the
   // delivery stream — faults only perturb what they touch).
-  if (fstate_[g].deaf) return false;
+  if (nodes_[g].deaf) return false;
   // Frame-level sensitivity cliff (CC2420 practical sensitivity).
-  if (n.delivery_rng.uniform() < n.sensitivity_loss) return false;
+  if (z.delivery_rng.uniform() < z.sensitivity_loss) return false;
 
   // Stage the interferers in ledger (start-time) order.  Zero-power
   // entries (pruned or channel-disjoint interferers, which the table holds
   // as exactly 0 mW) can never win the strict-> comparison; dropping them
   // up front is what makes the scan O(degree).  The bit index answers "is
   // the link nonzero" without touching the power table at all.
-  auto& rel = ws_->rel;
-  rel.clear();
+  rel_.clear();
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
     if (x.node == g) continue;
     if (!arbiter_.rx_nonzero(g, x.node)) continue;
     const auto& sp = arbiter_.rx_power(g, x.node);
-    rel.push_back({x.start_us, x.payload_start_us, x.end_us, sp.preamble_mw,
-                   sp.payload_mw, perr(j, x.node, true), perr(j, x.node, false)});
+    rel_.push_back({x.start_us, x.payload_start_us, x.end_us, sp.preamble_mw,
+                    sp.payload_mw, perr(j, x.node, true),
+                    perr(j, x.node, false)});
   }
-  return zigbee_symbols_survive({tx.start_us, tx.end_us, n.p_err_idle}, rel,
-                                ws_->bounds, n.delivery_rng);
+  return zigbee_symbols_survive({tx.start_us, tx.end_us, z.p_err_idle}, rel_,
+                                bounds_, z.delivery_rng);
 }
 
 void Engine::on_tx_end(std::uint32_t tx_id, double t) {
@@ -854,36 +799,30 @@ void Engine::on_tx_end(std::uint32_t tx_id, double t) {
     notify_idle(t);
     return;
   }
-  fstate_[tx.node].active_tx = UINT32_MAX;
-  if (tx.kind == NodeKind::kWifi) {
-    const std::size_t i = tx.node;
-    auto& n = wifi_[i];
-    const bool ok = wifi_frame_delivered(i, tx);
+  auto& n = nodes_[tx.node];
+  n.active_tx = UINT32_MAX;
+  const bool wifi = tx.kind == NodeKind::kWifi;
+  const bool ok = wifi ? wifi_frame_delivered(tx.node, tx)
+                       : zigbee_frame_delivered(tx.node - num_wifi_, tx);
+  if (ok) ++n.stats.delivered;
+  trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
+        tx.start_us);
+  ++n.token;
+  if (wifi) {
     // WiFi never retries, so a lost frame is terminal: it exhausted its
     // zero permitted retries.  Without this bucket, lost WiFi frames
     // vanished from the per-node accounting entirely.
     if (ok) {
-      ++n.stats.delivered;
-      n.delivered_bits += n.bits_per_frame;
+      wifi_[tx.node].delivered_bits += n.bits_per_frame;
     } else {
       ++n.stats.retry_exhausted;
     }
-    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
-          tx.start_us);
-    n.machine.tx_done();
-    ++n.token;
-    n.queue.pop_front();
-    n.serving = false;
-    serve_next(tx.node, t);
+    wifi_[tx.node].machine.tx_done();
+    finish_frame(tx.node, t);
   } else {
     const std::size_t j = tx.node - num_wifi_;
-    auto& n = zigbee_[j];
-    const bool ok = zigbee_frame_delivered(j, tx);
-    if (ok) ++n.stats.delivered;
-    trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
-          tx.start_us);
-    ++n.token;
-    const auto step = n.machine.tx_done(t, ok);
+    auto& z = zigbee_[j];
+    const auto step = z.machine.tx_done(t, ok);
     if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
       // Lost with retries left: the frame stays at the queue front and
       // re-enters CSMA — count the retry once, here only (`sent` picks up
@@ -891,70 +830,61 @@ void Engine::on_tx_end(std::uint32_t tx_id, double t) {
       ++n.stats.retries;
       n.serve_start_us = t;
       trace(t, tx.node, TraceType::kRetry,
-            static_cast<std::int32_t>(n.machine.retries_left()));
+            static_cast<std::int32_t>(z.machine.retries_left()));
       apply_zigbee_step(j, step, t);
     } else {
       // Terminal: delivered, or lost with macMaxFrameRetries exhausted.
       if (!ok) ++n.stats.retry_exhausted;
-      n.queue.pop_front();
-      n.serving = false;
-      serve_next(tx.node, t);
+      finish_frame(tx.node, t);
     }
   }
   notify_idle(t);
 }
 
 void Engine::crash_node(std::uint32_t g, double t) {
-  auto& fs = fstate_[g];
-  if (!fs.alive) return;  // overlapping crash windows: already dead
-  fs.alive = false;
-  const bool is_wifi = g < num_wifi_;
-  auto& queue = is_wifi ? wifi_[g].queue : zigbee_[g - num_wifi_].queue;
-  auto& stats = is_wifi ? wifi_[g].stats : zigbee_[g - num_wifi_].stats;
+  auto& n = nodes_[g];
+  if (!n.alive) return;  // overlapping crash windows: already dead
+  n.alive = false;
 
   // Abort any in-flight emission: the carrier drops dead at t, and the
   // airtime that never flew is refunded.
   bool aborted = false;
-  if (fs.active_tx != UINT32_MAX) {
-    const Transmission tx = arbiter_.tx(fs.active_tx);
-    arbiter_.abort_tx(fs.active_tx, t);
+  if (n.active_tx != UINT32_MAX) {
+    const Transmission tx = arbiter_.tx(n.active_tx);
+    arbiter_.abort_tx(n.active_tx, t);
     trace(t, g, TraceType::kTxAborted, 0, tx.start_us);
-    stats.airtime_us -= std::max(0.0, tx.end_us - std::max(tx.start_us, t));
-    fs.active_tx = UINT32_MAX;
+    n.stats.airtime_us -= std::max(0.0, tx.end_us - std::max(tx.start_us, t));
+    n.active_tx = UINT32_MAX;
     aborted = true;
   }
 
   // Queue state is volatile: every held frame dies with the node.  The
   // head frame stays at the queue front until terminal, so this also
   // accounts the frame that was mid-CSMA or mid-air.
-  stats.lost_to_crash += queue.size();
+  n.stats.lost_to_crash += n.queue.size();
   trace(t, g, TraceType::kNodeCrash,
-        static_cast<std::int32_t>(queue.size()));
-  queue.clear();
-  if (is_wifi) {
-    wifi_[g].serving = false;
-    ++wifi_[g].token;  // cancel pending MAC timers
+        static_cast<std::int32_t>(n.queue.size()));
+  n.queue.clear();
+  n.serving = false;
+  ++n.token;  // cancel pending MAC timers
+  if (g < num_wifi_) {
     wifi_[g].machine.reset();
   } else {
-    zigbee_[g - num_wifi_].serving = false;
-    ++zigbee_[g - num_wifi_].token;
     zigbee_[g - num_wifi_].machine.reset();
   }
-  ++fs.arrival_epoch;  // orphan the pending arrival chain
+  ++n.arrival_epoch;  // orphan the pending arrival chain
   // Our aborted emission may have been what kept the others deferring.
   if (aborted) notify_idle(t);
 }
 
 void Engine::reboot_node(std::uint32_t g, double t) {
-  auto& fs = fstate_[g];
-  if (fs.alive) return;  // duplicate recovery: already up
-  fs.alive = true;
+  auto& n = nodes_[g];
+  if (n.alive) return;  // duplicate recovery: already up
+  n.alive = true;
   trace(t, g, TraceType::kNodeReboot);
   // Cold MAC (reset at crash time) and a fresh arrival chain under the
   // current epoch — the pre-crash chain stays orphaned.
-  auto& traffic =
-      g < num_wifi_ ? wifi_[g].traffic : zigbee_[g - num_wifi_].traffic;
-  push_arrival(g, traffic.next_after(t));
+  push_arrival(g, n.traffic.next_after(t));
 }
 
 void Engine::start_jam_burst(std::size_t jam_k, double t, double len_us) {
@@ -980,8 +910,8 @@ void Engine::on_fault(const FaultAction& a, double t) {
     case FaultKind::kMuteOn:
     case FaultKind::kMuteOff: {
       const bool on = a.kind == FaultKind::kMuteOn;
-      if (fstate_[a.node].muted != on) {
-        fstate_[a.node].muted = on;
+      if (nodes_[a.node].muted != on) {
+        nodes_[a.node].muted = on;
         trace(t, a.node, TraceType::kMute, on ? 1 : 0);
       }
       break;
@@ -989,8 +919,8 @@ void Engine::on_fault(const FaultAction& a, double t) {
     case FaultKind::kDeafOn:
     case FaultKind::kDeafOff: {
       const bool on = a.kind == FaultKind::kDeafOn;
-      if (fstate_[a.node].deaf != on) {
-        fstate_[a.node].deaf = on;
+      if (nodes_[a.node].deaf != on) {
+        nodes_[a.node].deaf = on;
         trace(t, a.node, TraceType::kDeaf, on ? 1 : 0);
       }
       break;
@@ -1001,14 +931,13 @@ void Engine::on_fault(const FaultAction& a, double t) {
     case FaultKind::kSurgeOn:
     case FaultKind::kSurgeOff: {
       const bool on = a.kind == FaultKind::kSurgeOn;
-      auto& traffic = a.node < num_wifi_ ? wifi_[a.node].traffic
-                                         : zigbee_[a.node - num_wifi_].traffic;
+      auto& n = nodes_[a.node];
       // Compose with the control plane's shaping factor (the two layers
       // must not clobber each other; x * 1.0 is exact).
-      fstate_[a.node].surge = on ? a.magnitude : 1.0;
+      n.surge = on ? a.magnitude : 1.0;
       const double shape =
           a.node < num_wifi_ ? wifi_[a.node].shape_scale : 1.0;
-      traffic.set_rate_scale(fstate_[a.node].surge * shape);
+      n.traffic.set_rate_scale(n.surge * shape);
       trace(t, a.node, TraceType::kSurge, on ? 1 : 0);
       break;
     }
@@ -1019,45 +948,44 @@ void Engine::rebuild_adjacency() {
   // CSR lists in ascending listener order, exactly the order the old
   // all-pairs notify_busy loop visited, so skipping inaudible listeners
   // changes nothing but the iteration count.
-  ws_->adj.clear();
-  ws_->adj_off.assign(num_total_ + 1, 0);
+  adj_.clear();
+  adj_off_.assign(num_total_ + 1, 0);
   for (std::size_t t = 0; t < num_total_; ++t) {
     for (std::size_t w = 0; w < num_wifi_; ++w) {
       if (w == t) continue;  // audible(w, w) is 0 anyway
       if (arbiter_.audible(static_cast<std::uint32_t>(w),
                            static_cast<std::uint32_t>(t))) {
-        ws_->adj.push_back(static_cast<std::uint32_t>(w));
+        adj_.push_back(static_cast<std::uint32_t>(w));
       }
     }
-    ws_->adj_off[t + 1] = static_cast<std::uint32_t>(ws_->adj.size());
+    adj_off_[t + 1] = static_cast<std::uint32_t>(adj_.size());
   }
 }
 
-double Engine::zig_symbol_perr(const ZigbeeNode& zn,
-                               common::MilliWatt interference,
+double Engine::zig_symbol_perr(std::uint32_t g, common::MilliWatt interference,
                                bool preamble) const {
   const common::Db sinr_db =
-      common::ratio_to_db(zn.signal_mw / (interference + noise2_mw_));
+      common::ratio_to_db(nodes_[g].signal_mw / (interference + noise2_mw_));
   return cfg_.error_model.symbol_error_prob(sinr_db, preamble);
 }
 
 void Engine::refresh_mote(std::size_t j) {
-  auto& zn = zigbee_[j];
+  auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
   const common::Dbm signal_dbm =
       common::to_dbm(arbiter_.rx_power(g, g).payload_mw) - impair_penalty_db_;
-  zn.signal_mw = common::to_mw(signal_dbm);
-  zn.sensitivity_loss = cfg_.error_model.sensitivity_loss_prob(
-      signal_dbm, zn.cfg.sensitivity_dbm);
-  zn.p_err_idle = zig_symbol_perr(zn, common::MilliWatt{}, false);
-  zn.p_err_idle_preamble = zig_symbol_perr(zn, common::MilliWatt{}, true);
+  nodes_[g].signal_mw = common::to_mw(signal_dbm);
+  z.sensitivity_loss = cfg_.error_model.sensitivity_loss_prob(
+      signal_dbm, cfg_.zigbee[j].sensitivity_dbm);
+  z.p_err_idle = zig_symbol_perr(g, common::MilliWatt{}, false);
+  z.p_err_idle_preamble = zig_symbol_perr(g, common::MilliWatt{}, true);
   for (std::size_t t = 0; t < num_total_; ++t) {
     if (t != g) set_perr(j, t);
   }
 }
 
 void Engine::set_perr(std::size_t j, std::size_t t) {
-  const auto& zn = zigbee_[j];
+  const auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
   const auto tx = static_cast<std::uint32_t>(t);
   double* p = &perr_[(j * num_total_ + t) * 2];
@@ -1069,13 +997,13 @@ void Engine::set_perr(std::size_t j, std::size_t t) {
     // Zeroed links (pruned edges, disjoint channels) all share the mote's
     // idle values; evaluating the error model only for nonzero links is
     // what keeps dense-campus construction O(edges).
-    p[0] = zn.p_err_idle;
-    p[1] = wifi_tx ? zn.p_err_idle_preamble : zn.p_err_idle;
+    p[0] = z.p_err_idle;
+    p[1] = wifi_tx ? z.p_err_idle_preamble : z.p_err_idle;
     return;
   }
   const SegmentPower& sp = arbiter_.rx_power(g, tx);
-  p[0] = zig_symbol_perr(zn, sp.payload_mw, false);
-  p[1] = zig_symbol_perr(zn, sp.preamble_mw, wifi_tx);
+  p[0] = zig_symbol_perr(g, sp.payload_mw, false);
+  p[1] = zig_symbol_perr(g, sp.preamble_mw, wifi_tx);
 }
 
 void Engine::retune_pair(std::size_t point, std::size_t tx) {
@@ -1110,14 +1038,9 @@ void Engine::apply_sledzig(bool engage, double t) {
     }
     refresh_mote(j);
   }
-  // The WiFi frame keeps its airtime; the scheme trades payload bits for
-  // coexistence, so the per-frame bit budget follows the toggle.
-  for (auto& n : wifi_) {
-    double bits = static_cast<double>(wifi::data_bits_per_symbol(
-                      cfg_.sledzig.modulation, cfg_.sledzig.rate)) *
-                  (n.cfg.mac.airtime_us / wifi::kSymbolDurationUs);
-    if (engage) bits *= 1.0 - core::throughput_loss(cfg_.sledzig);
-    n.bits_per_frame = bits;
+  // The per-frame bit budget follows the toggle.
+  for (std::size_t i = 0; i < num_wifi_; ++i) {
+    nodes_[global(i)].bits_per_frame = wifi_frame_bits(i, engage);
   }
   trace(t, 0, TraceType::kControlSledzig, engage ? 1 : 0);
 }
@@ -1126,7 +1049,6 @@ void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
   if (cfg_.zigbee[j].channel == channel) return;  // rotation met itself
   const std::size_t g = global_z(j);
   cfg_.zigbee[j].channel = channel;
-  zigbee_[j].cfg.channel = channel;
   center_hz_[g] = zigbee_node_center_hz(channel, cfg_.sledzig);
   const double sigma = cfg_.shadowing_sigma_db.value();
   // Every retuned pair re-draws its shadowing as the pure function
@@ -1175,38 +1097,27 @@ void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
 
 void Engine::on_control(double t) {
   // Per-epoch deltas against the previous boundary's cumulative counters.
-  for (std::size_t i = 0; i < num_wifi_; ++i) {
-    const auto& s = wifi_[i].stats;
-    auto& p = prev_wifi_[i];
-    auto& o = obs_wifi_[i];
-    o.generated = s.generated - p.generated;
-    o.sent = s.sent - p.sent;
-    o.delivered = s.delivered - p.delivered;
-    o.retry_exhausted = s.retry_exhausted - p.retry_exhausted;
-    o.cca_busy = 0;
-    o.cca_clear = 0;
-    o.airtime_us = s.airtime_us - p.airtime_us;
-    p = PrevCounters{s.generated, s.sent, s.delivered, s.retry_exhausted, 0, 0,
-                     s.airtime_us};
+  for (std::size_t g = 0; g < num_nodes_; ++g) {
+    const Node& n = nodes_[g];
+    const control::NodeObservation now{
+        n.stats.generated,       n.stats.sent, n.stats.delivered,
+        n.stats.retry_exhausted, n.cca_busy,   n.cca_clear,
+        n.stats.airtime_us};
+    control::NodeObservation& base = obs_base_[g];
+    obs_[g] = control::NodeObservation{
+        now.generated - base.generated,
+        now.sent - base.sent,
+        now.delivered - base.delivered,
+        now.retry_exhausted - base.retry_exhausted,
+        now.cca_busy - base.cca_busy,
+        now.cca_clear - base.cca_clear,
+        now.airtime_us - base.airtime_us};
+    base = now;
   }
-  for (std::size_t j = 0; j < num_zigbee_; ++j) {
-    const auto& n = zigbee_[j];
-    const auto& s = n.stats;
-    auto& p = prev_zigbee_[j];
-    auto& o = obs_zigbee_[j];
-    o.generated = s.generated - p.generated;
-    o.sent = s.sent - p.sent;
-    o.delivered = s.delivered - p.delivered;
-    o.retry_exhausted = s.retry_exhausted - p.retry_exhausted;
-    o.cca_busy = n.cca_busy_count - p.cca_busy;
-    o.cca_clear = n.cca_clear_count - p.cca_clear;
-    o.airtime_us = s.airtime_us - p.airtime_us;
-    p = PrevCounters{s.generated,     s.sent,          s.delivered,
-                     s.retry_exhausted, n.cca_busy_count, n.cca_clear_count,
-                     s.airtime_us};
-  }
+  const std::span<const control::NodeObservation> obs(obs_);
   const control::EpochSnapshot snap{control_epoch_, t, cfg_.control.epoch_us,
-                                    obs_wifi_, obs_zigbee_};
+                                    obs.first(num_wifi_),
+                                    obs.subspan(num_wifi_)};
   const std::vector<control::Action> actions = controller_->on_epoch(snap);
   trace(t, 0, TraceType::kControlEpoch,
         static_cast<std::int32_t>(actions.size()));
@@ -1220,8 +1131,9 @@ void Engine::on_control(double t) {
         apply_hop(a.node, static_cast<unsigned>(a.value), t);
         break;
       case control::ActionKind::kWifiRateScale: {
+        auto& n = nodes_[global(a.node)];
         wifi_[a.node].shape_scale = a.value;
-        wifi_[a.node].traffic.set_rate_scale(fstate_[a.node].surge * a.value);
+        n.traffic.set_rate_scale(n.surge * a.value);
         trace(t, static_cast<std::uint32_t>(a.node), TraceType::kControlShape,
               static_cast<std::int32_t>(std::lround(a.value * 1000.0)));
         break;
@@ -1236,13 +1148,12 @@ void Engine::on_control(double t) {
 
 SimResult Engine::run() {
   SLEDZIG_PROF_SCOPE("sim.run");
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    auto& traffic =
-        n < num_wifi_ ? wifi_[n].traffic : zigbee_[n - num_wifi_].traffic;
+  for (std::size_t g = 0; g < num_nodes_; ++g) {
+    auto& n = nodes_[g];
     // Clock skew offsets the node's first arrival (its boot-time phase);
     // everything after is interval-relative and governed by drift.
-    push_arrival(static_cast<std::uint32_t>(n),
-                 std::max(0.0, traffic.first_arrival() + fstate_[n].skew_us));
+    push_arrival(static_cast<std::uint32_t>(g),
+                 std::max(0.0, n.traffic.first_arrival() + n.skew_us));
   }
   for (std::size_t a = 0; a < actions_.size(); ++a) {
     queue_.push(actions_[a].at_us, EventType::kFault, 0, 0,
@@ -1259,17 +1170,14 @@ SimResult Engine::run() {
     if (inv_.enabled()) inv_.on_event(e.time_us);
     switch (e.type) {
       case EventType::kArrival:
-        if (e.token != fstate_[e.node].arrival_epoch) {
+        if (e.token != nodes_[e.node].arrival_epoch) {
           ++stale_arrivals_;  // chain orphaned by a crash
           break;
         }
         on_arrival(e.node, e.time_us);
         break;
-      case EventType::kTimer: {
-        const std::uint64_t current = e.node < num_wifi_
-                                          ? wifi_[e.node].token
-                                          : zigbee_[e.node - num_wifi_].token;
-        if (e.token != current) {
+      case EventType::kTimer:
+        if (e.token != nodes_[e.node].token) {
           ++stale_timers_;  // invalidated by a later transition
           break;
         }
@@ -1279,7 +1187,6 @@ SimResult Engine::run() {
           on_zigbee_timer(e.node - num_wifi_, e.time_us);
         }
         break;
-      }
       case EventType::kTxEnd:
         on_tx_end(e.tx_id, e.time_us);
         break;
@@ -1292,22 +1199,23 @@ SimResult Engine::run() {
     }
   }
 
-  // Frames cut off by the horizon — still queued, or mid-service with
-  // their next timer suppressed (push_timer drops timers past the
-  // horizon).  The head frame stays at the queue front until terminal, so
-  // queue.size() is exactly the in-flight count.
-  for (auto& n : wifi_) n.stats.in_flight_at_end = n.queue.size();
-  for (auto& n : zigbee_) n.stats.in_flight_at_end = n.queue.size();
-
-  if (inv_.enabled()) {
-    for (std::size_t g = 0; g < num_nodes_; ++g) {
-      const bool is_wifi = g < num_wifi_;
-      const auto& fs = fstate_[g];
-      const auto& s = is_wifi ? wifi_[g].stats : zigbee_[g - num_wifi_].stats;
-      const bool serving =
-          is_wifi ? wifi_[g].serving : zigbee_[g - num_wifi_].serving;
-      inv_.on_node_drained(static_cast<std::uint32_t>(g), fs.alive, serving,
-                           fs.horizon_cut, fs.active_tx != UINT32_MAX,
+  SimResult result;
+  result.events_processed = events_;
+  result.trace_digest = digest_;
+  result.trace = std::move(trace_);
+  result.wifi.reserve(num_wifi_);
+  result.zigbee.reserve(num_zigbee_);
+  for (std::size_t g = 0; g < num_nodes_; ++g) {
+    auto& n = nodes_[g];
+    auto& s = n.stats;
+    // Frames cut off by the horizon — still queued, or mid-service with
+    // their next timer suppressed (push_timer drops timers past the
+    // horizon).  The head frame stays at the queue front until terminal,
+    // so queue.size() is exactly the in-flight count.
+    s.in_flight_at_end = n.queue.size();
+    if (inv_.enabled()) {
+      inv_.on_node_drained(static_cast<std::uint32_t>(g), n.alive, n.serving,
+                           n.horizon_cut, n.active_tx != UINT32_MAX,
                            duration_us_);
       inv_.on_conservation(static_cast<std::uint32_t>(g), s.generated,
                            s.delivered + s.queue_dropped + s.cca_dropped +
@@ -1315,43 +1223,25 @@ SimResult Engine::run() {
                                s.in_flight_at_end,
                            duration_us_);
     }
-  }
-
-  SimResult result;
-  result.events_processed = events_;
-  result.trace_digest = digest_;
-  result.trace = std::move(trace_);
-  const auto finalize = [&](NodeStats& s, double bits_per_frame) {
     s.airtime_fraction = s.airtime_us / duration_us_;
     s.prr = s.sent > 0
                 ? static_cast<double>(s.delivered) / static_cast<double>(s.sent)
                 : 0.0;
-    s.throughput_kbps =
-        static_cast<double>(s.delivered) * bits_per_frame / duration_us_ * 1e3;
-  };
-  result.wifi.reserve(num_wifi_);
-  for (auto& n : wifi_) {
-    finalize(n.stats, n.bits_per_frame);
-    if (control_active_) {
+    s.throughput_kbps = static_cast<double>(s.delivered) * n.bits_per_frame /
+                        duration_us_ * 1e3;
+    if (g < num_wifi_) {
       // The per-frame bit budget can change mid-run (SledZig retoggles),
-      // so throughput comes from the bits actually accumulated at each
-      // delivery, not a single end-of-run rate.
-      n.stats.throughput_kbps = n.delivered_bits / duration_us_ * 1e3;
+      // so a controlled run's throughput comes from the bits actually
+      // accumulated at each delivery, not a single end-of-run rate.
+      if (control_active_) {
+        s.throughput_kbps = wifi_[g].delivered_bits / duration_us_ * 1e3;
+      }
+      result.wifi.push_back(s);
+    } else {
+      result.zigbee.push_back(s);
     }
-    result.wifi.push_back(n.stats);
-  }
-  result.zigbee.reserve(num_zigbee_);
-  for (auto& n : zigbee_) {
-    finalize(n.stats, n.bits_per_frame);
-    result.zigbee.push_back(n.stats);
   }
   flush_metrics();
-  // Hand the heap storage back for the next run on this thread (capacity-
-  // only reuse; see RunWorkspace).  On a throw the buffers simply die with
-  // the engine and the next run reallocates.
-  ws_->events = queue_.release();
-  ws_->arb = arbiter_.release();
-  ws_->perr = std::move(perr_);
   return result;
 }
 
@@ -1363,7 +1253,8 @@ void Engine::flush_metrics() const {
   obs::Registry* reg = cfg_.metrics;
   if (reg == nullptr) return;
   NodeStats sum;
-  const auto accumulate = [&sum](const NodeStats& s) {
+  for (const auto& n : nodes_) {
+    const NodeStats& s = n.stats;
     sum.generated += s.generated;
     sum.queue_dropped += s.queue_dropped;
     sum.cca_dropped += s.cca_dropped;
@@ -1373,9 +1264,7 @@ void Engine::flush_metrics() const {
     sum.retry_exhausted += s.retry_exhausted;
     sum.lost_to_crash += s.lost_to_crash;
     sum.in_flight_at_end += s.in_flight_at_end;
-  };
-  for (const auto& n : wifi_) accumulate(n.stats);
-  for (const auto& n : zigbee_) accumulate(n.stats);
+  }
   const auto events = [this](EventType t) {
     return event_counts_[static_cast<std::size_t>(t)];
   };
@@ -1421,8 +1310,7 @@ SimResult run_scenario(const ScenarioConfig& config) {
   if (auto errors = config.validate(); !errors.empty()) {
     throw std::invalid_argument(describe(errors));
   }
-  RunWorkspace ws;
-  return Engine(config, ws).run();
+  return Engine(config).run();
 }
 
 std::vector<SimResult> run_replications(common::ThreadPool& pool,
@@ -1442,14 +1330,10 @@ std::vector<SimResult> run_replications(common::ThreadPool& pool,
           ? config.link_cache
           : LinkCache::build(config);
   return common::parallel_map(pool, replications, [&](std::size_t rep) {
-    // Each pool worker keeps one workspace across the replications it
-    // runs.  Reuse is capacity-only (every buffer is refilled or cleared
-    // per run), so results stay bit-identical for any thread count.
-    thread_local RunWorkspace ws;
     ScenarioConfig c = config;
     c.seed = common::derive_seed(config.seed, rep);
     c.link_cache = cache;
-    return Engine(c, ws).run();
+    return Engine(c).run();
   });
 }
 

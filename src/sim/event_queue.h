@@ -11,7 +11,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace sledzig::sim {
@@ -55,24 +54,11 @@ struct EventAfter {
 /// carries the token current at push time, a cancelled timer can never
 /// alias a later re-arm's token, so it can never fire on the re-armed node.
 ///
-/// The heap lives in an owned vector (std::push_heap / std::pop_heap over
-/// the same EventAfter comparator — (time, seq) is a total order, so the
-/// pop sequence is identical to std::priority_queue's) so the backing
-/// storage can be recycled across runs: adopt a previous run's vector via
-/// the storage constructor, hand it back with release().  Only capacity
-/// survives — contents are cleared on adoption, so reuse cannot leak state
-/// between runs.
+/// The heap is std::push_heap / std::pop_heap over an owned vector with
+/// the EventAfter comparator; (time, seq) is a total order, so the pop
+/// sequence is identical to std::priority_queue's.
 class EventQueue {
  public:
-  EventQueue() = default;
-  /// Adopts `storage`'s capacity for the heap; its contents are discarded.
-  explicit EventQueue(std::vector<Event>&& storage)
-      : heap_(std::move(storage)) {
-    heap_.clear();
-  }
-
-  void reserve(std::size_t n) { heap_.reserve(n); }
-
   void push(double time_us, EventType type, std::uint32_t node,
             std::uint64_t token = 0, std::uint32_t tx_id = 0) {
     heap_.push_back(Event{time_us, next_seq_++, type, node, token, tx_id});
@@ -94,15 +80,6 @@ class EventQueue {
   /// seq value, so pushed() equals the count of distinct seqs handed out —
   /// the two cannot alias or double-count.
   std::uint64_t pushed() const { return next_seq_; }
-
-  /// Hands the backing storage back for reuse by a later run.  The queue
-  /// is left empty; pushed() keeps counting monotonically.
-  std::vector<Event> release() {
-    std::vector<Event> out = std::move(heap_);
-    heap_ = std::vector<Event>();
-    out.clear();
-    return out;
-  }
 
  private:
   std::vector<Event> heap_;  // min-heap via EventAfter

@@ -24,7 +24,6 @@
 #include "sim/arbiter.h"
 #include "sim/delivery.h"
 #include "sim/engine.h"
-#include "sim/event_queue.h"
 #include "sim/link_cache.h"
 #include "zigbee/chips.h"
 
@@ -229,8 +228,8 @@ TEST(FastPath, CampusScenarioIsBitIdentical) {
 }
 
 TEST(FastPath, ReplicationDigestsAreThreadCountInvariant) {
-  // The replication runner shares one link cache and reuses per-worker
-  // workspaces; neither may leak state between runs or threads.
+  // The replication runner shares one link cache across the fan-out; it
+  // may not leak state between runs or threads.
   const auto cfg = campus_scenario(2, 2, 2, 20.0, /*duration_s=*/0.5,
                                    /*seed=*/41);
   constexpr std::size_t kReps = 8;
@@ -286,12 +285,7 @@ TEST(FastPath, ControlledRunsAreBitIdentical) {
 
 TEST(FastPath, SetLinkKeepsIndexAndAudibilityInStep) {
   // Two nodes: points 0 and 1 are CCA points, 2 and 3 receiver points.
-  ArbiterTables t;
-  t.num_nodes = 2;
-  t.power.assign(4 * 2, SegmentPower{});
-  t.audible.assign(2 * 2, 0);
-  t.bit_words = 1;
-  t.nonzero_bits.assign(4, 0);
+  ArbiterTables t(2);
   t.cca_threshold_dbm.assign(2, common::Dbm{-62.0});
   const common::MilliWatt loud = common::to_mw(common::Dbm{-40.0});
   const common::MilliWatt quiet = common::to_mw(common::Dbm{-90.0});
@@ -487,24 +481,6 @@ TEST(FastPath, LinkCacheZeroesDisjointAndKeepsLegacyLinks) {
   // Own receive link: live (and never prunable).
   EXPECT_EQ(cache->at(2, 0).state, LinkState::kLive);
   EXPECT_EQ(cache->at(3, 1).state, LinkState::kLive);
-}
-
-TEST(FastPath, EventQueueStorageRecyclesWithoutLeakingState) {
-  EventQueue q;
-  q.push(3.0, EventType::kArrival, 1);
-  q.push(1.0, EventType::kTimer, 2);
-  q.push(2.0, EventType::kTxEnd, 3);
-  EXPECT_EQ(q.pop().node, 2u);
-  auto storage = q.release();
-  EXPECT_TRUE(q.empty());
-
-  EventQueue q2(std::move(storage));
-  EXPECT_TRUE(q2.empty());  // recycled capacity, no recycled events
-  q2.push(5.0, EventType::kArrival, 7);
-  q2.push(4.0, EventType::kArrival, 8);
-  EXPECT_EQ(q2.pop().node, 8u);
-  EXPECT_EQ(q2.pop().node, 7u);
-  EXPECT_TRUE(q2.empty());
 }
 
 }  // namespace

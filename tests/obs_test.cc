@@ -144,14 +144,11 @@ sim::ScenarioConfig paper_scenario() {
                                       /*seed=*/11);
 }
 
-TEST(GoldenMetrics, TwoNodeScenarioCountersMatchNodeStatsExactly) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
-  Registry reg;
-  auto cfg = paper_scenario();
-  cfg.metrics = &reg;
-  const auto r = sim::run_scenario(cfg);
-  const auto snap = reg.snapshot();
-
+/// Every flushed frame and attempt counter equals its NodeStats sum over
+/// the run's nodes, and the counters obey the same conservation identity
+/// as NodeStats.
+void expect_frame_counters_match(const Snapshot& snap,
+                                 const sim::SimResult& r) {
   sim::NodeStats sum;
   for (const auto* side : {&r.wifi, &r.zigbee}) {
     for (const auto& n : *side) {
@@ -160,29 +157,41 @@ TEST(GoldenMetrics, TwoNodeScenarioCountersMatchNodeStatsExactly) {
       sum.queue_dropped += n.queue_dropped;
       sum.cca_dropped += n.cca_dropped;
       sum.retry_exhausted += n.retry_exhausted;
+      sum.lost_to_crash += n.lost_to_crash;
       sum.in_flight_at_end += n.in_flight_at_end;
       sum.sent += n.sent;
       sum.retries += n.retries;
     }
   }
-  EXPECT_EQ(snap.counter("sim.runs"), 1u);
-  EXPECT_EQ(snap.counter("sim.events"), r.events_processed);
   EXPECT_EQ(snap.counter("sim.frames.generated"), sum.generated);
   EXPECT_EQ(snap.counter("sim.frames.delivered"), sum.delivered);
   EXPECT_EQ(snap.counter("sim.frames.queue_dropped"), sum.queue_dropped);
   EXPECT_EQ(snap.counter("sim.frames.cca_dropped"), sum.cca_dropped);
   EXPECT_EQ(snap.counter("sim.frames.retry_exhausted"), sum.retry_exhausted);
+  EXPECT_EQ(snap.counter("sim.frames.lost_to_crash"), sum.lost_to_crash);
   EXPECT_EQ(snap.counter("sim.frames.in_flight_at_end"),
             sum.in_flight_at_end);
   EXPECT_EQ(snap.counter("sim.tx.attempts"), sum.sent);
   EXPECT_EQ(snap.counter("sim.tx.retries"), sum.retries);
-  // The flushed counters obey the same conservation identity as NodeStats.
   EXPECT_EQ(snap.counter("sim.frames.generated"),
             snap.counter("sim.frames.delivered") +
                 snap.counter("sim.frames.queue_dropped") +
                 snap.counter("sim.frames.cca_dropped") +
                 snap.counter("sim.frames.retry_exhausted") +
+                snap.counter("sim.frames.lost_to_crash") +
                 snap.counter("sim.frames.in_flight_at_end"));
+}
+
+TEST(GoldenMetrics, TwoNodeScenarioCountersMatchNodeStatsExactly) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  Registry reg;
+  auto cfg = paper_scenario();
+  cfg.metrics = &reg;
+  const auto r = sim::run_scenario(cfg);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("sim.runs"), 1u);
+  EXPECT_EQ(snap.counter("sim.events"), r.events_processed);
+  expect_frame_counters_match(snap, r);
 }
 
 /// The paper scenario under every fault family: a crash that aborts the
@@ -257,6 +266,9 @@ TEST(GoldenMetrics, FaultCountersMatchTheRecordedTrace) {
   EXPECT_GT(snap.counter("sim.events.fault"), 0u);
   EXPECT_EQ(snap.counter("sim.events"), r.events_processed);
   expect_event_counters_sum(snap);
+  // Crashes destroy queued frames, so the identity's crash term is live.
+  EXPECT_GT(snap.counter("sim.frames.lost_to_crash"), 0u);
+  expect_frame_counters_match(snap, r);
 }
 
 TEST(GoldenMetrics, ControlCountersMatchTheRecordedTrace) {

@@ -27,9 +27,10 @@ enforces them with line-level checks over the compilation units:
                   is owned by tools/sledzig_analyzer, which checks it
                   structurally (ctor sites, member initialisers, seed
                   value flow) instead of per-line.
-  static-state    mutable static storage in src/ .cc files — shared state
-                  is where cross-thread nondeterminism breeds, so every
-                  instance needs an explicit allow annotation + reason.
+  static-state    mutable static or thread_local storage in src/ .cc
+                  files — shared and per-thread state is where cross-thread
+                  nondeterminism breeds, so every instance needs an
+                  explicit allow annotation + reason.
 
 A finding is suppressed by an annotation on the same line or the line
 above:
@@ -94,7 +95,7 @@ SEED_DERIVERS = ("derive_seed", "splitmix64", "stage_seed")
 STATIC_OK_RE = re.compile(
     r"static_cast|static_assert|\bstatic\s+(?:inline\s+)?const(?:expr|init)?\b"
 )
-STATIC_RE = re.compile(r"\bstatic\b")
+STATIC_RE = re.compile(r"\b(?:static|thread_local)\b")
 
 RULE_NAMES = {name for name, _, _ in PATTERN_RULES} | {
     "underived-seed",
@@ -214,7 +215,7 @@ def scan_file(path: Path, profile: str) -> list[Finding]:
                 add(
                     idx,
                     "static-state",
-                    "mutable static storage; annotate with "
+                    "mutable static or thread_local storage; annotate with "
                     "'lint: allow(static-state): <reason>' if intentional",
                 )
 

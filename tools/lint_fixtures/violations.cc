@@ -48,7 +48,8 @@ void underived_seeds_not_checked_here(std::uint64_t base, std::size_t i) {
 int mutable_static_state() {
   static int call_count = 0;                     // expect: static-state
   static std::unordered_map<int, int> memo;      // expect: static-state, unordered
-  return ++call_count + static_cast<int>(memo.size());
+  thread_local int per_thread_calls = 0;         // expect: static-state
+  return ++call_count + ++per_thread_calls + static_cast<int>(memo.size());
 }
 
 }  // namespace fixture
