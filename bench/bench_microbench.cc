@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark): throughput of the PHY
-// blocks and the SledZig encoder itself.  Not a paper figure — this answers
-// "can a driver afford to run SledZig per packet?"
+// blocks and the SledZig encoder itself, plus the simulator's ZigBee
+// delivery kernel.  Not a paper figure — this answers "can a WiFi
+// transmitter afford to run SledZig per packet?"
 //
 // BENCH_microbench.json at the repository root is this binary's output,
 // run with --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
@@ -9,6 +10,7 @@
 // sweep-pool thread count next to google-benchmark's own host fields.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "sledzig/encoder.h"
+#include "sim/delivery.h"
 #include "sledzig/significant_bits.h"
 #include "wifi/convolutional.h"
 #include "wifi/qam.h"
@@ -378,6 +381,71 @@ void BM_Wifi40Transmit(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_Wifi40Transmit);
+
+void BM_ZigbeeSymbolsSurvive(benchmark::State& state) {
+  // ZigBee delivery over frames shaped like the 1100-node campus's: 116
+  // symbols, 37 staged WiFi/ZigBee interferers starting up to 4 ms before
+  // the frame, and error probabilities that lose roughly one frame in
+  // six.  The counters report the shape: entries overlapping the frame
+  // and distinct boundaries (frame ends included), both per frame.
+  constexpr double kSym = zigbee::kSymbolDurationUs;
+  constexpr std::size_t kFrames = 64;
+  constexpr std::size_t kStaged = 37;
+  common::Rng gen(21);
+  sim::ZigbeeReception rx{10000.0, 10000.0 + 116.0 * kSym + 8.0, 1e-4};
+  std::vector<std::vector<sim::RelevantTx>> frames(kFrames);
+  std::vector<double> inside;
+  std::size_t boundaries = 0;
+  std::size_t overlapping = 0;
+  for (auto& staged : frames) {
+    inside.clear();
+    for (std::size_t i = 0; i < kStaged; ++i) {
+      sim::RelevantTx x{};
+      x.start_us = gen.uniform(rx.start_us - 4000.0, rx.end_us);
+      const bool wifi = gen.uniform() < 0.6;
+      x.payload_start_us = x.start_us + (wifi ? 20.0 : 0.0);
+      x.end_us = x.payload_start_us + (wifi ? gen.uniform(300.0, 6000.0)
+                                            : gen.uniform(600.0, 4200.0));
+      x.payload_mw = common::MilliWatt{gen.uniform(1e-10, 1e-8)};
+      x.preamble_mw = wifi ? common::MilliWatt{x.payload_mw.value() * 1.5}
+                           : x.payload_mw;
+      x.p_err_payload = gen.uniform(0.0, 3e-3);
+      x.p_err_preamble = gen.uniform(0.0, 3e-3);
+      staged.push_back(x);
+      overlapping += x.end_us > rx.start_us ? 1 : 0;
+      for (const double v : {x.start_us, x.payload_start_us, x.end_us}) {
+        if (v > rx.start_us && v < rx.end_us) inside.push_back(v);
+      }
+    }
+    std::sort(staged.begin(), staged.end(),
+              [](const sim::RelevantTx& a, const sim::RelevantTx& b) {
+                return a.start_us < b.start_us;
+              });
+    std::sort(inside.begin(), inside.end());
+    boundaries += static_cast<std::size_t>(
+                      std::unique(inside.begin(), inside.end()) -
+                      inside.begin()) +
+                  2;
+  }
+  common::Rng rng(22);
+  sim::DeliveryScratch scratch;
+  std::size_t f = 0;
+  std::int64_t delivered = 0;
+  for (auto _ : state) {
+    const bool ok = sim::zigbee_symbols_survive(rx, frames[f], scratch, rng);
+    delivered += ok ? 1 : 0;
+    f = f + 1 == kFrames ? 0 : f + 1;
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["overlapping"] =
+      static_cast<double>(overlapping) / static_cast<double>(kFrames);
+  state.counters["boundaries"] =
+      static_cast<double>(boundaries) / static_cast<double>(kFrames);
+  state.counters["delivered"] = static_cast<double>(delivered) /
+                                static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ZigbeeSymbolsSurvive);
 
 }  // namespace
 

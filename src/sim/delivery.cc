@@ -9,74 +9,73 @@ namespace sledzig::sim {
 
 bool zigbee_symbols_survive(const ZigbeeReception& rx,
                             std::span<const RelevantTx> interferers,
-                            std::vector<double>& bounds, common::Rng& rng) {
-  // Exactness: between consecutive boundary times (every interferer's
-  // start, payload start and end, clamped to the frame) each interval
-  // endpoint used by the per-symbol overlap tests is either <= the
-  // segment's left edge or >= its right edge, so every symbol fully inside
-  // a segment reaches the identical worst-interferer verdict — compute it
-  // once and reuse it.  Symbols that straddle a boundary fall back to the
-  // per-symbol scan.
+                            DeliveryScratch& scratch, common::Rng& rng) {
+  // Exactness (DESIGN.md §15).  Every interferer time inside the boundary
+  // range is a boundary, so a pair [a, c) overlaps the segment
+  // [b_k, b_k+1) iff a <= b_k and c >= b_k+1, and folding each pair, in
+  // staging order with the per-symbol scan's strict >, over exactly those
+  // segments leaves every segment the pair that scan would pick inside it.
+  // A symbol window overlaps a pair iff the pair covers a segment the
+  // window touches, so the scan's pick for the window is the best, by
+  // (power desc, rank asc), of the touched segments' picks.
   const double symbol_us = zigbee::kSymbolDurationUs;
   const auto num_symbols =
       static_cast<std::size_t>((rx.end_us - rx.start_us) / symbol_us);
+  if (num_symbols == 0) return true;
+  // The range reaches the last symbol's end, computed as the loop below
+  // computes it, so floating-point overshoot past rx.end_us stays inside.
+  const double last_s0 =
+      rx.start_us + static_cast<double>(num_symbols - 1) * symbol_us;
+  const double end_us = std::max(rx.end_us, last_s0 + symbol_us);
 
-  auto& b = bounds;
+  auto& b = scratch.bounds;
   b.clear();
   b.push_back(rx.start_us);
   for (const auto& e : interferers) {
     for (const double v : {e.start_us, e.payload_start_us, e.end_us}) {
-      if (v > rx.start_us && v < rx.end_us) b.push_back(v);
+      if (v > rx.start_us && v < end_us) b.push_back(v);
     }
   }
-  b.push_back(rx.end_us);
+  b.push_back(end_us);
   std::sort(b.begin(), b.end());
   b.erase(std::unique(b.begin(), b.end()), b.end());
+  const std::size_t num_segments = b.size() - 1;
 
-  // The per-symbol scan over one window: ledger order, strict-> comparisons,
-  // so the tracked probability is exactly that of the worst (interferer,
-  // segment) pair.  Entries are start-ordered, so once one starts at/after
-  // the window nothing later can overlap it and the scan stops early.
-  const auto window_p = [&](double w0, double w1) {
-    common::MilliWatt worst_mw{};
-    double p = rx.p_err_idle;
-    for (const auto& e : interferers) {
-      if (e.start_us >= w1) break;
-      if (std::min(w1, e.payload_start_us) > std::max(w0, e.start_us) &&
-          e.preamble_mw > worst_mw) {
-        worst_mw = e.preamble_mw;
-        p = e.p_err_preamble;
-      }
-      if (std::min(w1, e.end_us) > std::max(w0, e.payload_start_us) &&
-          e.payload_mw > worst_mw) {
-        worst_mw = e.payload_mw;
-        p = e.p_err_payload;
+  auto& w = scratch.worst;
+  w.assign(num_segments, {common::MilliWatt{}, rx.p_err_idle, UINT32_MAX});
+  std::uint32_t rank = 0;
+  std::size_t first = 0;  // first segment at or after the entry's start
+  for (const auto& e : interferers) {
+    // Entries are start-ordered, so `first` only moves forward.
+    while (first < num_segments && b[first] < e.start_us) ++first;
+    std::size_t k = first;
+    for (; k < num_segments && b[k + 1] <= e.payload_start_us; ++k) {
+      if (e.preamble_mw > w[k].mw) {
+        w[k] = {e.preamble_mw, e.p_err_preamble, rank};
       }
     }
-    return p;
-  };
+    for (; k < num_segments && b[k + 1] <= e.end_us; ++k) {
+      if (e.payload_mw > w[k].mw) {
+        w[k] = {e.payload_mw, e.p_err_payload, rank + 1};
+      }
+    }
+    rank += 2;
+  }
 
-  std::size_t bi = 0;
-  double seg_p = 0.0;
-  bool seg_valid = false;
+  std::size_t k = 0;  // the segment holding the symbol's start
   for (std::size_t s = 0; s < num_symbols; ++s) {
     const double s0 = rx.start_us + static_cast<double>(s) * symbol_us;
     const double s1 = s0 + symbol_us;
-    while (bi + 2 < b.size() && b[bi + 1] <= s0) {
-      ++bi;
-      seg_valid = false;
-    }
-    double p;
-    if (s1 <= b[bi + 1]) {
-      if (!seg_valid) {
-        seg_p = window_p(b[bi], b[bi + 1]);
-        seg_valid = true;
+    while (b[k + 1] <= s0) ++k;
+    const DeliveryScratch::Worst* best = &w[k];
+    // A symbol straddling boundaries also touches the segments after k.
+    for (std::size_t m = k + 1; b[m] < s1; ++m) {
+      if (w[m].mw > best->mw ||
+          (w[m].mw == best->mw && w[m].rank < best->rank)) {
+        best = &w[m];
       }
-      p = seg_p;
-    } else {
-      p = window_p(s0, s1);  // straddles a boundary (or FP end overshoot)
     }
-    if (rng.uniform() < p) return false;
+    if (rng.uniform() < best->p) return false;
   }
   return true;
 }

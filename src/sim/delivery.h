@@ -3,13 +3,15 @@
 //
 // The engine stages a frame's nonzero interferers and hands them here.
 // The interferer set is piecewise-constant between transmission
-// boundaries, so the worst interferer is resolved once per segment
-// instead of once per symbol, while the RNG stream stays exactly that of
-// a per-symbol scan: one uniform() per symbol, stopping at the first
-// failed one.  The per-symbol scan itself survives only as this
-// function's test oracle, in the sim test suite.
+// boundaries, so each (interferer, segment) pair is folded once over the
+// elementary segments between boundaries it covers, and a symbol reads
+// the worst pair of the segments it touches.  The RNG stream stays
+// exactly that of a per-symbol scan: one uniform() per symbol, stopping
+// at the first failed one.  The per-symbol scan itself survives only as
+// this function's test oracle, in the sim test suite.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,15 +44,32 @@ struct ZigbeeReception {
   double p_err_idle;
 };
 
+/// Scratch space for zigbee_symbols_survive, kept by the caller so its
+/// capacity survives between frames.  Its content means nothing between
+/// calls.
+struct DeliveryScratch {
+  /// The worst (interferer, segment) pair over one elementary segment:
+  /// its power, its error probability, and its rank (2 x staging index,
+  /// + 1 for a payload segment), which breaks power ties the way the
+  /// per-symbol scan's order does.
+  struct Worst {
+    common::MilliWatt mw;
+    double p;
+    std::uint32_t rank;
+  };
+  std::vector<double> bounds;  // sorted, distinct segment boundaries
+  std::vector<Worst> worst;    // one per segment between two bounds
+};
+
 /// Draws one `rng.uniform()` per whole symbol of `rx` against the error
 /// probability of that symbol's worst interferer (a payload segment
 /// displaces a preamble hit only at strictly higher power), and returns
 /// false at the first symbol that fails.  `interferers` must be in start
-/// order and may omit zero-power transmissions, which can never be the
-/// worst.  `bounds` is scratch space, kept by the caller so its capacity
-/// survives between frames.
+/// order, each with start <= payload start <= end, and may omit
+/// zero-power transmissions, which can never be the worst, and ones that
+/// end at or before the reception starts, which overlap no symbol.
 bool zigbee_symbols_survive(const ZigbeeReception& rx,
                             std::span<const RelevantTx> interferers,
-                            std::vector<double>& bounds, common::Rng& rng);
+                            DeliveryScratch& scratch, common::Rng& rng);
 
 }  // namespace sledzig::sim

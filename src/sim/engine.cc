@@ -228,7 +228,7 @@ class Engine {
   std::vector<std::uint32_t> adj_;      // CSR: audible wifi listeners per tx
   std::vector<std::uint32_t> adj_off_;  // num_total + 1 offsets into adj_
   std::vector<RelevantTx> rel_;         // delivery scratch: staged interferers
-  std::vector<double> bounds_;          // delivery scratch: segment bounds
+  DeliveryScratch delivery_scratch_;    // delivery scratch: segments
   SimInvariants inv_;
   std::uint64_t digest_ = kFnvOffset;
   std::uint64_t events_ = 0;
@@ -738,9 +738,11 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
-    if (x.node == g) continue;
-    // Zero-power links can only yield worst_mw <= 0.0 below; the index
-    // skips them without the (cache-cold at campus scale) table read.
+    // An entry that ended by the frame's start (the ledger scan looks back
+    // by the longest duration seen) overlaps neither segment, and a
+    // zero-power link can only yield worst_mw <= 0.0 below: skip both
+    // without the (cache-cold at campus scale) table read.
+    if (x.end_us <= tx.start_us || x.node == g) continue;
     if (!arbiter_.rx_nonzero(g, x.node)) continue;
     const auto& sp = arbiter_.rx_power(g, x.node);
     const bool pre_overlap =
@@ -770,14 +772,15 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
 
   // Stage the interferers in ledger (start-time) order.  Zero-power
   // entries (pruned or channel-disjoint interferers, which the table holds
-  // as exactly 0 mW) can never win the strict-> comparison; dropping them
-  // up front is what makes the scan O(degree).  The bit index answers "is
-  // the link nonzero" without touching the power table at all.
+  // as exactly 0 mW) can never win the strict-> comparison, and entries
+  // that ended by the frame's start overlap no symbol; dropping both up
+  // front is what makes the scan O(degree).  The end test and the bit
+  // index answer before the power table or perr_ is touched.
   rel_.clear();
   const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
   for (const std::uint32_t* it = lo; it != hi; ++it) {
     const auto& x = arbiter_.tx(*it);
-    if (x.node == g) continue;
+    if (x.end_us <= tx.start_us || x.node == g) continue;
     if (!arbiter_.rx_nonzero(g, x.node)) continue;
     const auto& sp = arbiter_.rx_power(g, x.node);
     rel_.push_back({x.start_us, x.payload_start_us, x.end_us, sp.preamble_mw,
@@ -785,7 +788,7 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
                     perr(j, x.node, false)});
   }
   return zigbee_symbols_survive({tx.start_us, tx.end_us, z.p_err_idle}, rel_,
-                                bounds_, z.delivery_rng);
+                                delivery_scratch_, z.delivery_rng);
 }
 
 void Engine::on_tx_end(std::uint32_t tx_id, double t) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -74,6 +75,34 @@ bool per_symbol_scan(const ZigbeeReception& rx,
   return true;
 }
 
+/// Verdicts and uniform() draws over a run of randomised frames.
+struct OracleTally {
+  std::size_t delivered = 0;
+  std::size_t lost = 0;
+  std::size_t draws = 0;
+};
+
+/// Scores one frame from one seed twice: the oracle over the whole
+/// `ledger`, zigbee_symbols_survive over `staged`.  Both must reach the
+/// same verdict after the same number of draws.
+void expect_oracle_agrees(const ZigbeeReception& rx,
+                          const std::vector<RelevantTx>& ledger,
+                          const std::vector<RelevantTx>& staged,
+                          std::uint64_t seed, DeliveryScratch& scratch,
+                          OracleTally& tally) {
+  common::Rng ref_rng(seed), rng(seed);
+  const bool expected = per_symbol_scan(rx, ledger, ref_rng);
+  ASSERT_EQ(zigbee_symbols_survive(rx, staged, scratch, rng), expected);
+  // Same number of uniform() draws: both streams end in the same state.
+  ASSERT_TRUE(rng.engine() == ref_rng.engine());
+  common::Rng count_rng(seed);
+  while (!(count_rng.engine() == ref_rng.engine())) {
+    count_rng.uniform();
+    ++tally.draws;
+  }
+  ++(expected ? tally.delivered : tally.lost);
+}
+
 TEST(FastPath, SegmentRunsMatchThePerSymbolScan) {
   // Randomised frames built to hit the exactness argument's edges: times
   // on symbol edges and at the frame's start and end, equal start times,
@@ -83,9 +112,9 @@ TEST(FastPath, SegmentRunsMatchThePerSymbolScan) {
   common::Rng gen(20240607);
   const double powers_mw[] = {0.0, 1e-9, 1e-9, 4e-9, 1e-8};
   const double p_scales[] = {0.002, 0.01, 0.05, 0.3};
-  std::size_t delivered = 0, lost = 0, draws = 0;
+  OracleTally tally;
   std::vector<RelevantTx> ledger, staged;
-  std::vector<double> bounds;
+  DeliveryScratch scratch;
   constexpr std::size_t kFrames = 20000;
   for (std::size_t f = 0; f < kFrames; ++f) {
     SCOPED_TRACE("frame " + std::to_string(f));
@@ -157,23 +186,124 @@ TEST(FastPath, SegmentRunsMatchThePerSymbolScan) {
       }
     }
 
-    const std::uint64_t seed = gen.engine()();
-    common::Rng ref_rng(seed), rng(seed);
-    const bool expected = per_symbol_scan(rx, ledger, ref_rng);
-    ASSERT_EQ(zigbee_symbols_survive(rx, staged, bounds, rng), expected);
-    // Same number of uniform() draws: both streams end in the same state.
-    ASSERT_TRUE(rng.engine() == ref_rng.engine());
-    common::Rng count_rng(seed);
-    while (!(count_rng.engine() == ref_rng.engine())) {
-      count_rng.uniform();
-      ++draws;
-    }
-    ++(expected ? delivered : lost);
+    ASSERT_NO_FATAL_FAILURE(expect_oracle_agrees(rx, ledger, staged,
+                                                 gen.engine()(), scratch,
+                                                 tally));
   }
   // Both verdicts must be common for the comparison to mean much.
-  EXPECT_GT(delivered, kFrames / 5);
-  EXPECT_GT(lost, kFrames / 5);
-  EXPECT_GT(draws, 10 * kFrames);
+  EXPECT_GT(tally.delivered, kFrames / 5);
+  EXPECT_GT(tally.lost, kFrames / 5);
+  EXPECT_GT(tally.draws, 10 * kFrames);
+}
+
+TEST(FastPath, DenseSegmentRunsMatchThePerSymbolScan) {
+  // Frames at campus density: 20-48 entries starting up to 4 ms before
+  // the frame, staged as the engine stages them.  Ends land on earlier
+  // entries' ends and on a few symbols inside the frame, so one symbol
+  // often holds two or more boundaries and a straddling symbol must pick
+  // among three or more segments.  Powers repeat, so the rank decides
+  // between equal-power segments with different error probabilities.
+  constexpr double kSym = zigbee::kSymbolDurationUs;
+  common::Rng gen(20261018);
+  const double powers_mw[] = {0.0, 1e-9, 1e-9, 4e-9, 4e-9, 1e-8};
+  const double p_scales[] = {2e-4, 1e-3, 4e-3};
+  OracleTally tally;
+  std::size_t multi_boundary_frames = 0;
+  std::vector<RelevantTx> ledger, staged;
+  std::vector<double> inside;
+  DeliveryScratch scratch;
+  constexpr std::size_t kFrames = 20000;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    SCOPED_TRACE("dense frame " + std::to_string(f));
+    const double p_scale = p_scales[gen.uniform_int(0, 2)];
+    ZigbeeReception rx;
+    rx.start_us = 4000.0 + gen.uniform(0.0, 1000.0);
+    rx.end_us = rx.start_us +
+                kSym * static_cast<double>(gen.uniform_int(60, 130)) +
+                (gen.uniform() < 0.7 ? 0.0 : gen.uniform(0.0, kSym));
+    rx.p_err_idle = gen.uniform() < 0.3 ? 0.0 : gen.uniform(0.0, p_scale);
+    // Three symbols per frame collect the in-frame ends.
+    const std::int64_t hot[] = {gen.uniform_int(0, 59), gen.uniform_int(0, 59),
+                                gen.uniform_int(0, 59)};
+    const auto in_hot_symbol = [&]() {
+      return rx.start_us +
+             kSym * (static_cast<double>(hot[gen.uniform_int(0, 2)]) +
+                     gen.uniform());
+    };
+    const auto pick_earlier_end = [&](double fallback) {
+      if (ledger.empty()) return fallback;
+      return ledger[static_cast<std::size_t>(gen.uniform_int(
+                        0, static_cast<std::int64_t>(ledger.size()) - 1))]
+          .end_us;
+    };
+
+    ledger.clear();
+    const auto n = gen.uniform_int(20, 48);
+    for (std::int64_t i = 0; i < n; ++i) {
+      RelevantTx x{};
+      x.start_us = gen.uniform() < 0.2
+                       ? in_hot_symbol()
+                       : gen.uniform(rx.start_us - 4000.0, rx.end_us);
+      // ZigBee-like (no preamble segment), a WiFi preamble, or a
+      // preamble ending inside a hot symbol.
+      const auto shape = gen.uniform_int(0, 2);
+      x.payload_start_us = shape == 0   ? x.start_us
+                           : shape == 1 ? x.start_us + 20.0
+                                        : std::max(x.start_us, in_hot_symbol());
+      const double own_end = x.payload_start_us + gen.uniform(200.0, 4000.0);
+      switch (gen.uniform_int(0, 3)) {
+        case 0:
+          x.end_us = std::max(x.payload_start_us, pick_earlier_end(own_end));
+          break;
+        case 1:
+          x.end_us = std::max(x.payload_start_us, in_hot_symbol());
+          break;
+        default:
+          x.end_us = own_end;
+      }
+      x.payload_mw = common::MilliWatt{powers_mw[gen.uniform_int(0, 5)]};
+      x.preamble_mw = gen.uniform() < 0.5
+                          ? x.payload_mw
+                          : common::MilliWatt{powers_mw[gen.uniform_int(0, 5)]};
+      x.p_err_payload = gen.uniform(0.0, p_scale);
+      x.p_err_preamble = gen.uniform(0.0, p_scale);
+      ledger.push_back(x);
+    }
+    std::stable_sort(ledger.begin(), ledger.end(),
+                     [](const RelevantTx& a, const RelevantTx& b) {
+                       return a.start_us < b.start_us;
+                     });
+    staged.clear();
+    inside.clear();
+    for (const auto& x : ledger) {
+      if (x.end_us <= rx.start_us) continue;
+      if (x.payload_mw > common::MilliWatt{} ||
+          x.preamble_mw > common::MilliWatt{}) {
+        staged.push_back(x);
+      }
+      for (const double v : {x.start_us, x.payload_start_us, x.end_us}) {
+        if (v > rx.start_us && v < rx.end_us) inside.push_back(v);
+      }
+    }
+    // Does some symbol hold two distinct boundaries?
+    std::sort(inside.begin(), inside.end());
+    inside.erase(std::unique(inside.begin(), inside.end()), inside.end());
+    for (std::size_t i = 1; i < inside.size(); ++i) {
+      if (std::floor((inside[i] - rx.start_us) / kSym) ==
+          std::floor((inside[i - 1] - rx.start_us) / kSym)) {
+        ++multi_boundary_frames;
+        break;
+      }
+    }
+
+    ASSERT_NO_FATAL_FAILURE(expect_oracle_agrees(rx, ledger, staged,
+                                                 gen.engine()(), scratch,
+                                                 tally));
+  }
+  EXPECT_GT(tally.delivered, kFrames / 5);
+  EXPECT_GT(tally.lost, kFrames / 20);
+  EXPECT_GT(multi_boundary_frames, kFrames / 2);
+  EXPECT_GT(tally.draws, 50 * kFrames);
 }
 
 TEST(FastPath, TwoNodePaperScenarioIsBitIdentical) {
@@ -225,6 +355,16 @@ TEST(FastPath, CampusScenarioIsBitIdentical) {
   // At 20 m spacing nothing reaches the prune floor, so this digest is
   // the unpruned per-symbol one as well.
   expect_digest(cfg, 0x9baaf7990779d476ull, "campus 2x2x3");
+}
+
+TEST(FastPath, DenseCampusIsBitIdentical) {
+  // The 1100-node campus, where a ZigBee frame stages a few dozen
+  // interferers and most of its symbols see several boundaries; the
+  // digests above stop at 45 nodes and a handful of interferers.
+  const auto cfg = campus_scenario(/*ap_grid_x=*/10, /*ap_grid_y=*/10,
+                                   /*sensors_per_ap=*/10, /*spacing_m=*/20.0,
+                                   /*duration_s=*/0.1, /*seed=*/1);
+  expect_digest(cfg, 0xf3796e98eabaa250ull, "campus 10x10x10");
 }
 
 TEST(FastPath, ReplicationDigestsAreThreadCountInvariant) {

@@ -92,9 +92,10 @@ PATTERN_RULES = [
 RNG_CTOR_RE = re.compile(r"\bRng\s+\w+\s*\(|\bRng\s*\(")
 SEED_DERIVERS = ("derive_seed", "splitmix64", "stage_seed")
 
-STATIC_OK_RE = re.compile(
-    r"static_cast|static_assert|\bstatic\s+(?:inline\s+)?const(?:expr|init)?\b"
-)
+# Only const-qualified statics are exempt.  `\bstatic\b` cannot match
+# inside static_cast or static_assert (`_` is a word character), so those
+# need no exemption, and a cast on a mutable static's line exempts nothing.
+STATIC_OK_RE = re.compile(r"\bstatic\s+(?:inline\s+)?const(?:expr|init)?\b")
 STATIC_RE = re.compile(r"\b(?:static|thread_local)\b")
 
 RULE_NAMES = {name for name, _, _ in PATTERN_RULES} | {

@@ -52,4 +52,11 @@ int mutable_static_state() {
   return ++call_count + ++per_thread_calls + static_cast<int>(memo.size());
 }
 
+// A cast in the initialiser exempts nothing.
+int static_state_behind_a_cast() {
+  static int calls = static_cast<int>(0);        // expect: static-state
+  thread_local long ticks = static_cast<long>(1); // expect: static-state
+  return ++calls + static_cast<int>(++ticks);
+}
+
 }  // namespace fixture
