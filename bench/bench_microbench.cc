@@ -6,8 +6,8 @@
 // BENCH_microbench.json at the repository root is this binary's output,
 // run with --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 // --benchmark_out=BENCH_microbench.json.
-// Its context records the build type, SLEDZIG_OBS, SLEDZIG_NATIVE and the
-// sweep-pool thread count next to google-benchmark's own host fields.
+// Its context records the build type, SLEDZIG_NATIVE and the sweep-pool
+// thread count next to google-benchmark's own host fields.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -451,7 +451,6 @@ BENCHMARK(BM_ZigbeeSymbolsSurvive);
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("build_type", SLEDZIG_BUILD_TYPE);
-  benchmark::AddCustomContext("sledzig_obs", SLEDZIG_OBS_ENABLED ? "ON" : "OFF");
   benchmark::AddCustomContext("sledzig_native",
                               SLEDZIG_NATIVE_BUILD ? "ON" : "OFF");
   // Every kernel runs on the calling thread; the pool size is what the

@@ -8,15 +8,10 @@
 // Two guards ride along:
 //   * the trace digests of all three modes must match exactly (obs is
 //     observational — attaching a sink can never perturb the simulation);
-//   * the attached-mode overhead must stay under kMaxOverheadPct.  This
-//     binary guards the enabled-vs-detached gap, which upper-bounds the
-//     registry cost.  No build times "compiled out vs enabled": CI's
-//     obs-off job builds with -DSLEDZIG_OBS=OFF and runs
-//     `ctest -L "sim|obs"`, which checks that the compiled-out tree builds
-//     and keeps every pinned sim digest (value-asserting obs tests skip
-//     themselves there).  The traced overhead is reported only: it scales
-//     with the trace length, and shared-runner noise is too high to gate
-//     it.
+//   * the attached-mode overhead must stay under kMaxOverheadPct.  The
+//     attached-vs-detached gap upper-bounds the registry cost.  The traced
+//     overhead is reported only: it scales with the trace length, and
+//     shared-runner noise is too high to gate it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -111,9 +106,8 @@ int main(int argc, char** argv) {
   const double traced_overhead_pct = (base / tr - 1.0) * 100.0;
   std::printf("detached: %10.0f events/s\nattached: %10.0f events/s\n"
               "traced:   %10.0f events/s (%zu spans and instants)\n"
-              "overhead: %+.2f%% attached, %+.2f%% traced (obs %s)\n",
-              base, att, tr, span_events, overhead_pct, traced_overhead_pct,
-              obs::kEnabled ? "enabled" : "compiled out");
+              "overhead: %+.2f%% attached, %+.2f%% traced\n",
+              base, att, tr, span_events, overhead_pct, traced_overhead_pct);
 
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -121,11 +115,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"obs_compiled\": %s,\n  \"baseline_eps\": %.0f,\n"
+               "{\n  \"baseline_eps\": %.0f,\n"
                "  \"attached_eps\": %.0f,\n  \"overhead_pct\": %.2f,\n"
                "  \"traced_eps\": %.0f,\n  \"traced_overhead_pct\": %.2f\n}\n",
-               obs::kEnabled ? "true" : "false", base, att, overhead_pct, tr,
-               traced_overhead_pct);
+               base, att, overhead_pct, tr, traced_overhead_pct);
   std::fclose(f);
   std::printf("wrote %s\n", path);
 

@@ -29,7 +29,6 @@ struct PoolMetrics {
   obs::Counter serial_batches;
   obs::Counter tasks;
   obs::Histogram batch_size;
-  obs::Gauge pool_size;
 
   PoolMetrics() {
     auto& reg = obs::Registry::global();
@@ -39,7 +38,6 @@ struct PoolMetrics {
     constexpr double kBounds[] = {1,  2,   4,   8,    16,   32,  64,
                                   128, 256, 512, 1024, 4096, 16384};
     batch_size = reg.histogram("parallel.batch_size", kBounds);
-    pool_size = reg.gauge("parallel.pool_size");
   }
 };
 
@@ -134,7 +132,6 @@ ThreadPool::ThreadPool(std::size_t num_threads)
   for (std::size_t i = 0; i < num_workers_; ++i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
   }
-  pool_metrics().pool_size.record(static_cast<double>(num_workers_ + 1));
 }
 
 ThreadPool::~ThreadPool() {

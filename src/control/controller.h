@@ -21,7 +21,7 @@
 // the engine — every decision is a pure function of the configuration and
 // the observation history, so a controlled run stays bit-identical across
 // thread counts.  Observations are deterministic in-engine counters, never
-// obs::Registry readback (the obs layer may be compiled out).
+// obs::Registry readback (metrics are observational only, DESIGN.md §13).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#if SLEDZIG_OBS_ENABLED
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -10,76 +8,23 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "obs/json_string.h"
+
 namespace sledzig::obs {
 
 namespace {
 
-// Cell space geometry: fixed arrays of atomically-published block pointers.
-// A writer never touches a structure another thread mutates — registration
-// fills new slots under the registry mutex and publishes them with a
-// release store; the writer's acquire load synchronises with exactly that
-// store.
-constexpr std::size_t kBlockBits = 6;
-constexpr std::size_t kBlockSize = std::size_t{1} << kBlockBits;
-constexpr std::size_t kMaxBlocks = 64;
-constexpr std::size_t kMaxCells = kBlockSize * kMaxBlocks;
-constexpr std::size_t kMaxHistograms = 256;
-
-/// Monotone registry ids: a thread-local cache entry keyed by a uid can
-/// never be revived for a different Registry, so a stale cached shard
-/// pointer is unreachable (only matched, never dereferenced) after its
-/// registry dies.
-// lint: allow(static-state): process-wide monotone id source (atomic)
-std::atomic<std::uint64_t> g_next_registry_uid{1};
-
-/// Per-thread shard cache: one fast slot for the registry this thread wrote
-/// last, plus an ordered-map fallback for the (rare) multi-registry case.
-/// Entries for destroyed registries go stale but are matched by uid only,
-/// never dereferenced.  Single writer per instance by construction.
-struct TlsShardCache {
-  std::uint64_t uid = 0;
-  void* shard = nullptr;
-  std::map<std::uint64_t, void*> others;
-};
-// lint: allow(static-state): per-thread shard cache, one writer by construction
-thread_local TlsShardCache tls_shard_cache;
-
-template <typename T, std::size_t N>
-void ensure_blocks(std::array<std::atomic<std::atomic<T>*>, N>& blocks,
-                   std::vector<std::unique_ptr<std::atomic<T>[]>>& owned,
-                   std::size_t cells_needed) {
-  const std::size_t blocks_needed =
-      (cells_needed + kBlockSize - 1) >> kBlockBits;
-  for (std::size_t b = 0; b < blocks_needed; ++b) {
-    if (blocks[b].load(std::memory_order_relaxed) != nullptr) continue;
-    auto block = std::make_unique<std::atomic<T>[]>(kBlockSize);
-    blocks[b].store(block.get(), std::memory_order_release);
-    owned.push_back(std::move(block));
-  }
-}
-
-template <typename T, std::size_t N>
-std::atomic<T>& cell_at(
-    const std::array<std::atomic<std::atomic<T>*>, N>& blocks,
-    std::uint32_t id) {
-  auto* block = blocks[id >> kBlockBits].load(std::memory_order_acquire);
-  return block[id & (kBlockSize - 1)];
-}
+constexpr std::uint32_t kMaxCells = 4096;  // per kind: counters, buckets
+constexpr std::uint32_t kMaxHistograms = 256;
 
 }  // namespace
 
+/// Both cell arrays exist from construction and never move, so a handle
+/// writes its cell with no synchronisation beyond the relaxed add itself.
+/// Registration fills the name maps and hists[] under the mutex before the
+/// handle carrying the new id exists, and handing a handle to another
+/// thread is itself a synchronisation point.
 struct Registry::Impl {
-  struct Shard {
-    std::array<std::atomic<std::atomic<std::uint64_t>*>, kMaxBlocks>
-        counter_blocks{};
-    std::array<std::atomic<std::atomic<double>*>, kMaxBlocks> gauge_blocks{};
-    std::array<std::atomic<std::atomic<std::uint64_t>*>, kMaxBlocks>
-        hist_blocks{};
-    // Owned storage behind the published pointers.
-    std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> owned_u64;
-    std::vector<std::unique_ptr<std::atomic<double>[]>> owned_f64;
-  };
-
   struct HistDesc {
     std::vector<double> bounds;    // ascending upper bounds
     std::uint32_t first_cell = 0;  // start of this histogram's bucket cells
@@ -87,101 +32,11 @@ struct Registry::Impl {
 
   mutable std::mutex mutex;
   std::map<std::string, std::uint32_t, std::less<>> counter_ids;
-  std::map<std::string, std::uint32_t, std::less<>> gauge_ids;
   std::map<std::string, std::uint32_t, std::less<>> hist_ids;
-  /// Fixed-capacity so observe() never reads a container another thread is
-  /// growing; slot [id] is written once (under the mutex) before any handle
-  /// carrying that id exists, and handle hand-off to another thread is
-  /// itself a synchronisation point.
-  std::unique_ptr<HistDesc[]> hists =
-      std::make_unique<HistDesc[]>(kMaxHistograms);
-  std::uint32_t num_counters = 0;
-  std::uint32_t num_gauges = 0;
-  std::uint32_t num_hists = 0;
+  std::array<HistDesc, kMaxHistograms> hists;
   std::uint32_t num_hist_cells = 0;
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::uint64_t uid = g_next_registry_uid.fetch_add(1);
-
-  // ---- shard management ----
-
-  void grow_shard(Shard& s) const {
-    ensure_blocks(s.counter_blocks, s.owned_u64, num_counters);
-    ensure_blocks(s.gauge_blocks, s.owned_f64, num_gauges);
-    ensure_blocks(s.hist_blocks, s.owned_u64, num_hist_cells);
-  }
-
-  void grow_all_shards() {
-    for (auto& s : shards) grow_shard(*s);
-  }
-
-  Shard& shard_for() {
-    TlsShardCache& cache = tls_shard_cache;
-    if (cache.uid == uid) return *static_cast<Shard*>(cache.shard);
-    Shard* shard = nullptr;
-    if (const auto it = cache.others.find(uid); it != cache.others.end()) {
-      shard = static_cast<Shard*>(it->second);
-    } else {
-      std::scoped_lock lock(mutex);
-      auto fresh = std::make_unique<Shard>();
-      grow_shard(*fresh);
-      shard = fresh.get();
-      shards.push_back(std::move(fresh));
-    }
-    if (cache.uid != 0) cache.others.emplace(cache.uid, cache.shard);
-    cache.others.erase(uid);
-    cache.uid = uid;
-    cache.shard = shard;
-    return *shard;
-  }
-
-  // ---- hot-path updates ----
-
-  void bump_counter(std::uint32_t id, std::uint64_t delta) {
-    cell_at(shard_for().counter_blocks, id)
-        .fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  void record_gauge(std::uint32_t id, double value) {
-    auto& c = cell_at(shard_for().gauge_blocks, id);
-    double cur = c.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !c.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-  }
-
-  void observe_hist(std::uint32_t id, double value) {
-    const HistDesc& desc = hists[id];
-    const auto it =
-        std::lower_bound(desc.bounds.begin(), desc.bounds.end(), value);
-    const auto bucket = static_cast<std::uint32_t>(it - desc.bounds.begin());
-    cell_at(shard_for().hist_blocks, desc.first_cell + bucket)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // ---- aggregation (mutex held by caller) ----
-
-  std::uint64_t sum_u64(bool hist_space, std::uint32_t id) const {
-    std::uint64_t total = 0;
-    for (const auto& s : shards) {
-      const auto& blocks = hist_space ? s->hist_blocks : s->counter_blocks;
-      auto* block = blocks[id >> kBlockBits].load(std::memory_order_acquire);
-      if (block == nullptr) continue;
-      total += block[id & (kBlockSize - 1)].load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  double max_f64(std::uint32_t id) const {
-    double best = 0.0;
-    for (const auto& s : shards) {
-      auto* block =
-          s->gauge_blocks[id >> kBlockBits].load(std::memory_order_acquire);
-      if (block == nullptr) continue;
-      best = std::max(
-          best, block[id & (kBlockSize - 1)].load(std::memory_order_relaxed));
-    }
-    return best;
-  }
+  std::array<std::atomic<std::uint64_t>, kMaxCells> counters{};
+  std::array<std::atomic<std::uint64_t>, kMaxCells> buckets{};
 };
 
 Registry::Registry() : impl_(std::make_unique<Impl>()) {}
@@ -191,31 +46,13 @@ Counter Registry::counter(std::string_view name) {
   std::scoped_lock lock(impl_->mutex);
   auto it = impl_->counter_ids.find(name);
   if (it == impl_->counter_ids.end()) {
-    if (impl_->num_counters >= kMaxCells) {
+    const auto id = static_cast<std::uint32_t>(impl_->counter_ids.size());
+    if (id >= kMaxCells) {
       throw std::length_error("obs::Registry: counter space exhausted");
     }
-    it = impl_->counter_ids.emplace(std::string(name), impl_->num_counters++)
-             .first;
-    impl_->grow_all_shards();
+    it = impl_->counter_ids.emplace(std::string(name), id).first;
   }
   Counter handle;
-  handle.registry_ = this;
-  handle.id_ = it->second;
-  return handle;
-}
-
-Gauge Registry::gauge(std::string_view name) {
-  std::scoped_lock lock(impl_->mutex);
-  auto it = impl_->gauge_ids.find(name);
-  if (it == impl_->gauge_ids.end()) {
-    if (impl_->num_gauges >= kMaxCells) {
-      throw std::length_error("obs::Registry: gauge space exhausted");
-    }
-    it = impl_->gauge_ids.emplace(std::string(name), impl_->num_gauges++)
-             .first;
-    impl_->grow_all_shards();
-  }
-  Gauge handle;
   handle.registry_ = this;
   handle.id_ = it->second;
   return handle;
@@ -231,17 +68,16 @@ Histogram Registry::histogram(std::string_view name,
   std::scoped_lock lock(impl_->mutex);
   auto it = impl_->hist_ids.find(name);
   if (it == impl_->hist_ids.end()) {
+    const auto id = static_cast<std::uint32_t>(impl_->hist_ids.size());
     const std::size_t cells = upper_bounds.size() + 1;  // +overflow bucket
-    if (impl_->num_hists >= kMaxHistograms ||
-        impl_->num_hist_cells + cells > kMaxCells) {
+    if (id >= kMaxHistograms || impl_->num_hist_cells + cells > kMaxCells) {
       throw std::length_error("obs::Registry: histogram space exhausted");
     }
-    Impl::HistDesc& desc = impl_->hists[impl_->num_hists];
+    Impl::HistDesc& desc = impl_->hists[id];
     desc.bounds.assign(upper_bounds.begin(), upper_bounds.end());
     desc.first_cell = impl_->num_hist_cells;
     impl_->num_hist_cells += static_cast<std::uint32_t>(cells);
-    it = impl_->hist_ids.emplace(std::string(name), impl_->num_hists++).first;
-    impl_->grow_all_shards();
+    it = impl_->hist_ids.emplace(std::string(name), id).first;
   } else {
     const Impl::HistDesc& desc = impl_->hists[it->second];
     if (desc.bounds.size() != upper_bounds.size() ||
@@ -262,11 +98,8 @@ Snapshot Registry::snapshot() const {
   std::scoped_lock lock(impl_->mutex);
   snap.counters.reserve(impl_->counter_ids.size());
   for (const auto& [name, id] : impl_->counter_ids) {
-    snap.counters.emplace_back(name, impl_->sum_u64(false, id));
-  }
-  snap.gauges.reserve(impl_->gauge_ids.size());
-  for (const auto& [name, id] : impl_->gauge_ids) {
-    snap.gauges.emplace_back(name, impl_->max_f64(id));
+    snap.counters.emplace_back(
+        name, impl_->counters[id].load(std::memory_order_relaxed));
   }
   snap.histograms.reserve(impl_->hist_ids.size());
   for (const auto& [name, id] : impl_->hist_ids) {
@@ -276,8 +109,8 @@ Snapshot Registry::snapshot() const {
     h.upper_bounds = desc.bounds;
     h.counts.resize(desc.bounds.size() + 1);
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      h.counts[b] = impl_->sum_u64(
-          true, desc.first_cell + static_cast<std::uint32_t>(b));
+      h.counts[b] = impl_->buckets[desc.first_cell + b].load(
+          std::memory_order_relaxed);
       h.total += h.counts[b];
     }
     snap.histograms.push_back(std::move(h));
@@ -287,18 +120,8 @@ Snapshot Registry::snapshot() const {
 
 void Registry::reset() {
   std::scoped_lock lock(impl_->mutex);
-  for (auto& shard : impl_->shards) {
-    for (auto& block : shard->owned_u64) {
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        block[i].store(0, std::memory_order_relaxed);
-      }
-    }
-    for (auto& block : shard->owned_f64) {
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        block[i].store(0.0, std::memory_order_relaxed);
-      }
-    }
-  }
+  for (auto& cell : impl_->counters) cell.store(0, std::memory_order_relaxed);
+  for (auto& cell : impl_->buckets) cell.store(0, std::memory_order_relaxed);
 }
 
 Registry& Registry::global() {
@@ -310,40 +133,20 @@ Registry& Registry::global() {
 
 void Counter::add(std::uint64_t delta) const {
   if (registry_ == nullptr) return;
-  registry_->impl_->bump_counter(id_, delta);
-}
-
-void Gauge::record(double value) const {
-  if (registry_ == nullptr) return;
-  registry_->impl_->record_gauge(id_, value);
+  registry_->impl_->counters[id_].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Histogram::observe(double value) const {
   if (registry_ == nullptr) return;
-  registry_->impl_->observe_hist(id_, value);
+  Registry::Impl& impl = *registry_->impl_;
+  const Registry::Impl::HistDesc& desc = impl.hists[id_];
+  const auto it =
+      std::lower_bound(desc.bounds.begin(), desc.bounds.end(), value);
+  impl.buckets[desc.first_cell + (it - desc.bounds.begin())].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
-}  // namespace sledzig::obs
-
-#else  // !SLEDZIG_OBS_ENABLED
-
-namespace sledzig::obs {
-
-Registry& Registry::global() {
-  // lint: allow(static-state): stateless stub instance
-  static Registry registry;
-  return registry;
-}
-
-}  // namespace sledzig::obs
-
-#endif  // SLEDZIG_OBS_ENABLED
-
-// ---- Snapshot helpers (compiled in both modes) ----
-
-namespace sledzig::obs {
-
-namespace {
+// ---- JSON rendering ----
 
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
@@ -356,7 +159,8 @@ void append_json_string(std::string& out, std::string_view s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
           out += buf;
         } else {
           out.push_back(c);
@@ -365,6 +169,8 @@ void append_json_string(std::string& out, std::string_view s) {
   }
   out.push_back('"');
 }
+
+namespace {
 
 void append_json_double(std::string& out, double v) {
   char buf[40];
@@ -379,13 +185,6 @@ std::uint64_t Snapshot::counter(std::string_view name) const {
     if (n == name) return v;
   }
   return 0;
-}
-
-double Snapshot::gauge(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
-    if (n == name) return v;
-  }
-  return 0.0;
 }
 
 const HistogramData* Snapshot::histogram(std::string_view name) const {
@@ -404,14 +203,6 @@ std::string Snapshot::to_json() const {
     out += std::to_string(counters[i].second);
   }
   out += counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    append_json_string(out, gauges[i].first);
-    out += ": ";
-    append_json_double(out, gauges[i].second);
-  }
-  out += gauges.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramData& h = histograms[i];

@@ -1,24 +1,20 @@
 // Deterministic, near-zero-overhead metrics registry (DESIGN.md §13).
 //
-// Counters, high-water gauges, and fixed-bucket histograms with cheap
-// thread-local sharding: each writing thread owns a private shard of plain
-// relaxed-atomic cells, so the hot path is one thread-local lookup plus one
-// uncontended fetch_add — no locks, no false sharing with readers.  Shards
-// are aggregated only at report time (`snapshot()`), and because every
-// aggregate is an integer sum (or a max, for gauges), the aggregated values
-// are bit-identical for any thread count whenever the same work items ran —
-// the same index-addressed contract as common::parallel.
+// Counters and fixed-bucket histograms.  Every counter and every histogram
+// bucket is one relaxed-atomic cell in a fixed-capacity array owned by the
+// registry, so a write is one relaxed fetch_add on the metric's own cell —
+// no locks, and no per-thread state to create on a thread's first write or
+// to keep after it exits.  Because every value is an integer sum, a
+// quiescent snapshot is bit-identical for any thread count whenever the
+// same work items ran — the same index-addressed contract as
+// common::parallel.
 //
 // Determinism rules (enforced by tools/lint_determinism.py and the
 // digest-invariance tests in tests/sim_test.cc):
 //   * metrics are observational only — nothing digest-checked may ever read
 //     them back into a result path;
-//   * histogram *counts* are exact integers; gauge aggregation is max();
+//   * counter and histogram values are exact integers;
 //   * snapshots iterate name-sorted, so to_json() is a stable string.
-//
-// Compile-time gate: when the SLEDZIG_OBS CMake option is OFF the whole API
-// degrades to inline no-ops (empty handles, empty snapshots) so call sites
-// compile unchanged and cost literally nothing.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +25,11 @@
 #include <utility>
 #include <vector>
 
-#ifndef SLEDZIG_OBS_ENABLED
-#define SLEDZIG_OBS_ENABLED 1
-#endif
-
 namespace sledzig::obs {
 
-/// True when the observability layer is compiled in (SLEDZIG_OBS=ON).
-inline constexpr bool kEnabled = SLEDZIG_OBS_ENABLED != 0;
+/// The observability layer is always compiled in; benchmark reports print
+/// this next to the other build settings.
+inline constexpr bool kEnabled = true;
 
 /// Aggregated view of one histogram at snapshot time.
 struct HistogramData {
@@ -52,12 +45,10 @@ struct HistogramData {
 /// Point-in-time aggregate of a Registry, name-sorted within each kind.
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramData> histograms;
 
   /// Value lookups; zero / nullptr when the name was never registered.
   std::uint64_t counter(std::string_view name) const;
-  double gauge(std::string_view name) const;
   const HistogramData* histogram(std::string_view name) const;
 
   /// Deterministic JSON rendering (sorted keys, fixed float format).
@@ -66,28 +57,13 @@ struct Snapshot {
 
 class Registry;
 
-#if SLEDZIG_OBS_ENABLED
-
 /// Monotone counter handle.  Copyable POD; add() is thread-safe and
-/// wait-free (relaxed atomic on the calling thread's shard).  A
+/// wait-free (one relaxed atomic add on the counter's cell).  A
 /// default-constructed handle is valid and discards all updates.
 class Counter {
  public:
   void add(std::uint64_t delta) const;
   void inc() const { add(1); }
-
- private:
-  friend class Registry;
-  Registry* registry_ = nullptr;
-  std::uint32_t id_ = 0;
-};
-
-/// High-water gauge handle: record() keeps the maximum value seen on the
-/// calling thread; snapshot aggregation takes the maximum across shards, so
-/// the aggregate is thread-count invariant for the same set of record()s.
-class Gauge {
- public:
-  void record(double value) const;
 
  private:
   friend class Registry;
@@ -108,11 +84,10 @@ class Histogram {
   std::uint32_t id_ = 0;
 };
 
-/// Metric registry.  Handle creation (counter()/gauge()/histogram()) takes
-/// a mutex and may allocate; handles themselves are cheap PODs meant to be
-/// resolved once and reused on hot paths.  Registering the same name twice
-/// returns the same metric (histogram bounds must match the first
-/// registration).
+/// Metric registry.  Handle creation (counter()/histogram()) takes a mutex
+/// and may allocate; handles themselves are cheap PODs meant to be resolved
+/// once and reused on hot paths.  Registering the same name twice returns
+/// the same metric (histogram bounds must match the first registration).
 ///
 /// Lifetime contract: a Registry must outlive every thread that still
 /// writes through its handles.  The process-wide global() registry
@@ -126,17 +101,16 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name,
                       std::span<const double> upper_bounds);
 
-  /// Aggregates all shards.  Values written strictly before the call are
-  /// fully included; concurrent writers may or may not be.  Quiescent
-  /// snapshots (all producers joined) are exact and deterministic.
+  /// Reads every cell.  Values written strictly before the call are fully
+  /// included; concurrent writers may or may not be.  Quiescent snapshots
+  /// (all producers joined) are exact and deterministic.
   Snapshot snapshot() const;
 
-  /// Zeroes every cell (counts, gauges, buckets).  Caller must be
-  /// quiescent: concurrent writers race with the wipe.
+  /// Zeroes every counter and bucket.  Caller must be quiescent:
+  /// concurrent writers race with the wipe.
   void reset();
 
   /// Process-wide registry most subsystems tally into.
@@ -144,45 +118,9 @@ class Registry {
 
  private:
   friend class Counter;
-  friend class Gauge;
   friend class Histogram;
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-#else  // SLEDZIG_OBS_ENABLED == 0: every operation is an inline no-op.
-
-class Counter {
- public:
-  void add(std::uint64_t) const {}
-  void inc() const {}
-};
-
-class Gauge {
- public:
-  void record(double) const {}
-};
-
-class Histogram {
- public:
-  void observe(double) const {}
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-  Counter counter(std::string_view) { return {}; }
-  Gauge gauge(std::string_view) { return {}; }
-  Histogram histogram(std::string_view, std::span<const double>) {
-    return {};
-  }
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-  static Registry& global();
-};
-
-#endif  // SLEDZIG_OBS_ENABLED
 
 }  // namespace sledzig::obs

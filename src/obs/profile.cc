@@ -1,7 +1,5 @@
 #include "obs/profile.h"
 
-#if SLEDZIG_OBS_ENABLED
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -94,5 +92,3 @@ void profile_report(std::ostream& out) {
 }
 
 }  // namespace sledzig::obs
-
-#endif  // SLEDZIG_OBS_ENABLED

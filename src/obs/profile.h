@@ -1,8 +1,7 @@
 // Wall-clock profiling hooks (DESIGN.md §13).
 //
 // The ONLY place in src/ allowed to read a clock — and even here the reads
-// are double-gated: compile-time by SLEDZIG_OBS (the macro vanishes when
-// compiled out) and run-time by the SLEDZIG_PROFILE environment variable
+// are gated at run time by the SLEDZIG_PROFILE environment variable
 // (unset/"0" ⇒ a scope costs one relaxed bool load).  Timings accumulate
 // into process-wide sites and are rendered by profile_report(); they are
 // strictly observational — nothing digest-checked may ever read them.
@@ -22,11 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "obs/metrics.h"  // SLEDZIG_OBS_ENABLED / kEnabled
-
 namespace sledzig::obs {
-
-#if SLEDZIG_OBS_ENABLED
 
 /// True when SLEDZIG_PROFILE is set to anything but "" or "0".  Read once
 /// at first call, then a relaxed atomic load.
@@ -89,16 +84,5 @@ void profile_report(std::ostream& out);
   ::sledzig::obs::ProfScope SLEDZIG_PROF_CONCAT(sledzig_prof_scope_,       \
                                                 __LINE__)(                 \
       SLEDZIG_PROF_CONCAT(sledzig_prof_site_, __LINE__))
-
-#else  // compiled out: the macro disappears entirely.
-
-inline bool profiling_enabled() { return false; }
-inline void profile_report(std::ostream&) {}
-
-#define SLEDZIG_PROF_SCOPE(name_literal) \
-  do {                                   \
-  } while (false)
-
-#endif  // SLEDZIG_OBS_ENABLED
 
 }  // namespace sledzig::obs

@@ -3,19 +3,15 @@
 #include <ostream>
 #include <sstream>
 
-namespace sledzig::obs {
+#include "obs/json_string.h"
 
-#if SLEDZIG_OBS_ENABLED
+namespace sledzig::obs {
 
 namespace {
 
-std::string escaped(std::string_view s) {
+std::string quoted(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
+  append_json_string(out, s);
   return out;
 }
 
@@ -60,14 +56,14 @@ void TraceLog::write_chrome_json(std::ostream& out) const {
     first = false;
     out << "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
            "\"tid\": "
-        << track << ", \"args\": {\"name\": \"" << escaped(name) << "\"}}";
+        << track << ", \"args\": {\"name\": " << quoted(name) << "}}";
   }
   for (const TraceEvent& ev : events_) {
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "  {\"name\": \"" << escaped(ev.name) << "\", \"ph\": \""
-        << ev.phase << "\", \"pid\": 0, \"tid\": " << ev.track
-        << ", \"ts\": " << ev.ts_us;
+    out << "  {\"name\": " << quoted(ev.name) << ", \"ph\": \"" << ev.phase
+        << "\", \"pid\": 0, \"tid\": " << ev.track << ", \"ts\": "
+        << ev.ts_us;
     if (ev.phase == 'X') out << ", \"dur\": " << ev.dur_us;
     if (ev.phase == 'i') out << ", \"s\": \"t\"";
     out << "}";
@@ -83,26 +79,12 @@ std::string TraceLog::chrome_json() const {
 
 void TraceLog::write_jsonl(std::ostream& out) const {
   for (const TraceEvent& ev : events_) {
-    out << "{\"name\": \"" << escaped(ev.name) << "\", \"track\": "
-        << ev.track << ", \"ts_us\": " << ev.ts_us;
+    out << "{\"name\": " << quoted(ev.name) << ", \"track\": " << ev.track
+        << ", \"ts_us\": " << ev.ts_us;
     if (ev.phase == 'X') out << ", \"dur_us\": " << ev.dur_us;
     out << ", \"kind\": \"" << (ev.phase == 'X' ? "span" : "instant")
         << "\"}\n";
   }
 }
-
-#else  // !SLEDZIG_OBS_ENABLED
-
-void TraceLog::write_chrome_json(std::ostream& out) const {
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}\n";
-}
-
-std::string TraceLog::chrome_json() const {
-  std::ostringstream out;
-  write_chrome_json(out);
-  return out.str();
-}
-
-#endif  // SLEDZIG_OBS_ENABLED
 
 }  // namespace sledzig::obs

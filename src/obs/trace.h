@@ -22,9 +22,8 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
-
-#include "obs/metrics.h"  // SLEDZIG_OBS_ENABLED / kEnabled
 
 namespace sledzig::obs {
 
@@ -37,8 +36,6 @@ struct TraceEvent {
   std::uint64_t dur_us = 0;
   char phase = 'X';
 };
-
-#if SLEDZIG_OBS_ENABLED
 
 class TraceLog {
  public:
@@ -68,25 +65,5 @@ class TraceLog {
   /// (track, name), insertion-ordered; rendered as thread_name metadata.
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;
 };
-
-#else  // stub: recording is free, renderings are empty.
-
-class TraceLog {
- public:
-  void set_track_name(std::uint32_t, std::string_view) {}
-  void complete(std::string_view, std::uint32_t, std::uint64_t,
-                std::uint64_t) {}
-  void instant(std::string_view, std::uint32_t, std::uint64_t) {}
-  const std::vector<TraceEvent>& events() const { return events_; }
-  std::size_t size() const { return 0; }
-  void write_chrome_json(std::ostream& out) const;
-  std::string chrome_json() const;
-  void write_jsonl(std::ostream&) const {}
-
- private:
-  std::vector<TraceEvent> events_;  // always empty
-};
-
-#endif  // SLEDZIG_OBS_ENABLED
 
 }  // namespace sledzig::obs

@@ -493,15 +493,13 @@ TEST(SimEngine, StaleTimersAreDiscardedAndCounted) {
   cfg.metrics = &reg;
   const auto r = run_scenario(cfg);
   expect_conservation(r, "stale-timer flood");
-  if (obs::kEnabled) {
-    const auto snap = reg.snapshot();
-    EXPECT_GT(snap.counter("sim.timer.stale"), 0u);
-    // Processed events cannot exceed pushes, and the event census adds up.
-    EXPECT_EQ(snap.counter("sim.events"),
-              snap.counter("sim.events.arrival") +
-                  snap.counter("sim.events.timer") +
-                  snap.counter("sim.events.tx_end"));
-  }
+  const auto snap = reg.snapshot();
+  EXPECT_GT(snap.counter("sim.timer.stale"), 0u);
+  // Processed events cannot exceed pushes, and the event census adds up.
+  EXPECT_EQ(snap.counter("sim.events"),
+            snap.counter("sim.events.arrival") +
+                snap.counter("sim.events.timer") +
+                snap.counter("sim.events.tx_end"));
 }
 
 TEST(ScenarioValidate, CleanConfigHasNoErrors) {
