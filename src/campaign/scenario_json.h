@@ -2,7 +2,7 @@
 //
 // A scenario file describes everything ScenarioConfig holds — topology
 // (explicit node lists or a generator), traffic mixes, the SledZig plan,
-// impairments, fault plans, fast-path, invariant and control knobs — and
+// impairments, fault plans, invariant and control knobs — and
 // round-trips losslessly: scenario_to_json(cfg) parsed back yields a
 // config whose run_scenario digest is bit-identical to the original
 // (asserted for the flagship scenarios and for every cell of every shipped

@@ -26,8 +26,9 @@ WifiInbandPower wifi_inband_power(const core::SledzigConfig& cfg,
 
 namespace {
 
-/// Measured-RSSI distribution histograms, one per measurement chain.  The
-/// handles are resolved once; each measure_* call observes a single value.
+/// Measured-RSSI distribution histograms, one per measurement chain.  Each
+/// chain resolves its handle once, into a function-local static, and
+/// observes a single value per call.
 /// Observational only — nothing reads these back into results.
 obs::Histogram rssi_histogram(const char* name) {
   constexpr double kDbmBounds[] = {-100, -95, -90, -85, -80, -75, -70, -65,
@@ -85,7 +86,9 @@ double measure_wifi_rssi_at_zigbee(const core::SledzigConfig& cfg,
   const double rssi = channel::rssi_2mhz_dbm(
       std::span<const common::Cplx>(rx).subspan(payload_start),
       core::channel_center_offset_hz(sz.channel));
-  rssi_histogram("coex.rssi.wifi_at_zigbee_dbm").observe(rssi);
+  static const obs::Histogram hist =
+      rssi_histogram("coex.rssi.wifi_at_zigbee_dbm");
+  hist.observe(rssi);
   return rssi;
 }
 
@@ -101,7 +104,8 @@ double measure_zigbee_rssi(unsigned zigbee_gain, double distance_m,
   const auto rx = through_channel(tx.samples, rx_power, common::Hz{0.0}, rng,
                                   impairment, seed);
   const double rssi = channel::rssi_2mhz_dbm(rx, 0.0);
-  rssi_histogram("coex.rssi.zigbee_dbm").observe(rssi);
+  static const obs::Histogram hist = rssi_histogram("coex.rssi.zigbee_dbm");
+  hist.observe(rssi);
   return rssi;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/units.h"
 
@@ -35,65 +36,73 @@ void ArbiterTables::set_link(std::size_t point, std::size_t tx,
   }
 }
 
-Arbiter::Arbiter(ArbiterTables tables) : tables_(std::move(tables)) {
-  by_comp_.resize(std::max<std::size_t>(1, tables_.num_comps));
+Arbiter::Arbiter(ArbiterTables tables, double max_cca_us)
+    : tables_(std::move(tables)), max_cca_us_(max_cca_us) {
+  ledgers_.resize(std::max<std::size_t>(1, tables_.num_comps));
 }
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters)
-std::uint32_t Arbiter::begin_tx(std::uint32_t node, NodeKind kind,
-                                double start_us, double payload_start_us,
-                                double end_us) {
+std::uint32_t Arbiter::begin_tx(std::uint32_t node, double start_us,
+                                double payload_start_us, double end_us) {
   // NOLINTEND(bugprone-easily-swappable-parameters)
-  const auto id = static_cast<std::uint32_t>(txs_.size());
-  txs_.push_back(
-      Transmission{node, kind, start_us, payload_start_us, end_us, true});
-  active_.push_back(id);
-  by_comp_[tables_.comp[node]].push_back(id);
   max_duration_us_ = std::max(max_duration_us_, end_us - start_us);
+  // Retire the front while it ended by the cutoff, after which every later
+  // query window opens (DESIGN.md §15).
+  Ledger& l = ledgers_[tables_.comp[node]];
+  const double cutoff = start_us - std::max(max_duration_us_, max_cca_us_);
+  while (l.head < l.txs.size() && l.txs[l.head].end_us <= cutoff) ++l.head;
+  // Erase once the prefix outgrows what the erase moves: O(1) amortised.
+  if (l.head > 0 && 2 * l.head >= l.txs.size()) {
+    l.txs.erase(l.txs.begin(),
+                l.txs.begin() + static_cast<std::ptrdiff_t>(l.head));
+    l.first_id += static_cast<std::uint32_t>(l.head);
+    l.head = 0;
+  }
+  const auto id = static_cast<std::uint32_t>(l.first_id + l.txs.size());
+  l.txs.push_back(Transmission{node, start_us, payload_start_us, end_us});
   return id;
 }
 
-void Arbiter::end_tx(std::uint32_t tx_id) {
-  txs_[tx_id].active = false;
-  active_.erase(std::remove(active_.begin(), active_.end(), tx_id),
-                active_.end());
-}
-
-void Arbiter::abort_tx(std::uint32_t tx_id, double now_us) {
-  auto& x = txs_[tx_id];
-  if (!x.active) return;
-  x.aborted = true;
+void Arbiter::abort_tx(std::uint32_t node, std::uint32_t tx_id,
+                       double now_us) {
+  Ledger& l = ledgers_[tables_.comp[node]];
+  Transmission& x = l.txs[tx_id - l.first_id];
   x.end_us = std::max(x.start_us, now_us);
   // Truncating can only shrink the payload window; clamp its start too so
   // the segment arithmetic in zigbee_cca_busy stays non-negative.
   x.payload_start_us = std::min(x.payload_start_us, x.end_us);
-  end_tx(tx_id);
 }
 
 bool Arbiter::busy_at(std::uint32_t listener, double t_us) const {
-  for (const auto id : active_) {
-    const auto& x = txs_[id];
-    if (x.node == listener) continue;
-    if (!audible(listener, x.node)) continue;
-    if (x.start_us <= t_us && t_us < x.end_us) return true;
+  // Anything on air at t started within the longest duration of it; other
+  // components are never audible (0 mW); and any() ignores scan order.
+  const auto live = ledgers_[tables_.comp[listener]].live();
+  const double lo_start = t_us - max_duration_us_;
+  for (auto it = live.rbegin(); it != live.rend() && it->start_us >= lo_start;
+       ++it) {
+    if (it->start_us <= t_us && t_us < it->end_us && it->node != listener &&
+        audible(listener, it->node)) {
+      return true;
+    }
   }
   return false;
 }
 
-std::pair<const std::uint32_t*, const std::uint32_t*> Arbiter::overlap_ids(
-    std::uint32_t listener, double t0_us, double t1_us) const {
+std::span<const Transmission> Arbiter::overlapping(std::uint32_t listener,
+                                                   double t0_us,
+                                                   double t1_us) const {
   // Starts are sorted but ends are not (transmissions overlap), so scan
   // back by the longest duration seen: any transmission overlapping t0
   // must have started within that window.
-  const auto& v = by_comp_[tables_.comp[listener]];
+  const auto v = ledgers_[tables_.comp[listener]].live();
   const double lo_start = t0_us - max_duration_us_;
   const auto lo = std::lower_bound(
       v.begin(), v.end(), lo_start,
-      [this](std::uint32_t id, double t) { return txs_[id].start_us < t; });
+      [](const Transmission& x, double t) { return x.start_us < t; });
   const auto hi = std::upper_bound(
       lo, v.end(), t1_us,
-      [this](double t, std::uint32_t id) { return t < txs_[id].start_us; });
-  return {v.data() + (lo - v.begin()), v.data() + (hi - v.begin())};
+      [](double t, const Transmission& x) { return t < x.start_us; });
+  return {lo, hi};
 }
 
 bool Arbiter::zigbee_cca_busy(std::uint32_t listener, double t0_us,
@@ -101,9 +110,7 @@ bool Arbiter::zigbee_cca_busy(std::uint32_t listener, double t0_us,
   const double window = t1_us - t0_us;
   if (window <= 0.0) return false;
   double energy = 0.0;  // mW * us
-  const auto [lo, hi] = overlap_ids(listener, t0_us, t1_us);
-  for (const std::uint32_t* it = lo; it != hi; ++it) {
-    const auto& x = txs_[*it];
+  for (const Transmission& x : overlapping(listener, t0_us, t1_us)) {
     if (x.node == listener) continue;
     // Zero-power links (pruned or channel-disjoint) contribute exactly
     // 0.0 mW*us; skip them without touching the (cache-cold at campus

@@ -1,5 +1,5 @@
-// Airtime arbiter: the ledger of every transmission in a run, plus the
-// power-driven medium queries the MAC state machines are advanced with.
+// Airtime arbiter: the ledger of transmissions a query can still reach, plus
+// the power-driven medium queries the MAC state machines are advanced with.
 //
 // All queries resolve through received power between placed nodes — the
 // engine precomputes a (listening point x transmitter) table from
@@ -10,14 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
 
 namespace sledzig::sim {
-
-enum class NodeKind : std::uint8_t { kWifi, kZigbee, kJammer };
 
 /// Received power of one transmitter at one listening point, split by
 /// frame segment, in the listener's measurement band (2 MHz for ZigBee
@@ -27,16 +25,12 @@ struct SegmentPower {
   common::MilliWatt preamble_mw{};  // == payload_mw for ZigBee transmitters
 };
 
+/// One emission; its kind (WiFi, ZigBee, jammer) follows from `node`.
 struct Transmission {
   std::uint32_t node = 0;  // global node index
-  NodeKind kind = NodeKind::kWifi;
   double start_us = 0.0;
-  double payload_start_us = 0.0;  // == start_us for ZigBee frames
+  double payload_start_us = 0.0;  // == start_us for ZigBee and jammer bursts
   double end_us = 0.0;
-  bool active = false;
-  /// Cut short by a node crash: the already-queued kTxEnd is stale and the
-  /// engine skips delivery when it pops.
-  bool aborted = false;
 };
 
 /// Power tables the arbiter resolves transmissions against, for N nodes.
@@ -78,25 +72,33 @@ struct ArbiterTables {
 
 class Arbiter {
  public:
-  explicit Arbiter(ArbiterTables tables);
+  /// `max_cca_us`: the longest window zigbee_cca_busy will be asked about,
+  /// so retirement keeps what such a window can still reach.
+  Arbiter(ArbiterTables tables, double max_cca_us);
 
-  /// Registers a transmission starting now.  Starts are non-decreasing
-  /// (event time only moves forward), which keeps the ledger sorted.
+  /// Registers a transmission starting now; its id is its sequence number
+  /// in `node`'s component ledger.  Starts are non-decreasing (event time
+  /// only moves forward), which keeps the ledger sorted.  Retires the
+  /// ledger's front (DESIGN.md §15), which invalidates references from
+  /// tx() and spans from overlapping().
   /// The time triple is ordered (start <= payload_start <= end), so the
   /// params are not really swappable despite sharing a type.
   // NOLINTBEGIN(bugprone-easily-swappable-parameters)
-  std::uint32_t begin_tx(std::uint32_t node, NodeKind kind, double start_us,
+  std::uint32_t begin_tx(std::uint32_t node, double start_us,
                          double payload_start_us, double end_us);
   // NOLINTEND(bugprone-easily-swappable-parameters)
-  void end_tx(std::uint32_t tx_id);
 
-  /// Retires a transmission early (the transmitter died mid-air at `now`):
+  /// Cuts an emission short (the transmitter died mid-air at `now`):
   /// truncates its end to `now` so later medium queries stop seeing its
-  /// energy, and marks it aborted so the stale kTxEnd is skipped.  No-op on
-  /// an already-finished transmission.
-  void abort_tx(std::uint32_t tx_id, double now_us);
+  /// energy.
+  void abort_tx(std::uint32_t node, std::uint32_t tx_id, double now_us);
 
-  const Transmission& tx(std::uint32_t tx_id) const { return txs_[tx_id]; }
+  /// `node`'s transmission `tx_id`, which is on air or ends now (so it
+  /// cannot have been retired).
+  const Transmission& tx(std::uint32_t node, std::uint32_t tx_id) const {
+    const Ledger& l = ledgers_[tables_.comp[node]];
+    return l.txs[tx_id - l.first_id];
+  }
 
   /// Energy detect at `listener`'s transmitter position: is any audible
   /// foreign transmission on air at `t`?  (Single-source ED: a source is
@@ -112,11 +114,11 @@ class Arbiter {
   bool zigbee_cca_busy(std::uint32_t listener, double t0_us,
                        double t1_us) const;
 
-  /// Transmission ids, in start order, from `listener`'s coupling
+  /// The transmissions, in start order, from `listener`'s coupling
   /// component possibly overlapping [t0, t1] (callers re-check exact
-  /// endpoints).
-  std::pair<const std::uint32_t*, const std::uint32_t*> overlap_ids(
-      std::uint32_t listener, double t0_us, double t1_us) const;
+  /// endpoints).  Valid until the next begin_tx.
+  std::span<const Transmission> overlapping(std::uint32_t listener,
+                                            double t0_us, double t1_us) const;
 
   /// Received power of `tx_node` at `listener`'s receiver position.
   const SegmentPower& rx_power(std::uint32_t listener,
@@ -149,6 +151,18 @@ class Arbiter {
   }
 
  private:
+  /// One component's transmissions in start order; txs[k] has id
+  /// first_id + k, and txs[0, head) are retired, awaiting a prefix erase.
+  struct Ledger {
+    std::vector<Transmission> txs;
+    std::size_t head = 0;
+    std::uint32_t first_id = 0;
+
+    std::span<const Transmission> live() const {
+      return std::span<const Transmission>(txs).subspan(head);
+    }
+  };
+
   bool link_bit(std::size_t point, std::size_t tx_node) const {
     return (tables_.nonzero_bits[point * tables_.bit_words + (tx_node >> 6)] >>
             (tx_node & 63)) &
@@ -156,12 +170,9 @@ class Arbiter {
   }
 
   ArbiterTables tables_;
-  std::vector<Transmission> txs_;  // sorted by start_us (event order)
-  std::vector<std::uint32_t> active_;
-  /// Per-component transmission ids, each in start order (appended as
-  /// transmissions begin, and starts are non-decreasing).
-  std::vector<std::vector<std::uint32_t>> by_comp_;
-  double max_duration_us_ = 0.0;
+  std::vector<Ledger> ledgers_;  // one per coupling component
+  double max_duration_us_ = 0.0;  // longest end - start ever begun
+  double max_cca_us_ = 0.0;
 };
 
 }  // namespace sledzig::sim

@@ -110,11 +110,12 @@ class Engine {
     double surge = 1.0;    ///< traffic-rate factor of the current surge
     double skew_us = 0.0;  ///< first-arrival clock offset
     std::uint32_t active_tx = UINT32_MAX;  ///< in-flight ledger id, if any
+    double airtime_us = 0.0;   ///< frame airtime, preamble included
+    double preamble_us = 0.0;  ///< full-power preamble (0 for ZigBee)
   };
 
   struct WifiNode {
     mac::WifiCsmaMachine machine;
-    double burst_us = 0.0;  // preamble + payload airtime
     /// Payload bits actually delivered, accumulated at the per-frame rate
     /// current at delivery time — the throughput source of truth when the
     /// control plane can retoggle SledZig (and the frame rate) mid-run.
@@ -126,7 +127,6 @@ class Engine {
   struct ZigbeeNode {
     mac::ZigbeeCsmaMachine machine;
     common::Rng delivery_rng;
-    double airtime_us = 0.0;  // frame duration
     double sensitivity_loss = 0.0;
     double p_err_idle = 0.0;           // payload shape, no interferer
     double p_err_idle_preamble = 0.0;  // preamble shape, no interferer
@@ -152,7 +152,7 @@ class Engine {
   void on_arrival(std::uint32_t node, double t);
   void on_wifi_timer(std::size_t i, double t);
   void on_zigbee_timer(std::size_t j, double t);
-  void on_tx_end(std::uint32_t tx_id, double t);
+  void on_tx_end(std::uint32_t g, std::uint32_t tx_id, double t);
   void on_fault(const FaultAction& action, double t);
   void on_control(double t);
 
@@ -186,8 +186,10 @@ class Engine {
   /// The head frame is terminal (delivered, lost or dropped): dequeue it
   /// and serve the next.
   void finish_frame(std::uint32_t g, double t);
-  void start_wifi_tx(std::size_t i, double now);
-  void start_zigbee_tx(std::size_t j, double now);
+  /// Puts node g's head frame on the air (muted: ends the attempt at once).
+  void start_tx(std::uint32_t g, double now);
+  /// WiFi's frame is terminal; ZigBee's retries or finishes.
+  void attempt_over(std::uint32_t g, double t, bool delivered);
   void notify_busy(std::uint32_t tx_node, double now);
   void notify_idle(double now);
 
@@ -273,7 +275,7 @@ Engine::Engine(const ScenarioConfig& cfg)
       noise20_mw_(common::to_mw(channel::kNoiseFloor20MhzDbm)),
       noise2_mw_(common::to_mw(channel::kNoiseFloor2MhzDbm)),
       impair_penalty_db_(cfg.impairment.snr_penalty_db()),
-      arbiter_(ArbiterTables{}),
+      arbiter_(ArbiterTables{}, 0.0),
       inv_(cfg.invariants, cfg.seed) {
   if (!(cfg_.duration_s > 0.0)) {
     throw std::invalid_argument("ScenarioConfig: duration_s must be > 0");
@@ -295,10 +297,11 @@ Engine::Engine(const ScenarioConfig& cfg)
     nodes_.push_back(Node{
         .traffic = TrafficSource(nc.traffic, burst, csma_gap,
                                  common::derive_seed(cfg_.seed, 4 * g + 2)),
-        .bits_per_frame = wifi_frame_bits(i, cfg_.sledzig_enabled)});
+        .bits_per_frame = wifi_frame_bits(i, cfg_.sledzig_enabled),
+        .airtime_us = burst,
+        .preamble_us = nc.mac.preamble_us});
     wifi_.push_back(WifiNode{
-        mac::WifiCsmaMachine(nc.mac, common::derive_seed(cfg_.seed, 4 * g)),
-        burst});
+        mac::WifiCsmaMachine(nc.mac, common::derive_seed(cfg_.seed, 4 * g))});
   }
   zigbee_.reserve(num_zigbee_);
   for (std::size_t j = 0; j < num_zigbee_; ++j) {
@@ -308,10 +311,11 @@ Engine::Engine(const ScenarioConfig& cfg)
     nodes_.push_back(Node{
         .traffic = TrafficSource(nc.traffic, airtime, 0.0,
                                  common::derive_seed(cfg_.seed, 4 * g + 2)),
-        .bits_per_frame = static_cast<double>(nc.mac.payload_octets) * 8.0});
+        .bits_per_frame = static_cast<double>(nc.mac.payload_octets) * 8.0,
+        .airtime_us = airtime});
     zigbee_.push_back(ZigbeeNode{
         mac::ZigbeeCsmaMachine(nc.mac, common::derive_seed(cfg_.seed, 4 * g)),
-        common::Rng(common::derive_seed(cfg_.seed, 4 * g + 1)), airtime});
+        common::Rng(common::derive_seed(cfg_.seed, 4 * g + 1))});
   }
 
   // --- fault layer: clocks and the compiled schedule ---
@@ -414,7 +418,11 @@ Engine::Engine(const ScenarioConfig& cfg)
       // CCA energy sums and unable to win a strict-> worst-interferer.
     }
   }
-  arbiter_ = Arbiter(std::move(tables));
+  double max_cca_us = 0.0;
+  for (const auto& z : cfg_.zigbee) {
+    max_cca_us = std::max(max_cca_us, z.mac.cca_us);
+  }
+  arbiter_ = Arbiter(std::move(tables), max_cca_us);
 
   // --- notify adjacency: the audible WiFi listeners of each transmitter ---
   rebuild_adjacency();
@@ -528,7 +536,7 @@ void Engine::apply_wifi_step(std::size_t i, mac::WifiCsmaMachine::Step step,
       push_timer(g, warp(g, now, step.at), nodes_[g].token);
       break;
     case Kind::kTransmit:
-      start_wifi_tx(i, now);
+      start_tx(g, now);
       break;
   }
 }
@@ -628,69 +636,67 @@ void Engine::on_zigbee_timer(std::size_t j, double t) {
     }
     case mac::ZigbeeCsmaMachine::Awaiting::kTxStart:
       ++n.token;
-      start_zigbee_tx(j, t);
+      start_tx(g, t);
       break;
     case mac::ZigbeeCsmaMachine::Awaiting::kNone:
       break;  // unreachable with valid tokens
   }
 }
 
-void Engine::start_wifi_tx(std::size_t i, double now) {
-  auto& w = wifi_[i];
-  const std::uint32_t g = global(i);
+void Engine::start_tx(std::uint32_t g, double now) {
   auto& n = nodes_[g];
+  if (g >= num_wifi_) zigbee_[g - num_wifi_].machine.tx_started();
   ++n.stats.sent;
   if (n.muted) {
-    // TX chain is off: the attempt never reaches the air.  WiFi does not
-    // retry, so the frame is terminal — it exhausted its zero retries.
-    ++n.stats.retry_exhausted;
+    // TX chain is off: no energy leaves the node and no ACK will come.  The
+    // attempt is over, undelivered: terminal for WiFi, which never retries;
+    // ZigBee's macMaxFrameRetries still applies (a muted window shorter
+    // than the retry budget only delays the frame).
     trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
-    w.machine.tx_done();
-    ++n.token;
-    finish_frame(g, now);
+    attempt_over(g, now, false);
     return;
   }
-  n.stats.airtime_us += w.burst_us;
+  n.stats.airtime_us += n.airtime_us;
   trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
-  n.active_tx = arbiter_.begin_tx(g, NodeKind::kWifi, now,
-                                  now + cfg_.wifi[i].mac.preamble_us,
-                                  now + w.burst_us);
-  queue_.push(now + w.burst_us, EventType::kTxEnd, g, 0, n.active_tx);
+  n.active_tx = arbiter_.begin_tx(g, now, now + n.preamble_us,
+                                  now + n.airtime_us);
+  queue_.push(now + n.airtime_us, EventType::kTxEnd, g, 0, n.active_tx);
   notify_busy(g, now);
 }
 
-void Engine::start_zigbee_tx(std::size_t j, double now) {
-  auto& z = zigbee_[j];
-  const std::uint32_t g = global_z(j);
+void Engine::attempt_over(std::uint32_t g, double t, bool delivered) {
   auto& n = nodes_[g];
-  z.machine.tx_started();
-  ++n.stats.sent;
-  if (n.muted) {
-    // TX chain is off: no energy leaves the node and no ACK will come.
-    // The machine sees an undelivered attempt, so macMaxFrameRetries
-    // still applies (a muted window shorter than the retry budget only
-    // delays the frame).
-    trace(now, g, TraceType::kTxMuted, 0, n.serve_start_us);
-    ++n.token;
-    const auto step = z.machine.tx_done(now, false);
-    if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
-      ++n.stats.retries;
-      n.serve_start_us = now;
-      trace(now, g, TraceType::kRetry,
-            static_cast<std::int32_t>(z.machine.retries_left()));
-      apply_zigbee_step(j, step, now);
+  ++n.token;
+  if (g < num_wifi_) {
+    // WiFi never retries, so a lost frame is terminal: it exhausted its
+    // zero permitted retries.  Without this bucket, lost WiFi frames
+    // vanished from the per-node accounting entirely.
+    if (delivered) {
+      wifi_[g].delivered_bits += n.bits_per_frame;
     } else {
       ++n.stats.retry_exhausted;
-      finish_frame(g, now);
     }
+    wifi_[g].machine.tx_done();
+    finish_frame(g, t);
     return;
   }
-  n.stats.airtime_us += z.airtime_us;
-  trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
-  n.active_tx =
-      arbiter_.begin_tx(g, NodeKind::kZigbee, now, now, now + z.airtime_us);
-  queue_.push(now + z.airtime_us, EventType::kTxEnd, g, 0, n.active_tx);
-  notify_busy(g, now);
+  const std::size_t j = g - num_wifi_;
+  auto& z = zigbee_[j];
+  const auto step = z.machine.tx_done(t, delivered);
+  if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
+    // Lost with retries left: the frame stays at the queue front and
+    // re-enters CSMA — count the retry once, here only (`sent` picks up
+    // the extra attempt when it actually reaches the air).
+    ++n.stats.retries;
+    n.serve_start_us = t;
+    trace(t, g, TraceType::kRetry,
+          static_cast<std::int32_t>(z.machine.retries_left()));
+    apply_zigbee_step(j, step, t);
+  } else {
+    // Terminal: delivered, or lost with macMaxFrameRetries exhausted.
+    if (!delivered) ++n.stats.retry_exhausted;
+    finish_frame(g, t);
+  }
 }
 
 void Engine::notify_busy(std::uint32_t tx_node, double now) {
@@ -735,9 +741,8 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
   const auto& n = nodes_[g];
   // A deaf station cannot decode anything, interference or not.
   if (n.deaf) return false;
-  const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
-  for (const std::uint32_t* it = lo; it != hi; ++it) {
-    const auto& x = arbiter_.tx(*it);
+  for (const Transmission& x :
+       arbiter_.overlapping(g, tx.start_us, tx.end_us)) {
     // An entry that ended by the frame's start (the ledger scan looks back
     // by the longest duration seen) overlaps neither segment, and a
     // zero-power link can only yield worst_mw <= 0.0 below: skip both
@@ -777,9 +782,8 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
   // front is what makes the scan O(degree).  The end test and the bit
   // index answer before the power table or perr_ is touched.
   rel_.clear();
-  const auto [lo, hi] = arbiter_.overlap_ids(g, tx.start_us, tx.end_us);
-  for (const std::uint32_t* it = lo; it != hi; ++it) {
-    const auto& x = arbiter_.tx(*it);
+  for (const Transmission& x :
+       arbiter_.overlapping(g, tx.start_us, tx.end_us)) {
     if (x.end_us <= tx.start_us || x.node == g) continue;
     if (!arbiter_.rx_nonzero(g, x.node)) continue;
     const auto& sp = arbiter_.rx_power(g, x.node);
@@ -791,56 +795,25 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
                                 delivery_scratch_, z.delivery_rng);
 }
 
-void Engine::on_tx_end(std::uint32_t tx_id, double t) {
-  const Transmission tx = arbiter_.tx(tx_id);
-  // The transmitter died mid-air: abort_tx already retired the emission and
-  // accounted the frame (lost_to_crash), so this kTxEnd is stale.
-  if (tx.aborted) return;
-  arbiter_.end_tx(tx_id);
-  if (tx.kind == NodeKind::kJammer) {
-    // Burst over; no stats — jammers have no frames, only energy.
+void Engine::on_tx_end(std::uint32_t g, std::uint32_t tx_id, double t) {
+  if (g >= num_nodes_) {
+    // Burst over; no stats — jammers have no frames, only energy, and
+    // never crash, so this is never stale.
     notify_idle(t);
     return;
   }
-  auto& n = nodes_[tx.node];
+  auto& n = nodes_[g];
+  // Stale: a crash aborted the emission and cleared active_tx.
+  if (tx_id != n.active_tx) return;
   n.active_tx = UINT32_MAX;
-  const bool wifi = tx.kind == NodeKind::kWifi;
-  const bool ok = wifi ? wifi_frame_delivered(tx.node, tx)
-                       : zigbee_frame_delivered(tx.node - num_wifi_, tx);
+  // A copy: begin_tx, reachable below, invalidates ledger references.
+  const Transmission tx = arbiter_.tx(g, tx_id);
+  const bool ok = g < num_wifi_ ? wifi_frame_delivered(g, tx)
+                                : zigbee_frame_delivered(g - num_wifi_, tx);
   if (ok) ++n.stats.delivered;
-  trace(t, tx.node, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
+  trace(t, g, ok ? TraceType::kTxDelivered : TraceType::kTxLost, 0,
         tx.start_us);
-  ++n.token;
-  if (wifi) {
-    // WiFi never retries, so a lost frame is terminal: it exhausted its
-    // zero permitted retries.  Without this bucket, lost WiFi frames
-    // vanished from the per-node accounting entirely.
-    if (ok) {
-      wifi_[tx.node].delivered_bits += n.bits_per_frame;
-    } else {
-      ++n.stats.retry_exhausted;
-    }
-    wifi_[tx.node].machine.tx_done();
-    finish_frame(tx.node, t);
-  } else {
-    const std::size_t j = tx.node - num_wifi_;
-    auto& z = zigbee_[j];
-    const auto step = z.machine.tx_done(t, ok);
-    if (step.kind != mac::ZigbeeCsmaMachine::Step::Kind::kNone) {
-      // Lost with retries left: the frame stays at the queue front and
-      // re-enters CSMA — count the retry once, here only (`sent` picks up
-      // the extra attempt when it actually reaches the air).
-      ++n.stats.retries;
-      n.serve_start_us = t;
-      trace(t, tx.node, TraceType::kRetry,
-            static_cast<std::int32_t>(z.machine.retries_left()));
-      apply_zigbee_step(j, step, t);
-    } else {
-      // Terminal: delivered, or lost with macMaxFrameRetries exhausted.
-      if (!ok) ++n.stats.retry_exhausted;
-      finish_frame(tx.node, t);
-    }
-  }
+  attempt_over(g, t, ok);
   notify_idle(t);
 }
 
@@ -849,16 +822,16 @@ void Engine::crash_node(std::uint32_t g, double t) {
   if (!n.alive) return;  // overlapping crash windows: already dead
   n.alive = false;
 
-  // Abort any in-flight emission: the carrier drops dead at t, and the
-  // airtime that never flew is refunded.
-  bool aborted = false;
-  if (n.active_tx != UINT32_MAX) {
-    const Transmission tx = arbiter_.tx(n.active_tx);
-    arbiter_.abort_tx(n.active_tx, t);
+  // Abort any in-flight emission: the carrier drops dead at t, the airtime
+  // that never flew is refunded, and clearing active_tx makes the queued
+  // kTxEnd stale.
+  const bool aborted = n.active_tx != UINT32_MAX;
+  if (aborted) {
+    const Transmission tx = arbiter_.tx(g, n.active_tx);
+    arbiter_.abort_tx(g, n.active_tx, t);
     trace(t, g, TraceType::kTxAborted, 0, tx.start_us);
     n.stats.airtime_us -= std::max(0.0, tx.end_us - std::max(tx.start_us, t));
     n.active_tx = UINT32_MAX;
-    aborted = true;
   }
 
   // Queue state is volatile: every held frame dies with the node.  The
@@ -893,11 +866,10 @@ void Engine::reboot_node(std::uint32_t g, double t) {
 void Engine::start_jam_burst(std::size_t jam_k, double t, double len_us) {
   const std::uint32_t g = jammer_index(jam_k);
   trace(t, g, TraceType::kJam);
-  // The burst is an ordinary ledger entry (kind kJammer): CCA, WiFi
-  // deferral and per-symbol delivery all see its energy through the same
-  // power tables as a real transmitter.  Its kTxEnd retires it.
-  const std::uint32_t tx_id =
-      arbiter_.begin_tx(g, NodeKind::kJammer, t, t, t + len_us);
+  // The burst is an ordinary ledger entry: CCA, WiFi deferral and
+  // per-symbol delivery all see its energy through the same power tables
+  // as a real transmitter.
+  const std::uint32_t tx_id = arbiter_.begin_tx(g, t, t, t + len_us);
   queue_.push(t + len_us, EventType::kTxEnd, g, 0, tx_id);
   notify_busy(g, t);
 }
@@ -1191,7 +1163,7 @@ SimResult Engine::run() {
         }
         break;
       case EventType::kTxEnd:
-        on_tx_end(e.tx_id, e.time_us);
+        on_tx_end(e.node, e.tx_id, e.time_us);
         break;
       case EventType::kFault:
         on_fault(actions_[e.tx_id], e.time_us);

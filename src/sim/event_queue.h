@@ -35,7 +35,10 @@ struct Event {
   /// for kArrival (a crash bumps the epoch, orphaning the pending arrival
   /// chain so a reboot can start a fresh one without double-clocking).
   std::uint64_t token = 0;
-  std::uint32_t tx_id = 0;  ///< ledger id for kTxEnd / action index for kFault
+  /// kTxEnd: the transmission's id in its transmitter's component ledger
+  /// (Arbiter::begin_tx), stale once it differs from the node's active_tx.
+  /// kFault: the action index.
+  std::uint32_t tx_id = 0;
 };
 
 struct EventAfter {

@@ -151,7 +151,7 @@ LinkEntry LinkCache::at(std::size_t point, std::size_t tx) const {
   const auto it = std::lower_bound(
       lo, hi, tx, [](const CoupledLink& c, std::size_t t) { return c.tx < t; });
   if (it == hi || it->tx != tx) return LinkEntry{};  // uncoupled kZero
-  return {it->payload_dbm, it->preamble_dbm, it->coupling_db, it->state, true};
+  return {it->payload_dbm, it->preamble_dbm, it->coupling_db, it->state};
 }
 
 std::shared_ptr<const LinkCache> LinkCache::build(const ScenarioConfig& cfg) {

@@ -59,14 +59,6 @@ struct LinkEntry {
   common::Dbm preamble_dbm{};
   common::Db coupling_db{};
   LinkState state = LinkState::kZero;
-  /// Does this pair consume a shadowing draw from the run's jitter stream?
-  /// True for every pair the legacy single-channel fill drew for (which is
-  /// *all* pairs when every node uses channel 0, keeping legacy streams —
-  /// and so legacy digests — bit-exact), false only for spectrally
-  /// disjoint pairs, which cannot exist in a legacy scenario.  Pruning
-  /// never clears it: a pruned link still draws, so the stream is
-  /// identical whether or not the interference graph is enabled.
-  bool coupled = false;
 };
 
 /// One coupled (listening point, transmitter) pair in the compact

@@ -14,6 +14,13 @@ namespace sledzig::zigbee {
 
 namespace {
 
+/// Normalised correlation threshold for preamble detection.
+constexpr double kDetectionThreshold = 0.35;
+/// Sample stride of the coarse search (refined to +-stride afterwards).
+constexpr std::size_t kSearchStride = 2;
+/// Length of the channel-select FIR filter.
+constexpr std::size_t kChannelFilterTaps = 63;
+
 const common::CplxVec& preamble_reference() {
   static const common::CplxVec ref =
       modulate_octets(common::Bytes(kPreambleOctets, 0x00));
@@ -26,8 +33,7 @@ struct SyncResult {
   double corr;
 };
 
-std::optional<SyncResult> synchronise(std::span<const common::Cplx> samples,
-                                      const ZigbeeRxConfig& cfg) {
+std::optional<SyncResult> synchronise(std::span<const common::Cplx> samples) {
   const auto& ref = preamble_reference();
   if (samples.size() < ref.size()) return std::nullopt;
   const double ref_energy = [&] {
@@ -38,7 +44,6 @@ std::optional<SyncResult> synchronise(std::span<const common::Cplx> samples,
 
   double best_corr = 0.0;
   std::size_t best_pos = 0;
-  const std::size_t stride = std::max<std::size_t>(cfg.search_stride, 1);
   const std::size_t last = samples.size() - ref.size();
 
   const auto corr_at = [&](std::size_t t) {
@@ -52,7 +57,7 @@ std::optional<SyncResult> synchronise(std::span<const common::Cplx> samples,
     return std::abs(acc) / denom;
   };
 
-  for (std::size_t t = 0; t <= last; t += stride) {
+  for (std::size_t t = 0; t <= last; t += kSearchStride) {
     const double c = corr_at(t);
     if (c > best_corr) {
       best_corr = c;
@@ -60,15 +65,15 @@ std::optional<SyncResult> synchronise(std::span<const common::Cplx> samples,
     }
   }
   // Refine around the coarse peak.
-  for (std::size_t t = (best_pos > stride ? best_pos - stride : 0);
-       t <= std::min(best_pos + stride, last); ++t) {
+  for (std::size_t t = best_pos > kSearchStride ? best_pos - kSearchStride : 0;
+       t <= std::min(best_pos + kSearchStride, last); ++t) {
     const double c = corr_at(t);
     if (c > best_corr) {
       best_corr = c;
       best_pos = t;
     }
   }
-  if (best_corr < cfg.detection_threshold) return std::nullopt;
+  if (best_corr < kDetectionThreshold) return std::nullopt;
 
   common::Cplx acc(0.0, 0.0);
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -99,11 +104,10 @@ ZigbeeRxResult zigbee_receive_impl(std::span<const common::Cplx> raw_samples,
   common::CplxVec filtered;
   std::span<const common::Cplx> samples = raw_samples;
   std::size_t group_delay = 0;
-  if (cfg.channel_filter_cutoff_hz > 0.0 && cfg.channel_filter_taps >= 3) {
+  if (cfg.channel_filter_cutoff_hz > 0.0) {
     const auto taps = common::fir_lowpass_taps(
-        cfg.channel_filter_taps, cfg.channel_filter_cutoff_hz,
-        kOqpskSampleRateHz);
-    group_delay = (cfg.channel_filter_taps - 1) / 2;
+        kChannelFilterTaps, cfg.channel_filter_cutoff_hz, kOqpskSampleRateHz);
+    group_delay = (kChannelFilterTaps - 1) / 2;
     // Pad by the group delay so a frame ending at the buffer edge is not
     // truncated by the filter's shift.
     common::CplxVec padded(raw_samples.begin(), raw_samples.end());
@@ -111,7 +115,7 @@ ZigbeeRxResult zigbee_receive_impl(std::span<const common::Cplx> raw_samples,
     filtered = common::fir_filter(padded, taps);
     samples = filtered;
   }
-  const auto sync = synchronise(samples, cfg);
+  const auto sync = synchronise(samples);
   if (!sync) return result;  // error stays kNoPreamble
   result.detected = true;
   result.frame_start =
@@ -135,21 +139,17 @@ ZigbeeRxResult zigbee_receive_impl(std::span<const common::Cplx> raw_samples,
     common::CplxVec corrected(samples.begin() + start,
                               samples.begin() + start + need);
     for (auto& s : corrected) s *= inv;
-    if (cfg.soft_despread) {
-      const auto bits = oqpsk_despread_soft(corrected, count * 2);
-      // Approximate chip-error metric: distance between the hard chip
-      // decisions and the re-spread soft decisions.
-      const auto hard =
-          oqpsk_demodulate_chips(corrected, count * 2 * kChipsPerSymbol);
-      const auto ideal = spread(bits);
-      result.chip_errors += common::hamming_distance(hard, ideal);
-      return common::bits_to_bytes(bits);
-    }
-    const auto chips = oqpsk_demodulate_chips(
-        corrected, count * 2 * kChipsPerSymbol);
-    const auto despread_result = despread(chips);
-    result.chip_errors += despread_result.total_chip_errors;
-    return common::bits_to_bytes(despread_result.bits);
+    // Soft matched-filter despreading (a correlator bank over the 16 symbol
+    // waveforms, as correlator radios do): ~4-6 dB more interference
+    // tolerance than hard chips + Hamming despreading.
+    const auto bits = oqpsk_despread_soft(corrected, count * 2);
+    // Approximate chip-error metric: distance between the hard chip
+    // decisions and the re-spread soft decisions.
+    const auto hard =
+        oqpsk_demodulate_chips(corrected, count * 2 * kChipsPerSymbol);
+    const auto ideal = spread(bits);
+    result.chip_errors += common::hamming_distance(hard, ideal);
+    return common::bits_to_bytes(bits);
   };
 
   // The all-zeros preamble is self-similar, so under partial interference

@@ -11,19 +11,10 @@
 namespace sledzig::zigbee {
 
 struct ZigbeeRxConfig {
-  /// Normalised correlation threshold for preamble detection.
-  double detection_threshold = 0.35;
-  /// Sample stride of the coarse search (refined to +-stride afterwards).
-  std::size_t search_stride = 2;
   /// Channel-select filter cutoff (the CC2420 filters to its 2 MHz channel
   /// before demodulation; without this, wideband interferers leak into the
   /// chip correlator).  Set to 0 to disable.
   double channel_filter_cutoff_hz = 1.2e6;
-  std::size_t channel_filter_taps = 63;
-  /// Soft matched-filter despreading (correlator bank over the 16 symbol
-  /// waveforms, as correlator radios do) instead of hard chip decisions +
-  /// Hamming despreading.  Worth ~4-6 dB of interference tolerance.
-  bool soft_despread = true;
 };
 
 struct ZigbeeRxResult {
@@ -31,7 +22,7 @@ struct ZigbeeRxResult {
   bool crc_ok = false;
   common::Bytes payload;
   std::size_t frame_start = 0;   // sample index of the first preamble chip
-  std::size_t chip_errors = 0;   // despreading Hamming distance over the frame
+  std::size_t chip_errors = 0;   // hard chips vs re-spread decoded symbols
   /// Why decoding stopped; kNone iff crc_ok (the FCS is the success gate).
   common::RxError error = common::RxError::kNoPreamble;
 

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,23 @@ void expect_digest(const ScenarioConfig& cfg, std::uint64_t expected,
                    const char* context) {
   const std::uint64_t got = run_scenario(cfg).trace_digest;
   EXPECT_EQ(got, expected) << context << std::hex << ": got 0x" << got;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;  // shadow memory swamps the RSS reading
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Peak resident set size of this process in kB (VmHWM in
+/// /proc/self/status), or -1 when it cannot be read.
+long vm_hwm_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
 }
 
 /// The per-symbol reference: resolve the worst interferer of every 16 us
@@ -365,6 +383,41 @@ TEST(FastPath, DenseCampusIsBitIdentical) {
                                    /*sensors_per_ap=*/10, /*spacing_m=*/20.0,
                                    /*duration_s=*/0.1, /*seed=*/1);
   expect_digest(cfg, 0xf3796e98eabaa250ull, "campus 10x10x10");
+}
+
+TEST(FastPath, LongHorizonLedgerIsBitIdentical) {
+  // Over a 64 s horizon the arbiter retires most of the run's ledger, and
+  // crashes cut emissions short on top: every query must still see what
+  // it saw when nothing was ever dropped.
+  auto cfg = campus_scenario(/*ap_grid_x=*/3, /*ap_grid_y=*/3,
+                             /*sensors_per_ap=*/4, /*spacing_m=*/20.0,
+                             /*duration_s=*/64.0, /*seed=*/1);
+  expect_digest(cfg, 0x51321de14dbc9651ull, "campus 3x3x4, 64 s");
+  cfg.faults.random.crash_rate_per_s = 20.0;
+  cfg.invariants.enabled = true;
+  expect_digest(cfg, 0x7a485a8fdccdf3c1ull, "campus 3x3x4, 64 s, crashes");
+}
+
+TEST(FastPath, LedgerMemoryIsFlatOverVirtualTime) {
+  // A ledger that kept every transmission of the run grew the peak RSS of
+  // this 45-node campus by about 10 MB between a 4 s and a 64 s horizon;
+  // one that retires what no query can reach holds it flat.
+  const auto run = [](double duration_s) {
+    return run_scenario(campus_scenario(/*ap_grid_x=*/3, /*ap_grid_y=*/3,
+                                        /*sensors_per_ap=*/4,
+                                        /*spacing_m=*/20.0, duration_s,
+                                        /*seed=*/1));
+  };
+  run(4.0);
+  const long short_kb = vm_hwm_kb();
+  const auto long_run = run(64.0);
+  const long long_kb = vm_hwm_kb();
+  EXPECT_GT(long_run.events_processed, 500'000u);
+  if (!kSanitized) {
+    ASSERT_GT(short_kb, 0);
+    EXPECT_LT(long_kb - short_kb, 2 * 1024)
+        << "kB of peak RSS growth from a 4 s to a 64 s horizon";
+  }
 }
 
 TEST(FastPath, ReplicationDigestsAreThreadCountInvariant) {

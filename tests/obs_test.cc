@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "coex/experiment.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -141,6 +142,26 @@ TEST(Metrics, ShortLivedWriterThreadsLeaveNothingBehind) {
     EXPECT_LT(rss_after_kb - rss_before_kb, 2 * 1024)
         << "kB of RSS growth over " << kPools << " pools";
   }
+}
+
+TEST(Metrics, RssiMeasurementsObserveOncePerCall) {
+  // The coex RSSI chains resolve their histogram handles once; every call
+  // must still land exactly one observation in the global registry.
+  constexpr std::uint64_t kCalls = 3;
+  const auto total = [](const char* name) -> std::uint64_t {
+    const auto snap = Registry::global().snapshot();
+    const auto* h = snap.histogram(name);
+    return h == nullptr ? 0 : h->total;
+  };
+  const std::uint64_t wifi_before = total("coex.rssi.wifi_at_zigbee_dbm");
+  const std::uint64_t zigbee_before = total("coex.rssi.zigbee_dbm");
+  for (std::uint64_t seed = 0; seed < kCalls; ++seed) {
+    coex::measure_wifi_rssi_at_zigbee(core::SledzigConfig{},
+                                      coex::Scheme::kSledzig, 15.0, 1.0, seed);
+    coex::measure_zigbee_rssi(31, 1.0, seed);
+  }
+  EXPECT_EQ(total("coex.rssi.wifi_at_zigbee_dbm") - wifi_before, kCalls);
+  EXPECT_EQ(total("coex.rssi.zigbee_dbm") - zigbee_before, kCalls);
 }
 
 TEST(Trace, ChromeJsonCarriesTracksSpansAndInstants) {
