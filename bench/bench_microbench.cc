@@ -140,10 +140,9 @@ void BM_ViterbiDecode(benchmark::State& state) {
   common::Rng rng(3);
   auto bits = rng.bits(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < wifi::kTailBits; ++i) bits.push_back(0);
-  const auto coded = wifi::convolutional_encode(bits);
-  const std::vector<std::int8_t> soft(coded.begin(), coded.end());
+  const auto hard = wifi::hard_llrs(wifi::convolutional_encode(bits));
   for (auto _ : state) {
-    auto decoded = wifi::viterbi_decode(soft);
+    auto decoded = wifi::viterbi_decode(hard);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -169,8 +168,10 @@ std::vector<double> codeword_llrs(std::uint64_t seed, std::size_t steps,
 void BM_ViterbiDecodeNoisy(benchmark::State& state) {
   const auto llrs =
       codeword_llrs(21, static_cast<std::size_t>(state.range(0)), 2.0);
-  std::vector<std::int8_t> hard(llrs.size());
-  for (std::size_t i = 0; i < llrs.size(); ++i) hard[i] = llrs[i] > 0.0;
+  std::vector<double> hard(llrs.size());
+  for (std::size_t i = 0; i < llrs.size(); ++i) {
+    hard[i] = llrs[i] > 0.0 ? 1.0 : -1.0;
+  }
   for (auto _ : state) {
     auto decoded = wifi::viterbi_decode(hard);
     benchmark::DoNotOptimize(decoded);
@@ -183,7 +184,7 @@ void BM_ViterbiDecodeSoftNoisy(benchmark::State& state) {
   const auto llrs =
       codeword_llrs(22, static_cast<std::size_t>(state.range(0)), 2.0);
   for (auto _ : state) {
-    auto decoded = wifi::viterbi_decode_soft(llrs);
+    auto decoded = wifi::viterbi_decode(llrs);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -336,7 +337,7 @@ void BM_ViterbiDecodeSoft(benchmark::State& state) {
     llrs[i] = coded[i] ? 4.0 : -4.0;
   }
   for (auto _ : state) {
-    auto decoded = wifi::viterbi_decode_soft(llrs);
+    auto decoded = wifi::viterbi_decode(llrs);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

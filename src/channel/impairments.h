@@ -3,10 +3,10 @@
 // The paper's testbed numbers (Figs 11-17) were measured over real USRP and
 // CC2420 front-ends: oscillators that drift, channels with delay spread,
 // PAs that clip and ADCs that quantise.  This module makes those hostile
-// conditions first-class, *reproducible* inputs to the simulation: an
-// `ImpairmentChain` transforms any baseband waveform through a configurable
-// sequence of physically-ordered stages, with every random draw derived from
-// a single user seed.  The determinism contract is:
+// conditions first-class, *reproducible* inputs to the simulation:
+// `apply_impairments` transforms any baseband waveform through a
+// configurable sequence of physically-ordered stages, with every random draw
+// derived from a single user seed.  The determinism contract is:
 //
 //     identical (ImpairmentConfig, seed)  =>  bit-identical output waveform
 //
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "common/fft.h"
 #include "common/rng.h"
@@ -103,24 +102,5 @@ struct ImpairmentConfig {
 common::CplxVec apply_impairments(std::span<const common::Cplx> samples,
                                   const ImpairmentConfig& cfg,
                                   std::uint64_t seed);
-
-/// Convenience wrapper binding a config, mirroring how experiments hold one
-/// chain and run many seeds through it.
-class ImpairmentChain {
- public:
-  ImpairmentChain() = default;
-  explicit ImpairmentChain(ImpairmentConfig cfg) : cfg_(std::move(cfg)) {}
-
-  const ImpairmentConfig& config() const { return cfg_; }
-  ImpairmentConfig& config() { return cfg_; }
-
-  common::CplxVec apply(std::span<const common::Cplx> samples,
-                        std::uint64_t seed) const {
-    return apply_impairments(samples, cfg_, seed);
-  }
-
- private:
-  ImpairmentConfig cfg_;
-};
 
 }  // namespace sledzig::channel

@@ -208,8 +208,4 @@ ThreadPool& default_pool() {
   return pool;
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  default_pool().for_each_index(n, fn);
-}
-
 }  // namespace sledzig::common

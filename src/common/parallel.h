@@ -1,11 +1,11 @@
 // Deterministic parallel execution for Monte-Carlo sweeps.
 //
 // The contract that keeps every sweep reproducible: work is always
-// identified by *index*, never by thread.  `parallel_for(n, fn)` calls
-// fn(0..n-1) exactly once each, results are written to index-addressed
-// slots, and any per-trial randomness must be seeded from the index (see
-// derive_seed) — so the output is bit-identical for any thread count,
-// including 1.
+// identified by *index*, never by thread.  `ThreadPool::for_each_index(n,
+// fn)` calls fn(0..n-1) exactly once each, results are written to
+// index-addressed slots (`parallel_map` does both), and any per-trial
+// randomness must be seeded from the index (see derive_seed) — so the
+// output is bit-identical for any thread count, including 1.
 //
 // Thread count: `SLEDZIG_THREADS` env var when set (>=1), otherwise the
 // hardware concurrency.  `SLEDZIG_THREADS=1` runs everything inline on the
@@ -96,16 +96,6 @@ class ThreadPool {
 
 /// Process-wide pool sized by default_thread_count(); created on first use.
 ThreadPool& default_pool();
-
-/// parallel_for over the default pool.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// parallel_for over an explicit pool (thread-invariance tests use this to
-/// compare 1-thread and N-thread runs directly).
-inline void parallel_for(ThreadPool& pool, std::size_t n,
-                         const std::function<void(std::size_t)>& fn) {
-  pool.for_each_index(n, fn);
-}
 
 /// Maps fn over [0, n) into an index-addressed vector: out[i] = fn(i).
 /// Deterministic for any thread count.  bool results are staged in one byte

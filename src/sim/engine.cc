@@ -204,10 +204,13 @@ class Engine {
   }
 
   /// A node's own-clock mapping of an absolute step time: the interval the
-  /// MAC asked for, stretched by the node's drift factor.
+  /// MAC asked for, stretched by the node's drift factor.  A drifting
+  /// node's timer fires late, so the MAC can re-arm a step already due
+  /// (say, a countdown at its deferral end): that one fires now, never in
+  /// the past.
   double warp(std::uint32_t g, double now, double at) const {
     const double d = nodes_[g].drift;
-    return d == 1.0 ? at : now + (at - now) * d;
+    return d == 1.0 ? at : now + std::max(0.0, at - now) * d;
   }
 
   ScenarioConfig cfg_;
@@ -220,7 +223,7 @@ class Engine {
   std::vector<Node> nodes_;  // per real node, by global index
   std::vector<WifiNode> wifi_;
   std::vector<ZigbeeNode> zigbee_;
-  std::vector<FaultAction> actions_;  // compiled fault schedule
+  std::vector<FaultSource> faults_;  // one pending action each
   std::vector<double> perr_;  // M x num_total x {payload, preamble segment}
   common::MilliWatt noise20_mw_;
   common::MilliWatt noise2_mw_;
@@ -318,15 +321,14 @@ Engine::Engine(const ScenarioConfig& cfg)
         common::Rng(common::derive_seed(cfg_.seed, 4 * g + 1))});
   }
 
-  // --- fault layer: clocks and the compiled schedule ---
+  // --- fault layer: clocks and the fault processes ---
   for (std::size_t n = 0;
        n < std::min(cfg_.faults.clocks.size(), num_nodes_); ++n) {
     nodes_[n].skew_us = cfg_.faults.clocks[n].skew_us;
     nodes_[n].drift = 1.0 + cfg_.faults.clocks[n].drift_ppm * 1e-6;
   }
   if (cfg_.faults.any()) {
-    actions_ = FaultScheduler::compile(cfg_.faults, cfg_.seed, duration_us_,
-                                       num_nodes_);
+    faults_ = fault_sources(cfg_.faults, cfg_.seed, duration_us_, num_nodes_);
   }
 
   // --- control plane: observation buffers, jitter capture, contexts ---
@@ -1130,9 +1132,9 @@ SimResult Engine::run() {
     push_arrival(static_cast<std::uint32_t>(g),
                  std::max(0.0, n.traffic.first_arrival() + n.skew_us));
   }
-  for (std::size_t a = 0; a < actions_.size(); ++a) {
-    queue_.push(actions_[a].at_us, EventType::kFault, 0, 0,
-                static_cast<std::uint32_t>(a));
+  for (std::size_t f = 0; f < faults_.size(); ++f) {
+    queue_.push(faults_[f].next().at_us, EventType::kFault, 0, 0,
+                static_cast<std::uint32_t>(f));
   }
   if (controller_ != nullptr && cfg_.control.epoch_us < duration_us_) {
     queue_.push(cfg_.control.epoch_us, EventType::kControl, 0);
@@ -1165,9 +1167,17 @@ SimResult Engine::run() {
       case EventType::kTxEnd:
         on_tx_end(e.node, e.tx_id, e.time_us);
         break;
-      case EventType::kFault:
-        on_fault(actions_[e.tx_id], e.time_us);
+      case EventType::kFault: {
+        // Queue the source's next action before this one acts, so it
+        // precedes whatever the action queues for the same instant.
+        FaultSource& src = faults_[e.tx_id];
+        const FaultAction a = src.next();
+        if (src.advance()) {
+          queue_.push(src.next().at_us, EventType::kFault, 0, 0, e.tx_id);
+        }
+        on_fault(a, e.time_us);
         break;
+      }
       case EventType::kControl:
         on_control(e.time_us);
         break;

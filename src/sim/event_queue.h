@@ -19,7 +19,7 @@ enum class EventType : std::uint8_t {
   kArrival,  ///< the node's traffic source delivers a frame
   kTimer,    ///< a MAC state-machine timer (validated against the node token)
   kTxEnd,    ///< a transmission leaves the air; delivery is evaluated
-  kFault,    ///< a compiled FaultScheduler action fires (tx_id = action index)
+  kFault,    ///< a FaultSource's pending action fires (tx_id = source index)
   kControl,  ///< a control-plane epoch boundary (observation + actions)
 };
 /// Count of EventType values: move it when appending an enumerator.
@@ -37,7 +37,7 @@ struct Event {
   std::uint64_t token = 0;
   /// kTxEnd: the transmission's id in its transmitter's component ledger
   /// (Arbiter::begin_tx), stale once it differs from the node's active_tx.
-  /// kFault: the action index.
+  /// kFault: the fault source's index.
   std::uint32_t tx_id = 0;
 };
 

@@ -1,12 +1,13 @@
-// Compiles a declarative FaultPlanConfig into a deterministic action list.
+// The fault processes of a declarative FaultPlanConfig, one pending action
+// each.
 //
-// The engine never draws fault randomness at runtime: FaultScheduler
-// expands every timed window, seeded-random fault process and jammer burst
-// schedule up front into one time-sorted vector of FaultAction.  The engine
-// queues each action as an ordinary kFault event on the (time, seq) queue,
-// so a run with faults is exactly as deterministic as one without — the
-// whole schedule is a pure function of (config, seed), bit-identical for
-// any thread count.
+// An explicit timed action is a FaultSource that fires once; a node's
+// seeded-random process of one fault family, and a jammer's burst train,
+// hold their next action and draw the one after it when that fires, the
+// way TrafficSource yields arrivals.  The engine queues each pending action
+// as an ordinary kFault event on the (time, seq) queue, so a faulted run
+// holds one action per process and stays a pure function of (config,
+// seed), bit-identical for any thread count.
 //
 // All fault randomness comes from derive_seed streams rooted at a
 // fault-only branch of the scenario seed, disjoint from the per-node MAC /
@@ -17,13 +18,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/scenario.h"
 
 namespace sledzig::sim {
 
-/// One compiled fault instant.  `magnitude` is kind-specific: the arrival
+/// One fault instant.  `magnitude` is kind-specific: the arrival
 /// multiplier for kSurgeOn, the burst length in µs for kJamOn, unused
 /// otherwise.
 struct FaultAction {
@@ -33,17 +36,47 @@ struct FaultAction {
   double magnitude = 0.0;
 };
 
-class FaultScheduler {
+/// One fault process and its pending action.
+class FaultSource {
  public:
-  /// Expands `plan` into a schedule sorted by (at_us, emission order).
-  /// Window kinds emit their recovery action automatically; a recovery that
-  /// would land at or past `duration_us` is dropped (the node stays in the
-  /// faulted state until the horizon).  `num_nodes` is the global node
-  /// count (WiFi + ZigBee) the random processes draw targets from.
-  static std::vector<FaultAction> compile(const FaultPlanConfig& plan,
-                                          std::uint64_t seed,
-                                          double duration_us,
-                                          std::size_t num_nodes);
+  /// A timed action: it fires once.
+  explicit FaultSource(const FaultAction& action) : next_(action) {}
+
+  /// A seeded-random process on `target`: `on` after exponential gaps
+  /// (mean `mean_gap_us`), `off` after exponential windows (mean
+  /// `mean_len_us`); a kJamOn burst's length is its magnitude instead.
+  // NOLINTBEGIN(bugprone-easily-swappable-parameters)
+  FaultSource(std::uint64_t seed, std::uint32_t target, FaultKind on,
+              FaultKind off, double mean_gap_us, double mean_len_us,
+              double magnitude, double duration_us);
+  // NOLINTEND(bugprone-easily-swappable-parameters)
+
+  const FaultAction& next() const { return next_; }
+
+  /// Moves to the action after next(); false when that would land at or
+  /// past the horizon (a window still open then lasts to the horizon).
+  bool advance();
+
+ private:
+  /// Schedules an onset (drawing a burst's length); false at the horizon.
+  bool arm(double onset_us);
+
+  FaultAction next_;
+  std::unique_ptr<common::Rng> rng_;  ///< null for a timed action
+  FaultKind on_ = FaultKind::kCrash;
+  FaultKind off_ = FaultKind::kReboot;
+  double mean_gap_us_ = 0.0;
+  double mean_len_us_ = 0.0;
+  double magnitude_ = 0.0;
+  double duration_us_ = 0.0;
 };
+
+/// The plan's sources with an action before `duration_us`: timed actions
+/// in plan order (a window's onset, then its recovery unless that lands at
+/// or past the horizon), then the random processes of each of the
+/// `num_nodes` global nodes, node-major, then the jammers.
+std::vector<FaultSource> fault_sources(const FaultPlanConfig& plan,
+                                       std::uint64_t seed, double duration_us,
+                                       std::size_t num_nodes);
 
 }  // namespace sledzig::sim

@@ -8,8 +8,6 @@
 //   * liveness — a node that is serving a frame always has a next step
 //     scheduled, unless the horizon cut it off (a wedged node would
 //     otherwise sit in `serving` forever and silently leak its queue);
-//   * bounded inter-event gaps — an optional per-scenario watchdog deadline
-//     on scheduler progress (chaos configs size it to their traffic);
 //   * queue-depth bounds — no FIFO ever exceeds the configured capacity;
 //   * crash-aware packet conservation — at the horizon every generated
 //     frame is in exactly one terminal bucket (delivered, queue_dropped,
@@ -34,11 +32,6 @@ struct InvariantConfig {
   /// Master switch.  Off by default so release digests and hot-path cost
   /// are untouched; the chaos suite and debug builds turn it on.
   bool enabled = false;
-  /// Liveness watchdog: maximum virtual µs between consecutively processed
-  /// events.  0 disables the gap check (idle scenarios legitimately pause
-  /// for arbitrary inter-arrival times); chaos configs set it to a bound
-  /// derived from their traffic and fault plan.
-  double max_event_gap_us = 0.0;
 };
 
 /// Thrown on any invariant breach.  what() embeds the scenario seed —
@@ -67,7 +60,7 @@ class SimInvariants {
 
   bool enabled() const { return cfg_.enabled; }
 
-  /// Every popped event passes through here: monotonic time + gap bound.
+  /// Every popped event passes through here: monotonic time.
   void on_event(double t_us);
 
   /// FIFO depth after an enqueue.

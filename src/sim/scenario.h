@@ -88,10 +88,10 @@ struct ZigbeeNodeConfig {
 //
 // A FaultPlanConfig declares *what can go wrong* during a run: explicit
 // timed faults, seeded-random fault processes, bursty jammers, and per-node
-// clock defects.  FaultScheduler (sim/faults.h) compiles the plan into a
-// time-sorted action list that the engine replays as ordinary events on the
-// (time, seq) queue, so every fault schedule is a pure function of
-// (config, seed) and bit-identical for any thread count.
+// clock defects.  Each fault process of the plan is a FaultSource
+// (sim/faults.h) whose pending action the engine queues as an ordinary
+// event on the (time, seq) queue, so every fault schedule is a pure
+// function of (config, seed) and bit-identical for any thread count.
 
 enum class FaultKind : std::uint8_t {
   kCrash,     ///< node dies: queue/CSMA state lost, in-flight TX aborted
@@ -106,8 +106,8 @@ enum class FaultKind : std::uint8_t {
 };
 
 /// One explicitly scheduled fault window.  Window kinds (crash, mute, deaf,
-/// jam, surge) use `duration_us`; the matching recovery action is emitted
-/// by the compiler, so a plan never has to pair On/Off entries by hand.
+/// jam, surge) use `duration_us`; fault_sources emits the matching
+/// recovery action, so a plan never has to pair On/Off entries by hand.
 struct TimedFault {
   FaultKind kind = FaultKind::kCrash;
   std::uint32_t node = 0;   ///< global node index (jammer index for kJamOn)

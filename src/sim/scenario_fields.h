@@ -269,7 +269,6 @@ void fields(auto& v, FaultPlanConfig& f) {
 
 void fields(auto& v, InvariantConfig& i) {
   v("enabled", i.enabled);
-  v("max_event_gap_us", i.max_event_gap_us, kNonNegative);
 }
 
 // A policy's thresholds need be >= 1 only while it is enabled; validate()

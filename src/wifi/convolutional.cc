@@ -81,33 +81,39 @@ constexpr unsigned decision_bit(unsigned state) {
   return ((state >> 5) << 5) | ((state & 1u) << 4) | ((state & 31u) >> 1);
 }
 
+}  // namespace
+
 /// Radix-2 butterfly add-compare-select sweep + traceback.
 ///
 /// Successor states j and j+32 are fed by predecessors 2j and 2j+1 (the
 /// input bit becomes the successor's MSB), so each step runs 32
 /// butterflies and records one decision bit per successor: 1 when the odd
-/// predecessor survived.  Per-step branch metrics come from
-/// `fill_tables(t, ca, cb)` (cost of output bit a resp. b being 0/1), and
-/// costs accumulate as (metric + ca[a]) + cb[b], the association of the
-/// per-state sweep (see acs()).  Traceback never lands on an unreachable
-/// state other than 0, whose decision bit 0 reads as "input 0 from state
-/// 0", as the per-state sweep's never-written survivor entry does.
-template <typename FillTables>
-common::Bits viterbi_sweep(std::size_t steps, double sentinel_cost,
-                           bool terminated, FillTables&& fill_tables) {
+/// predecessor survived.  Output bit a costs its LLR when the branch bit
+/// is 0 and minus it when 1 (a bit of 1 prefers a positive LLR; equivalent
+/// up to a constant to -sum(llr * (2*bit - 1))), and costs accumulate as
+/// (metric + cost_a) + cost_b, the association of the per-state sweep (see
+/// acs()).  Traceback never lands on an unreachable state other than 0,
+/// whose decision bit 0 reads as "input 0 from state 0", as the per-state
+/// sweep's never-written survivor entry does.
+common::Bits viterbi_decode(std::span<const double> llrs, bool terminated) {
+  if (llrs.size() % 2 != 0) {
+    throw std::invalid_argument("viterbi_decode: odd LLR length");
+  }
+  constexpr double kSentinel = 1e300;
+  const std::size_t steps = llrs.size() / 2;
   std::array<double, kNumStates> metric;
   std::array<double, kNumStates> next;
   metric.fill(std::numeric_limits<double>::infinity());
   metric[0] = 0.0;  // encoder starts in the all-zero state
-  const Lanes sentinel = {sentinel_cost, sentinel_cost};
+  const Lanes sentinel = {kSentinel, kSentinel};
 
   std::vector<std::uint64_t> decisions(steps);
   for (std::size_t t = 0; t < steps; ++t) {
-    double ca[2], cb[2];
-    fill_tables(t, ca, cb);
+    const double la = llrs[2 * t];
+    const double lb = llrs[2 * t + 1];
     // Lane costs of output bit a (lane 1 has the opposite a) and b.
-    const Lanes xa[2] = {{ca[0], ca[1]}, {ca[1], ca[0]}};
-    const Lanes yb[2] = {{cb[0], cb[0]}, {cb[1], cb[1]}};
+    const Lanes xa[2] = {{la, -la}, {-la, la}};
+    const Lanes yb[2] = {{lb, lb}, {-lb, -lb}};
     Mask lo_bits = {}, hi_bits = {}, bit = {1, 1};
     for (unsigned j = 0; j < kNumStates / 2; j += 2) {
       const auto [a, b] = kButterflyOutputs[j];
@@ -134,7 +140,7 @@ common::Bits viterbi_sweep(std::size_t steps, double sentinel_cost,
   // Pick the end state: 0 when terminated, otherwise best metric.
   unsigned state = 0;
   if (!terminated) {
-    double best = sentinel_cost;
+    double best = kSentinel;
     for (unsigned s = 0; s < kNumStates; ++s) {
       if (metric[s] < best) {
         best = metric[s];
@@ -150,51 +156,6 @@ common::Bits viterbi_sweep(std::size_t steps, double sentinel_cost,
             static_cast<unsigned>((decisions[t] >> decision_bit(state)) & 1u);
   }
   return decoded;
-}
-
-}  // namespace
-
-common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
-                            bool terminated) {
-  if (coded.size() % 2 != 0) {
-    throw std::invalid_argument("viterbi_decode: odd coded length");
-  }
-  // Hamming costs are small integers, exact in double arithmetic and far
-  // below the sentinel.
-  constexpr double kInf = std::numeric_limits<unsigned>::max() / 2;
-  return viterbi_sweep(
-      coded.size() / 2, kInf, terminated,
-      [&](std::size_t t, double (&ca)[2], double (&cb)[2]) {
-        const std::int8_t ra = coded[2 * t];
-        const std::int8_t rb = coded[2 * t + 1];
-        // Hamming cost per output bit; an erased position costs nothing
-        // either way.
-        ca[0] = (ra != kErased && ra != 0) ? 1.0 : 0.0;
-        ca[1] = (ra != kErased && ra != 1) ? 1.0 : 0.0;
-        cb[0] = (rb != kErased && rb != 0) ? 1.0 : 0.0;
-        cb[1] = (rb != kErased && rb != 1) ? 1.0 : 0.0;
-      });
-}
-
-common::Bits viterbi_decode_soft(std::span<const double> llrs,
-                                 bool terminated) {
-  if (llrs.size() % 2 != 0) {
-    throw std::invalid_argument("viterbi_decode_soft: odd LLR length");
-  }
-  constexpr double kInf = 1e300;
-  return viterbi_sweep(
-      llrs.size() / 2, kInf, terminated,
-      [&](std::size_t t, double (&ca)[2], double (&cb)[2]) {
-        // Cost: correlation against the LLRs — a bit of 1 prefers a
-        // positive LLR.  Add llr when the branch bit disagrees with its
-        // sign (equivalent up to a constant to -sum(llr * (2*bit - 1))).
-        const double la = llrs[2 * t];
-        const double lb = llrs[2 * t + 1];
-        ca[0] = la;
-        ca[1] = -la;
-        cb[0] = lb;
-        cb[1] = -lb;
-      });
 }
 
 }  // namespace sledzig::wifi

@@ -1,7 +1,6 @@
 // Rate-1/2, constraint-length-7 convolutional code of 802.11
-// (generators g0 = 133o = 1011011b, g1 = 171o = 1111001b) plus a
-// hard-decision Viterbi decoder with erasure support for depunctured
-// streams.
+// (generators g0 = 133o = 1011011b, g1 = 171o = 1111001b) plus a Viterbi
+// decoder over per-bit LLRs, with LLR 0 for depunctured positions.
 //
 // Output ordering: input bit x_n produces y_{2n-1} (from g0) followed by
 // y_{2n} (from g1), matching Eq. 1 of the paper.
@@ -61,21 +60,15 @@ constexpr EncodeStepResult encode_step(unsigned state, common::Bit input) {
 /// upstream if you need the trellis terminated).  Output has 2x the length.
 common::Bits convolutional_encode(const common::Bits& in);
 
-/// Hard-decision Viterbi decoder over the same code.
+/// Viterbi decoder over the same code.
 ///
-/// `coded` holds one entry per 1/2-rate coded bit: 0, 1, or kErased for a
-/// punctured position.  The length must be even.  If `terminated` is true the
-/// decoder assumes the encoder was flushed to state 0 (tail bits present in
-/// the input and returned in the output).
-inline constexpr std::int8_t kErased = -1;
-
-common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
+/// `llrs` holds one log-likelihood ratio per 1/2-rate coded bit: positive
+/// for a likely 1, 0 for an erased or punctured position.  Hard decisions
+/// enter as LLRs of +-1 (hard_llrs in wifi/qam.h), which decodes exactly as
+/// a Hamming-metric Viterbi would.  The length must be even.  If
+/// `terminated` is true the decoder assumes the encoder was flushed to
+/// state 0 (tail bits present in the input and returned in the output).
+common::Bits viterbi_decode(std::span<const double> llrs,
                             bool terminated = true);
-
-/// Soft-decision Viterbi over per-bit LLRs (positive = likely 1; 0 =
-/// erased/punctured).  Worth ~2 dB over hard decisions at 802.11 operating
-/// points.  The LLR length must be even.
-common::Bits viterbi_decode_soft(std::span<const double> llrs,
-                                 bool terminated = true);
 
 }  // namespace sledzig::wifi

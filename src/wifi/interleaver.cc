@@ -23,20 +23,12 @@ std::vector<std::size_t> interleaver_permutation(Modulation m,
   return perm;
 }
 
-std::vector<std::size_t> interleaver_permutation(Modulation m) {
-  return interleaver_permutation(m, channel_plan(ChannelWidth::k20MHz));
-}
-
 std::vector<std::size_t> interleaver_inverse(Modulation m,
                                              const ChannelPlan& plan) {
   const auto perm = interleaver_permutation(m, plan);
   std::vector<std::size_t> inv(perm.size());
   for (std::size_t k = 0; k < perm.size(); ++k) inv[perm[k]] = k;
   return inv;
-}
-
-std::vector<std::size_t> interleaver_inverse(Modulation m) {
-  return interleaver_inverse(m, channel_plan(ChannelWidth::k20MHz));
 }
 
 namespace {
@@ -70,21 +62,8 @@ common::Bits interleave(const common::Bits& in, Modulation m,
   return apply_blockwise(in, m, plan, /*forward=*/true);
 }
 
-common::Bits interleave(const common::Bits& in, Modulation m) {
-  return interleave(in, m, channel_plan(ChannelWidth::k20MHz));
-}
-
-common::Bits deinterleave(const common::Bits& in, Modulation m,
-                          const ChannelPlan& plan) {
-  return apply_blockwise(in, m, plan, /*forward=*/false);
-}
-
-common::Bits deinterleave(const common::Bits& in, Modulation m) {
-  return deinterleave(in, m, channel_plan(ChannelWidth::k20MHz));
-}
-
-std::vector<double> deinterleave_soft(const std::vector<double>& in,
-                                      Modulation m, const ChannelPlan& plan) {
+std::vector<double> deinterleave(const std::vector<double>& in, Modulation m,
+                                 const ChannelPlan& plan) {
   return apply_blockwise(in, m, plan, /*forward=*/false);
 }
 

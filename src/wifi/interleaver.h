@@ -29,28 +29,22 @@ namespace sledzig::wifi {
 /// perm[j] = pre-interleaver position feeding post-interleaver index j.
 /// The 20 MHz block uses 16 columns; wider plans use their own column count
 /// (18 for 40 MHz).
-std::vector<std::size_t> interleaver_permutation(Modulation m);
-std::vector<std::size_t> interleaver_permutation(Modulation m,
-                                                 const ChannelPlan& plan);
+std::vector<std::size_t> interleaver_permutation(
+    Modulation m, const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// inverse[k] = post-interleaver index where pre-interleaver bit k lands.
-std::vector<std::size_t> interleaver_inverse(Modulation m);
-std::vector<std::size_t> interleaver_inverse(Modulation m,
-                                             const ChannelPlan& plan);
+std::vector<std::size_t> interleaver_inverse(
+    Modulation m, const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// Interleaves a whole coded stream symbol-block by symbol-block.  The input
 /// length must be a multiple of N_CBPS.
-common::Bits interleave(const common::Bits& in, Modulation m);
-common::Bits interleave(const common::Bits& in, Modulation m,
-                        const ChannelPlan& plan);
+common::Bits interleave(
+    const common::Bits& in, Modulation m,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
-/// Inverse of interleave().
-common::Bits deinterleave(const common::Bits& in, Modulation m);
-common::Bits deinterleave(const common::Bits& in, Modulation m,
-                          const ChannelPlan& plan);
-
-/// Soft variant for LLR streams.
-std::vector<double> deinterleave_soft(const std::vector<double>& in,
-                                      Modulation m, const ChannelPlan& plan);
+/// Inverse of interleave(), over the receiver's per-bit LLRs.
+std::vector<double> deinterleave(
+    const std::vector<double>& in, Modulation m,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 }  // namespace sledzig::wifi

@@ -35,12 +35,6 @@ common::CplxVec modulate_ofdm_symbol(std::span<const common::Cplx> data_points,
   return symbol;
 }
 
-common::CplxVec modulate_ofdm_symbol(std::span<const common::Cplx> data_points,
-                                     std::size_t symbol_index) {
-  return modulate_ofdm_symbol(data_points, symbol_index,
-                              channel_plan(ChannelWidth::k20MHz));
-}
-
 common::CplxVec demodulate_ofdm_symbol(std::span<const common::Cplx> samples,
                                        std::size_t symbol_index,
                                        std::span<const common::Cplx> channel,
@@ -79,19 +73,8 @@ common::CplxVec demodulate_ofdm_symbol(std::span<const common::Cplx> samples,
   return points;
 }
 
-common::CplxVec demodulate_ofdm_symbol(std::span<const common::Cplx> samples,
-                                       std::size_t symbol_index,
-                                       std::span<const common::Cplx> channel) {
-  return demodulate_ofdm_symbol(samples, symbol_index, channel,
-                                channel_plan(ChannelWidth::k20MHz));
-}
-
 common::CplxVec flat_channel(const ChannelPlan& plan) {
   return common::CplxVec(plan.fft_size, common::Cplx(1.0, 0.0));
-}
-
-common::CplxVec flat_channel() {
-  return flat_channel(channel_plan(ChannelWidth::k20MHz));
 }
 
 }  // namespace sledzig::wifi

@@ -22,25 +22,20 @@ inline const double kTimeScale = 64.0 / std::sqrt(52.0);
 
 /// Builds one OFDM symbol (CP + FFT body) from the plan's data points.
 /// `symbol_index` selects the pilot polarity (0 = SIGNAL symbol).
-common::CplxVec modulate_ofdm_symbol(std::span<const common::Cplx> data_points,
-                                     std::size_t symbol_index);
-common::CplxVec modulate_ofdm_symbol(std::span<const common::Cplx> data_points,
-                                     std::size_t symbol_index,
-                                     const ChannelPlan& plan);
+common::CplxVec modulate_ofdm_symbol(
+    std::span<const common::Cplx> data_points, std::size_t symbol_index,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// Recovers the data points from one received symbol.  `channel` holds a
 /// per-FFT-bin single-tap channel estimate (plan.fft_size entries); pass an
 /// all-ones estimate for a perfect channel.
-common::CplxVec demodulate_ofdm_symbol(std::span<const common::Cplx> samples,
-                                       std::size_t symbol_index,
-                                       std::span<const common::Cplx> channel);
-common::CplxVec demodulate_ofdm_symbol(std::span<const common::Cplx> samples,
-                                       std::size_t symbol_index,
-                                       std::span<const common::Cplx> channel,
-                                       const ChannelPlan& plan);
+common::CplxVec demodulate_ofdm_symbol(
+    std::span<const common::Cplx> samples, std::size_t symbol_index,
+    std::span<const common::Cplx> channel,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// A flat (all-ones) channel estimate for the plan.
-common::CplxVec flat_channel();
-common::CplxVec flat_channel(const ChannelPlan& plan);
+common::CplxVec flat_channel(
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 }  // namespace sledzig::wifi

@@ -28,34 +28,8 @@ common::Bits puncture(const common::Bits& coded, CodingRate r) {
   return out;
 }
 
-std::vector<std::int8_t> depuncture(const common::Bits& punctured,
-                                    CodingRate r) {
-  const auto mask = puncture_mask(r);
-  std::size_t kept_per_period = 0;
-  for (bool keep : mask) kept_per_period += keep ? 1 : 0;
-
-  std::vector<std::int8_t> out;
-  out.reserve(punctured.size() * mask.size() / kept_per_period + mask.size());
-  std::size_t in_pos = 0;
-  std::size_t last_kept_end = 0;  // one past the last real (non-erased) bit
-  while (in_pos < punctured.size()) {
-    for (bool keep : mask) {
-      if (keep && in_pos < punctured.size()) {
-        out.push_back(static_cast<std::int8_t>(punctured[in_pos++]));
-        last_kept_end = out.size();
-      } else {
-        out.push_back(kErased);
-      }
-    }
-  }
-  // The encoder may have stopped mid-pattern; drop padding beyond the last
-  // real bit, rounded up to a whole trellis step.
-  out.resize(last_kept_end + (last_kept_end % 2));
-  return out;
-}
-
-std::vector<double> depuncture_soft(std::span<const double> punctured,
-                                    CodingRate r) {
+std::vector<double> depuncture(std::span<const double> punctured,
+                               CodingRate r) {
   const auto mask = puncture_mask(r);
   std::size_t kept_per_period = 0;
   for (bool keep : mask) kept_per_period += keep ? 1 : 0;
@@ -63,7 +37,7 @@ std::vector<double> depuncture_soft(std::span<const double> punctured,
   std::vector<double> out;
   out.reserve(punctured.size() * mask.size() / kept_per_period + mask.size());
   std::size_t in_pos = 0;
-  std::size_t last_kept_end = 0;
+  std::size_t last_kept_end = 0;  // one past the last real (non-erased) LLR
   while (in_pos < punctured.size()) {
     for (bool keep : mask) {
       if (keep && in_pos < punctured.size()) {
@@ -74,6 +48,8 @@ std::vector<double> depuncture_soft(std::span<const double> punctured,
       }
     }
   }
+  // The encoder may have stopped mid-pattern; drop padding beyond the last
+  // real LLR, rounded up to a whole trellis step.
   out.resize(last_kept_end + (last_kept_end % 2));
   return out;
 }

@@ -7,11 +7,10 @@
 //   5/6: keep A1 B1 A2 B3 A4 B5 (drop B2, A3, B4, A5)
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bits.h"
-#include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
 
 namespace sledzig::wifi {
@@ -23,13 +22,10 @@ std::vector<bool> puncture_mask(CodingRate r);
 /// Drops the masked-out bits of a 1/2-rate coded stream.
 common::Bits puncture(const common::Bits& coded, CodingRate r);
 
-/// Re-inserts kErased at the punctured positions so the Viterbi decoder sees
-/// a full 1/2-rate stream.
-std::vector<std::int8_t> depuncture(const common::Bits& punctured, CodingRate r);
-
-/// Soft variant: re-inserts LLR 0 (no information) at punctured positions.
-std::vector<double> depuncture_soft(std::span<const double> punctured,
-                                    CodingRate r);
+/// Re-inserts LLR 0 (no information) at the punctured positions so the
+/// Viterbi decoder sees a full 1/2-rate stream.
+std::vector<double> depuncture(std::span<const double> punctured,
+                               CodingRate r);
 
 /// Maps a position in the punctured (transmitted) stream back to its position
 /// in the underlying 1/2-rate coded stream.  Both indices are 0-based.

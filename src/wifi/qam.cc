@@ -122,6 +122,12 @@ common::Bits qam_demap(std::span<const common::Cplx> points, Modulation m) {
   return out;
 }
 
+std::vector<double> hard_llrs(std::span<const common::Bit> bits) {
+  std::vector<double> llrs(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) llrs[i] = bits[i] ? 1.0 : -1.0;
+  return llrs;
+}
+
 namespace {
 
 /// One constellation axis: coord[l] is the mapper's exact coordinate of

@@ -43,6 +43,10 @@ common::Bits qam_demap_point(common::Cplx point, Modulation m);
 /// Hard demapping of a point stream.
 common::Bits qam_demap(std::span<const common::Cplx> points, Modulation m);
 
+/// Hard decisions in the Viterbi decoder's LLR form: +1 for a 1 bit, -1
+/// for a 0 bit.
+std::vector<double> hard_llrs(std::span<const common::Bit> bits);
+
 /// Max-log soft demapping: per-bit log-likelihood ratios, positive for a
 /// likely 1.  The common noise scale cancels in the Viterbi metric, so the
 /// LLRs are computed with unit noise variance.

@@ -17,6 +17,10 @@
 
 namespace sledzig::wifi {
 
+namespace {
+
+/// Returns the start index of the packet preamble, or nullopt when no
+/// preamble exceeds the detection threshold.
 std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples,
                                            double threshold,
                                            ChannelWidth width) {
@@ -49,8 +53,6 @@ std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples
   if (best_corr < threshold) return std::nullopt;
   return best_pos;
 }
-
-namespace {
 
 /// Phase-increment estimate from a delayed autocorrelation at `lag` over
 /// [begin, begin+span): returns radians per sample.
@@ -134,6 +136,10 @@ std::optional<SyncInfo> synchronize_packet(std::span<const common::Cplx> samples
   return SyncInfo{start, coarse_cfo + fine_cfo};
 }
 
+namespace {
+
+/// Per-FFT-bin channel estimate from the two long training symbols located
+/// at `ltf_start` (start of the LTF).
 common::CplxVec estimate_channel(std::span<const common::Cplx> samples,
                                  std::size_t ltf_start, ChannelWidth width) {
   const auto& plan = channel_plan(width);
@@ -155,42 +161,28 @@ common::CplxVec estimate_channel(std::span<const common::Cplx> samples,
   return channel;
 }
 
+/// Decodes the `num_symbols` data OFDM symbols that `data_samples` starts
+/// with: each symbol is demapped to LLRs (soft, or its hard decisions as
+/// +-1), then the field is deinterleaved, depunctured and Viterbi-decoded.
 common::Bits decode_data_field(std::span<const common::Cplx> data_samples,
                                Modulation m, CodingRate r,
                                std::size_t num_symbols,
                                std::span<const common::Cplx> channel,
-                               ChannelWidth width, bool soft_decision) {
-  const auto& plan = channel_plan(width);
-  // Pad is data-like, so the trellis is not guaranteed to terminate at zero.
-  if (soft_decision) {
-    std::vector<double> llrs;
-    llrs.reserve(num_symbols * coded_bits_per_symbol(m, plan));
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      const auto points = demodulate_ofdm_symbol(
-          data_samples.subspan(s * plan.symbol_len(), plan.symbol_len()),
-          s + 1, channel, plan);
-      const auto symbol_llrs = qam_demap_soft(points, m);
-      llrs.insert(llrs.end(), symbol_llrs.begin(), symbol_llrs.end());
-    }
-    const auto punctured = deinterleave_soft(llrs, m, plan);
-    const auto full = depuncture_soft(punctured, r);
-    return viterbi_decode_soft(full, /*terminated=*/false);
-  }
-  common::Bits interleaved;
-  interleaved.reserve(num_symbols * coded_bits_per_symbol(m, plan));
+                               const ChannelPlan& plan, bool soft_decision) {
+  std::vector<double> llrs;
+  llrs.reserve(num_symbols * coded_bits_per_symbol(m, plan));
   for (std::size_t s = 0; s < num_symbols; ++s) {
     const auto points = demodulate_ofdm_symbol(
         data_samples.subspan(s * plan.symbol_len(), plan.symbol_len()), s + 1,
         channel, plan);
-    const auto bits = qam_demap(points, m);
-    interleaved.insert(interleaved.end(), bits.begin(), bits.end());
+    const auto symbol_llrs = soft_decision ? qam_demap_soft(points, m)
+                                           : hard_llrs(qam_demap(points, m));
+    llrs.insert(llrs.end(), symbol_llrs.begin(), symbol_llrs.end());
   }
-  const auto punctured = deinterleave(interleaved, m, plan);
-  const auto soft = depuncture(punctured, r);
-  return viterbi_decode(soft, /*terminated=*/false);
+  // Pad is data-like, so the trellis is not guaranteed to terminate at zero.
+  return viterbi_decode(depuncture(deinterleave(llrs, m, plan), r),
+                        /*terminated=*/false);
 }
-
-namespace {
 
 WifiRxResult wifi_receive_impl(std::span<const common::Cplx> raw_samples,
                                const WifiRxConfig& cfg) {
@@ -263,8 +255,7 @@ WifiRxResult wifi_receive_impl(std::span<const common::Cplx> raw_samples,
 
   const auto scrambled = decode_data_field(
       samples.subspan(data_start, n_sym * plan.symbol_len()),
-      field->modulation, field->rate, n_sym, channel, cfg.width,
-      cfg.soft_decision);
+      field->modulation, field->rate, n_sym, channel, plan, cfg.soft_decision);
   result.scrambled_stream = scrambled;
 
   auto raw = descramble(scrambled, cfg.scrambler_seed);

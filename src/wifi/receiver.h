@@ -24,8 +24,9 @@ struct WifiRxConfig {
   double detection_threshold = 0.55;
   /// Channel bandwidth (must match the transmitter).
   ChannelWidth width = ChannelWidth::k20MHz;
-  /// Soft-decision (LLR) demapping + Viterbi: ~2 dB better than hard
-  /// decisions at the paper's operating points.
+  /// Soft-decision (LLR) demapping: ~2 dB better than hard decisions at
+  /// the paper's operating points.  When false, the hard demapper's bits
+  /// reach the same Viterbi decoder as LLRs of +-1.
   bool soft_decision = true;
   /// Carrier-frequency-offset estimation and correction (STF coarse + LTF
   /// fine, the classic Schmidl-Cox style).  Real USRP/card oscillators are
@@ -71,26 +72,5 @@ struct WifiRxResult {
 /// Detects and decodes the first packet in `samples`.
 WifiRxResult wifi_receive(std::span<const common::Cplx> samples,
                           const WifiRxConfig& cfg);
-
-/// Returns the start index of the packet preamble, or nullopt when no
-/// preamble exceeds the detection threshold.
-std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples,
-                                           double threshold,
-                                           ChannelWidth width = ChannelWidth::k20MHz);
-
-/// Per-FFT-bin channel estimate from the two long training symbols located
-/// at `ltf_start` (start of the LTF).
-common::CplxVec estimate_channel(std::span<const common::Cplx> samples,
-                                 std::size_t ltf_start,
-                                 ChannelWidth width = ChannelWidth::k20MHz);
-
-/// Genie-aided data-field decoder used by tests: `data_samples` must start at
-/// the first data OFDM symbol.
-common::Bits decode_data_field(std::span<const common::Cplx> data_samples,
-                               Modulation m, CodingRate r,
-                               std::size_t num_symbols,
-                               std::span<const common::Cplx> channel,
-                               ChannelWidth width = ChannelWidth::k20MHz,
-                               bool soft_decision = true);
 
 }  // namespace sledzig::wifi

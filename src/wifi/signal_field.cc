@@ -95,29 +95,18 @@ common::CplxVec modulate_signal_symbol(const SignalField& field,
   return modulate_ofdm_symbol(points, /*symbol_index=*/0, plan);
 }
 
-common::CplxVec modulate_signal_symbol(const SignalField& field) {
-  return modulate_signal_symbol(field, channel_plan(ChannelWidth::k20MHz));
-}
-
 std::optional<SignalField> demodulate_signal_symbol(
     std::span<const common::Cplx> samples,
     std::span<const common::Cplx> channel, const ChannelPlan& plan) {
   const auto points =
       demodulate_ofdm_symbol(samples, /*symbol_index=*/0, channel, plan);
-  const auto hard = qam_demap(points, Modulation::kBpsk);
-  const auto deinterleaved = deinterleave(hard, Modulation::kBpsk, plan);
-  std::vector<std::int8_t> soft(deinterleaved.begin(), deinterleaved.end());
-  const auto decoded = viterbi_decode(soft, /*terminated=*/true);
+  const auto decoded = viterbi_decode(
+      deinterleave(hard_llrs(qam_demap(points, Modulation::kBpsk)),
+                   Modulation::kBpsk, plan),
+      /*terminated=*/true);
   if (decoded.size() < 24) return std::nullopt;
   common::Bits head(decoded.begin(), decoded.begin() + 24);
   return decode_signal_bits(head);
-}
-
-std::optional<SignalField> demodulate_signal_symbol(
-    std::span<const common::Cplx> samples,
-    std::span<const common::Cplx> channel) {
-  return demodulate_signal_symbol(samples, channel,
-                                  channel_plan(ChannelWidth::k20MHz));
 }
 
 }  // namespace sledzig::wifi

@@ -43,15 +43,14 @@ std::optional<SignalField> decode_signal_bits(const common::Bits& bits);
 
 /// The complete SIGNAL OFDM symbol (symbol index 0).  On the 40 MHz plan
 /// the 24 SIGNAL bits are zero-padded to the wider BPSK symbol.
-common::CplxVec modulate_signal_symbol(const SignalField& field);
-common::CplxVec modulate_signal_symbol(const SignalField& field,
-                                       const ChannelPlan& plan);
+common::CplxVec modulate_signal_symbol(
+    const SignalField& field,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
-/// Demodulates and decodes the SIGNAL symbol.
-std::optional<SignalField> demodulate_signal_symbol(
-    std::span<const common::Cplx> samples, std::span<const common::Cplx> channel);
+/// Demodulates and decodes the SIGNAL symbol.  Its bits are decided hard
+/// and decoded as LLRs of +-1.
 std::optional<SignalField> demodulate_signal_symbol(
     std::span<const common::Cplx> samples, std::span<const common::Cplx> channel,
-    const ChannelPlan& plan);
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 }  // namespace sledzig::wifi

@@ -389,6 +389,19 @@ TEST(CampaignScenario, RetiredFastPathSectionIsUnknown) {
   }
 }
 
+TEST(CampaignScenario, RetiredEventGapWatchdogIsUnknown) {
+  // A wedged node is caught by the end-of-run liveness check, so the
+  // invariants section keeps only its switch.
+  ScenarioConfig cfg;
+  std::vector<ConfigError> errors;
+  EXPECT_FALSE(campaign::scenario_from_text(
+      R"({"invariants": {"enabled": true, "max_event_gap_us": 1e6}})", &cfg,
+      &errors));
+  ASSERT_EQ(errors.size(), 1u) << sim::describe(errors);
+  EXPECT_EQ(errors[0].field, "invariants.max_event_gap_us");
+  EXPECT_EQ(errors[0].message, "unknown key");
+}
+
 TEST(CampaignScenario, RetiredMacKeysAreUnknown) {
   // WiFi load is a traffic property (wifi[i].traffic.duty_ratio), and the
   // engine never modelled a ZigBee host-processing delay, so neither old

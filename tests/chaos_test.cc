@@ -10,7 +10,7 @@
 //
 // The rest of the file pins down each fault family in isolation: timed
 // crash/reboot semantics, TX abort on the air, mute/deaf windows, surges,
-// jammers, clock drift, and FaultScheduler compile determinism.
+// jammers, clock drift, and fault-source determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,9 +43,8 @@ void expect_conservation(const SimResult& r, const std::string& context) {
 }
 
 /// Three nodes (one WiFi link, two ZigBee pairs) under every random fault
-/// process at once, plus a bursty jammer and skewed/drifting clocks.
-/// Invariants are on with a watchdog wider than the horizon, so the gap
-/// check is armed but can only fire on genuine time travel.
+/// process at once, plus a bursty jammer and skewed/drifting clocks, with
+/// invariants on.
 ScenarioConfig chaos_scenario(std::uint64_t seed, double duration_s = 0.4) {
   auto cfg = two_node_paper_scenario(core::SledzigConfig{}, true,
                                      /*wifi_duty_ratio=*/0.5, /*d_wz_m=*/4.0,
@@ -79,7 +78,6 @@ ScenarioConfig chaos_scenario(std::uint64_t seed, double duration_s = 0.4) {
                        {15.0, 200.0}};
 
   cfg.invariants.enabled = true;
-  cfg.invariants.max_event_gap_us = 2.0 * duration_s * 1e6;
   cfg.metrics = nullptr;  // sweeps share the process registry otherwise
   return cfg;
 }
@@ -154,31 +152,67 @@ TEST(ChaosSweep, ReplayFromSeedIsBitIdentical) {
       << "different seed produced the same fault timeline";
 }
 
+TEST(ChaosSweep, DriftingCountdownNeverRunsTimeBackwards) {
+  // In this schedule a drifting WiFi node's countdown is overdue when the
+  // medium goes idle again: its stretched timer would have fired after the
+  // node's own deferral end.  Re-armed there, it must fire now, not at a
+  // virtual time already behind the event being processed.
+  const auto cfg = chaos_scenario(4344);
+  try {
+    expect_conservation(run_scenario(cfg), "seed 4344");
+  } catch (const InvariantViolation& v) {
+    FAIL() << v.what();
+  }
+}
+
+/// Every action of every source, one list per source.
+std::vector<std::vector<FaultAction>> drain(const FaultPlanConfig& plan,
+                                            std::uint64_t seed,
+                                            double duration_us,
+                                            std::size_t num_nodes) {
+  std::vector<std::vector<FaultAction>> out;
+  for (auto& src : fault_sources(plan, seed, duration_us, num_nodes)) {
+    auto& actions = out.emplace_back();
+    do {
+      actions.push_back(src.next());
+    } while (src.advance());
+  }
+  return out;
+}
+
 TEST(FaultCompile, ScheduleIsDeterministicSortedAndSeedSensitive) {
   const auto cfg = chaos_scenario(7);
   const double horizon_us = cfg.duration_s * 1e6;
-  const auto a = FaultScheduler::compile(cfg.faults, 7, horizon_us, 3);
-  const auto b = FaultScheduler::compile(cfg.faults, 7, horizon_us, 3);
+  const auto a = drain(cfg.faults, 7, horizon_us, 3);
+  const auto b = drain(cfg.faults, 7, horizon_us, 3);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].at_us, b[i].at_us);
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].node, b[i].node);
-    EXPECT_EQ(a[i].magnitude, b[i].magnitude);
-  }
   ASSERT_FALSE(a.empty());
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EXPECT_LE(a[i - 1].at_us, a[i].at_us) << "schedule not time-sorted";
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size()) << "source " << s;
+    for (std::size_t i = 0; i < a[s].size(); ++i) {
+      EXPECT_EQ(a[s][i].at_us, b[s][i].at_us);
+      EXPECT_EQ(a[s][i].kind, b[s][i].kind);
+      EXPECT_EQ(a[s][i].node, b[s][i].node);
+      EXPECT_EQ(a[s][i].magnitude, b[s][i].magnitude);
+    }
+    for (std::size_t i = 1; i < a[s].size(); ++i) {
+      EXPECT_LE(a[s][i - 1].at_us, a[s][i].at_us)
+          << "source " << s << " not time-ordered";
+    }
+    for (const auto& act : a[s]) {
+      EXPECT_GE(act.at_us, 0.0);
+      EXPECT_LT(act.at_us, horizon_us);
+    }
   }
-  for (const auto& act : a) {
-    EXPECT_GE(act.at_us, 0.0);
-    EXPECT_LT(act.at_us, horizon_us);
-  }
-  const auto c = FaultScheduler::compile(cfg.faults, 8, horizon_us, 3);
+  const auto c = drain(cfg.faults, 8, horizon_us, 3);
+  const auto same = [](const FaultAction& x, const FaultAction& y) {
+    return x.at_us == y.at_us && x.kind == y.kind;
+  };
   EXPECT_TRUE(c.size() != a.size() ||
               !std::equal(a.begin(), a.end(), c.begin(),
-                          [](const FaultAction& x, const FaultAction& y) {
-                            return x.at_us == y.at_us && x.kind == y.kind;
+                          [&](const auto& x, const auto& y) {
+                            return std::equal(x.begin(), x.end(), y.begin(),
+                                              y.end(), same);
                           }))
       << "seed does not reach the fault streams";
 }
@@ -190,15 +224,17 @@ TEST(FaultCompile, TimedWindowEmitsItsRecoveryInsideTheHorizon) {
        /*magnitude=*/4.0});
   plan.timed.push_back(  // recovery would land past the horizon: dropped
       {FaultKind::kMuteOn, 1, 9800.0, 5000.0, 4.0});
-  const auto acts = FaultScheduler::compile(plan, 1, /*duration_us=*/10000.0,
-                                            /*num_nodes=*/2);
-  ASSERT_EQ(acts.size(), 3u);
-  EXPECT_EQ(acts[0].kind, FaultKind::kCrash);
-  EXPECT_EQ(acts[0].at_us, 1000.0);
-  EXPECT_EQ(acts[1].kind, FaultKind::kReboot);
-  EXPECT_EQ(acts[1].at_us, 1500.0);
-  EXPECT_EQ(acts[2].kind, FaultKind::kMuteOn);
-  EXPECT_EQ(acts[2].at_us, 9800.0);  // stays muted until the horizon
+  const auto sources = drain(plan, 1, /*duration_us=*/10000.0,
+                             /*num_nodes=*/2);
+  // Each timed action is a source of its own that fires once.
+  ASSERT_EQ(sources.size(), 3u);
+  for (const auto& s : sources) ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(sources[0][0].kind, FaultKind::kCrash);
+  EXPECT_EQ(sources[0][0].at_us, 1000.0);
+  EXPECT_EQ(sources[1][0].kind, FaultKind::kReboot);
+  EXPECT_EQ(sources[1][0].at_us, 1500.0);
+  EXPECT_EQ(sources[2][0].kind, FaultKind::kMuteOn);
+  EXPECT_EQ(sources[2][0].at_us, 9800.0);  // stays muted until the horizon
 }
 
 /// Saturated two-node baseline for the targeted fault-family tests: WiFi is

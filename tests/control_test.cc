@@ -320,7 +320,6 @@ ScenarioConfig controlled_chaos_scenario(std::uint64_t seed) {
                        {15.0, 200.0}};
 
   cfg.invariants.enabled = true;
-  cfg.invariants.max_event_gap_us = 2.0 * cfg.duration_s * 1e6;
   cfg.metrics = nullptr;
   return cfg;
 }

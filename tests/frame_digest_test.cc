@@ -8,9 +8,13 @@
 // 36 dB SNR and at 25 dB, where about half of the QAM-256 frames fail, so
 // soft-Viterbi near-ties are exercised.  One QAM-64 2/3 frame protects
 // CH1-CH3 at once, whose plan is a single cluster spanning the frame.
+// A second leg runs the same frames through the hard-decision receiver
+// (`WifiRxConfig::soft_decision = false`), where most marginal QAM-256
+// frames fail, so near-ties of the Hamming metric are exercised too.
 //
-// The expected digest was recorded before the demapper, Viterbi and
-// constraint-plan rewrites; any change to it is a behaviour change of the
+// The soft digest was recorded before the demapper, Viterbi and
+// constraint-plan rewrites, and the hard one before hard decisions joined
+// the LLR decode chain; any change to either is a behaviour change of the
 // frame path, not a tolerance to adjust.
 #include <gtest/gtest.h>
 
@@ -92,7 +96,7 @@ struct Outcome {
   std::size_t qam256_marginal_failed = 0;
 };
 
-Outcome run_frames() {
+Outcome run_frames(const wifi::WifiRxConfig& rx_cfg) {
   channel::ImpairmentConfig imp;
   imp.cfo = true;
   imp.cfo_hz = 20e3;
@@ -124,7 +128,7 @@ Outcome run_frames() {
     const auto samples = channel::mix_at_receiver(
         std::vector<channel::Emission>{e},
         packet.samples.size() + 3 * kLeadSamples, rng);
-    const auto rx = wifi::wifi_receive(samples, wifi::WifiRxConfig{});
+    const auto rx = wifi::wifi_receive(samples, rx_cfg);
 
     std::optional<common::Bytes> decoded;
     if (rx.ok()) {
@@ -149,11 +153,21 @@ Outcome run_frames() {
 }
 
 TEST(FramePathDigest, MatchesDigestRecordedBeforeKernelRewrites) {
-  const Outcome out = run_frames();
+  const Outcome out = run_frames(wifi::WifiRxConfig{});
   EXPECT_EQ(out.digest, 0x07812574ed340703ull) << std::hex << "digest 0x" << out.digest;
   // The marginal SNR must keep exercising failures and successes alike.
   EXPECT_GE(out.qam256_marginal_failed * 4, out.qam256_marginal);
   EXPECT_LE(out.qam256_marginal_failed * 4, out.qam256_marginal * 3);
+}
+
+TEST(FramePathDigest, HardDecisionReceiveMatchesRecordedDigest) {
+  wifi::WifiRxConfig rx_cfg;
+  rx_cfg.soft_decision = false;
+  const Outcome out = run_frames(rx_cfg);
+  EXPECT_EQ(out.digest, 0x803834f640305804ull) << std::hex << "digest 0x" << out.digest;
+  // Hard decisions lose most marginal QAM-256 frames, but not all of them.
+  EXPECT_GT(out.qam256_marginal_failed, 0u);
+  EXPECT_LT(out.qam256_marginal_failed, out.qam256_marginal);
 }
 
 }  // namespace

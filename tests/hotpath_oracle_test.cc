@@ -144,6 +144,11 @@ common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
   return decoded;
 }
 
+/// Marks an erased (punctured) position in a hard-decision stream.
+constexpr std::int8_t kErased = -1;
+
+/// Hamming-metric Viterbi over hard decisions: 0, 1 or kErased per coded
+/// bit.
 common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
                             bool terminated) {
   constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
@@ -152,10 +157,10 @@ common::Bits viterbi_decode(const std::vector<std::int8_t>& coded,
       [&](std::size_t t, unsigned (&ca)[2], unsigned (&cb)[2]) {
         const std::int8_t ra = coded[2 * t];
         const std::int8_t rb = coded[2 * t + 1];
-        ca[0] = (ra != wifi::kErased && ra != 0) ? 1u : 0u;
-        ca[1] = (ra != wifi::kErased && ra != 1) ? 1u : 0u;
-        cb[0] = (rb != wifi::kErased && rb != 0) ? 1u : 0u;
-        cb[1] = (rb != wifi::kErased && rb != 1) ? 1u : 0u;
+        ca[0] = (ra != kErased && ra != 0) ? 1u : 0u;
+        ca[1] = (ra != kErased && ra != 1) ? 1u : 0u;
+        cb[0] = (rb != kErased && rb != 0) ? 1u : 0u;
+        cb[1] = (rb != kErased && rb != 1) ? 1u : 0u;
       });
 }
 
@@ -392,6 +397,15 @@ common::Bits random_codeword(std::uint64_t seed, std::size_t steps) {
 }
 
 TEST(HotpathOracle, HardViterbiMatchesReference) {
+  // Hard decisions reach the decoder as LLRs of +-1 and erasures as 0; the
+  // Hamming sweep must pick the same path, ties included.
+  const auto as_llrs = [](const std::vector<std::int8_t>& hard) {
+    std::vector<double> llrs(hard.size());
+    for (std::size_t i = 0; i < hard.size(); ++i) {
+      llrs[i] = hard[i] == ref::kErased ? 0.0 : hard[i] == 1 ? 1.0 : -1.0;
+    }
+    return llrs;
+  };
   std::size_t cases = 0;
   for (std::size_t steps : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 6000u}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -404,10 +418,10 @@ TEST(HotpathOracle, HardViterbiMatchesReference) {
       const double erase = seed == 6 ? 1.0 : 0.1 * static_cast<double>(seed - 1);
       for (auto& c : hard) {
         if (rng.uniform() < flip) c ^= 1;
-        if (rng.uniform() < erase) c = wifi::kErased;
+        if (rng.uniform() < erase) c = ref::kErased;
       }
       for (bool terminated : {true, false}) {
-        EXPECT_EQ(wifi::viterbi_decode(hard, terminated),
+        EXPECT_EQ(wifi::viterbi_decode(as_llrs(hard), terminated),
                   ref::viterbi_decode(hard, terminated))
             << "steps " << steps << " seed " << seed << " terminated "
             << terminated;
@@ -435,7 +449,7 @@ TEST(HotpathOracle, SoftViterbiMatchesReference) {
         llrs[i] = (coded[i] ? 1.0 : -1.0) + noise;
       }
       cases.push_back({"noisy", llrs});
-      // Punctured positions carry LLR 0, as depuncture_soft writes them.
+      // Punctured positions carry LLR 0, as depuncture writes them.
       for (std::size_t i = 3; i < llrs.size(); i += 4) llrs[i] = 0.0;
       cases.push_back({"punctured", llrs});
     }
@@ -466,7 +480,7 @@ TEST(HotpathOracle, SoftViterbiMatchesReference) {
   }
   for (const auto& c : cases) {
     for (bool terminated : {true, false}) {
-      EXPECT_EQ(wifi::viterbi_decode_soft(c.llrs, terminated),
+      EXPECT_EQ(wifi::viterbi_decode(c.llrs, terminated),
                 ref::viterbi_decode_soft(c.llrs, terminated))
           << c.name << " steps " << c.llrs.size() / 2 << " terminated "
           << terminated;

@@ -24,6 +24,7 @@
 #include "sim/engine.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
+#include "wifi/qam.h"
 
 namespace sledzig {
 namespace {
@@ -144,9 +145,11 @@ common::Bits golden_info() {
 
 TEST(ViterbiFlattened, HardDecisionMatchesPreRefactorGolden) {
   const auto coded = wifi::convolutional_encode(golden_info());
-  std::vector<std::int8_t> hard(coded.begin(), coded.end());
-  for (std::size_t i = 0; i < hard.size(); i += 5) hard[i] ^= 1;
-  for (std::size_t i = 0; i < hard.size(); i += 11) hard[i] = wifi::kErased;
+  // Hard decisions as LLRs of +-1: every fifth flipped, every eleventh
+  // erased.
+  auto hard = wifi::hard_llrs(coded);
+  for (std::size_t i = 0; i < hard.size(); i += 5) hard[i] = -hard[i];
+  for (std::size_t i = 0; i < hard.size(); i += 11) hard[i] = 0.0;
   const auto decoded = wifi::viterbi_decode(hard, /*terminated=*/true);
   EXPECT_EQ(decoded, parse_bits(kHardGolden));
 }
@@ -158,15 +161,15 @@ TEST(ViterbiFlattened, SoftDecisionMatchesPreRefactorGolden) {
   for (std::size_t i = 0; i < coded.size(); ++i) {
     llrs[i] = (coded[i] ? 2.0 : -2.0) + noise.gaussian(3.5);
   }
-  const auto decoded = wifi::viterbi_decode_soft(llrs, /*terminated=*/true);
+  const auto decoded = wifi::viterbi_decode(llrs, /*terminated=*/true);
   EXPECT_EQ(decoded, parse_bits(kSoftGolden));
 }
 
 TEST(ViterbiFlattened, CleanCodewordDecodesToInput) {
   const auto info = golden_info();
   const auto coded = wifi::convolutional_encode(info);
-  const std::vector<std::int8_t> clean(coded.begin(), coded.end());
-  EXPECT_EQ(wifi::viterbi_decode(clean, /*terminated=*/true), info);
+  EXPECT_EQ(wifi::viterbi_decode(wifi::hard_llrs(coded), /*terminated=*/true),
+            info);
 }
 
 // ---------------------------------------------------------------------------

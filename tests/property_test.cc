@@ -61,8 +61,8 @@ TEST(Property, ViterbiIsLeftInverseOfEncoder) {
     Bits in = rng.bits(len);
     for (std::size_t i = 0; i < wifi::kTailBits; ++i) in.push_back(0);
     const auto coded = wifi::convolutional_encode(in);
-    const std::vector<std::int8_t> soft(coded.begin(), coded.end());
-    EXPECT_EQ(wifi::viterbi_decode(soft), in) << "len " << len;
+    EXPECT_EQ(wifi::viterbi_decode(wifi::hard_llrs(coded)), in)
+        << "len " << len;
   }
 }
 
@@ -75,11 +75,11 @@ TEST(Property, PunctureDepunctureComposeAcrossRates) {
       const std::size_t periods = 5 + static_cast<std::size_t>(rng.uniform_int(0, 40));
       const auto coded = rng.bits(periods * mask.size());
       const auto punctured = wifi::puncture(coded, rate);
-      const auto soft = wifi::depuncture(punctured, rate);
-      ASSERT_EQ(soft.size(), coded.size());
+      const auto llrs = wifi::depuncture(wifi::hard_llrs(punctured), rate);
+      ASSERT_EQ(llrs.size(), coded.size());
       for (std::size_t i = 0; i < coded.size(); ++i) {
-        if (soft[i] != wifi::kErased) {
-          EXPECT_EQ(soft[i], static_cast<std::int8_t>(coded[i]));
+        if (llrs[i] != 0.0) {
+          EXPECT_EQ(llrs[i], coded[i] ? 1.0 : -1.0);
         }
       }
     }

@@ -46,7 +46,7 @@ TEST(SoftViterbi, MatchesHardOnCleanStream) {
   for (std::size_t i = 0; i < coded.size(); ++i) {
     llrs[i] = coded[i] ? 4.0 : -4.0;
   }
-  EXPECT_EQ(viterbi_decode_soft(llrs), in);
+  EXPECT_EQ(viterbi_decode(llrs), in);
 }
 
 TEST(SoftViterbi, ExploitsConfidence) {
@@ -64,7 +64,7 @@ TEST(SoftViterbi, ExploitsConfidence) {
   for (std::size_t pos = 11; pos < llrs.size(); pos += 37) {
     llrs[pos] = coded[pos] ? -0.4 : 0.4;  // wrong sign, low confidence
   }
-  EXPECT_EQ(viterbi_decode_soft(llrs), in);
+  EXPECT_EQ(viterbi_decode(llrs), in);
 }
 
 TEST(SoftViterbi, ZeroLlrIsErasure) {
@@ -78,7 +78,7 @@ TEST(SoftViterbi, ZeroLlrIsErasure) {
   }
   // Erase every 4th value (like rate-3/4 puncturing).
   for (std::size_t i = 3; i < llrs.size(); i += 4) llrs[i] = 0.0;
-  EXPECT_EQ(viterbi_decode_soft(llrs), in);
+  EXPECT_EQ(viterbi_decode(llrs), in);
 }
 
 TEST(SoftDecision, BeatsHardAtMarginalSnr) {

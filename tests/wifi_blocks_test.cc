@@ -92,8 +92,7 @@ TEST(Viterbi, DecodesCleanStream) {
   Bits in = rng.bits(300);
   for (std::size_t i = 0; i < kTailBits; ++i) in.push_back(0);
   const auto coded = convolutional_encode(in);
-  std::vector<std::int8_t> soft(coded.begin(), coded.end());
-  EXPECT_EQ(viterbi_decode(soft, /*terminated=*/true), in);
+  EXPECT_EQ(viterbi_decode(hard_llrs(coded), /*terminated=*/true), in);
 }
 
 TEST(Viterbi, CorrectsScatteredErrors) {
@@ -105,20 +104,19 @@ TEST(Viterbi, CorrectsScatteredErrors) {
   for (std::size_t pos = 13; pos < coded.size(); pos += 101) {
     coded[pos] ^= 1;
   }
-  std::vector<std::int8_t> soft(coded.begin(), coded.end());
-  EXPECT_EQ(viterbi_decode(soft, /*terminated=*/true), in);
+  EXPECT_EQ(viterbi_decode(hard_llrs(coded), /*terminated=*/true), in);
 }
 
 TEST(Viterbi, NonTerminatedDecode) {
   common::Rng rng(5);
   const auto in = rng.bits(256);
   const auto coded = convolutional_encode(in);
-  std::vector<std::int8_t> soft(coded.begin(), coded.end());
-  EXPECT_EQ(viterbi_decode(soft, /*terminated=*/false), in);
+  EXPECT_EQ(viterbi_decode(hard_llrs(coded), /*terminated=*/false), in);
 }
 
 TEST(Viterbi, RejectsOddLength) {
-  EXPECT_THROW(viterbi_decode({1, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(viterbi_decode(std::vector<double>{1.0, -1.0, 1.0}),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- puncture
@@ -145,14 +143,14 @@ TEST_P(PunctureRoundTrip, DepunctureRestoresKeptBits) {
   common::Rng rng(7);
   const auto coded = rng.bits(600);
   const auto punctured = puncture(coded, GetParam());
-  const auto soft = depuncture(punctured, GetParam());
-  ASSERT_EQ(soft.size(), coded.size());
+  const auto llrs = depuncture(hard_llrs(punctured), GetParam());
+  ASSERT_EQ(llrs.size(), coded.size());
   const auto mask = puncture_mask(GetParam());
   for (std::size_t i = 0; i < coded.size(); ++i) {
     if (mask[i % mask.size()]) {
-      EXPECT_EQ(soft[i], static_cast<std::int8_t>(coded[i]));
+      EXPECT_EQ(llrs[i], coded[i] ? 1.0 : -1.0);
     } else {
-      EXPECT_EQ(soft[i], kErased);
+      EXPECT_EQ(llrs[i], 0.0);
     }
   }
 }
@@ -174,8 +172,8 @@ TEST_P(PunctureRoundTrip, ViterbiDecodesPuncturedStream) {
   for (std::size_t i = 0; i < kTailBits; ++i) in.push_back(0);
   const auto coded = convolutional_encode(in);
   const auto punctured = puncture(coded, GetParam());
-  const auto soft = depuncture(punctured, GetParam());
-  EXPECT_EQ(viterbi_decode(soft, /*terminated=*/true), in);
+  const auto llrs = depuncture(hard_llrs(punctured), GetParam());
+  EXPECT_EQ(viterbi_decode(llrs, /*terminated=*/true), in);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, PunctureRoundTrip,
@@ -200,7 +198,7 @@ TEST_P(InterleaverModulations, InverseUndoesPermutation) {
   common::Rng rng(9);
   const auto m = GetParam();
   const auto in = rng.bits(coded_bits_per_symbol(m) * 3);
-  EXPECT_EQ(deinterleave(interleave(in, m), m), in);
+  EXPECT_EQ(deinterleave(hard_llrs(interleave(in, m)), m), hard_llrs(in));
 }
 
 TEST_P(InterleaverModulations, AdjacentBitsLandOnDistantSubcarriers) {
