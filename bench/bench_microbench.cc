@@ -71,6 +71,23 @@ void BM_FrequencyShift(benchmark::State& state) {
 }
 BENCHMARK(BM_FrequencyShift)->Arg(4096)->Arg(65536);
 
+// The draws under ZigBee delivery (one uniform() per symbol) and the
+// channel noise (two gaussian() per sample): one draw per iteration, so
+// the time column reads ns per draw.
+void BM_RngUniform(benchmark::State& state) {
+  common::Rng rng(23);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
+void BM_RngGaussian(benchmark::State& state) {
+  common::Rng rng(24);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(1.0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngGaussian);
+
 void BM_MixAtReceiver(benchmark::State& state) {
   common::Rng rng(16);
   wifi::WifiTxConfig cfg;

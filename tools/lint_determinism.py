@@ -17,8 +17,14 @@ enforces them with line-level checks over the compilation units:
                   implementation-defined, so a hash container feeding any
                   result or output path silently breaks run-to-run identity.
   raw-engine      direct <random> engine construction (std::mt19937, ...)
-                  outside src/common/rng.h — all randomness goes through
-                  common::Rng so seeds stay explicit and auditable.
+                  anywhere — all randomness goes through common::Rng, whose
+                  engine is in the tree, so seeds stay explicit and
+                  auditable.
+  library-draw    std::*_distribution and std::generate_canonical outside
+                  src/common/rng.h — their algorithms are the standard
+                  library's, not the standard's, so a draw through one
+                  changes with the library; rng.h's uniform_int is the one
+                  user.
   underived-seed  Rng seed expressions built by ad-hoc arithmetic
                   (base + i, seed ^ trial, ...) in tools/ and bench/ —
                   index-dependent seeds must go through
@@ -86,7 +92,16 @@ PATTERN_RULES = [
         ),
         "raw <random> engine; construct common::Rng instead",
     ),
+    (
+        "library-draw",
+        re.compile(r"std::(?:\w+_distribution|generate_canonical)\b"),
+        "draw through a standard-library algorithm, whose output differs "
+        "between libraries; draw through common::Rng instead",
+    ),
 ]
+
+# The one file that may draw through a library distribution.
+RNG_HOME = "src/common/rng.h"
 
 # Rng constructions: `Rng name(expr)` or `Rng(expr)`, possibly qualified.
 RNG_CTOR_RE = re.compile(r"\bRng\s+\w+\s*\(|\bRng\s*\(")
@@ -192,7 +207,7 @@ def scan_file(path: Path, profile: str) -> list[Finding]:
                 continue
             if name == "unordered" and profile != "src":
                 continue
-            if name == "raw-engine" and path.name == "rng.h":
+            if name == "library-draw" and path.as_posix().endswith(RNG_HOME):
                 continue
             if pattern.search(line):
                 add(idx, name, message)

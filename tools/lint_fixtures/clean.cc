@@ -49,6 +49,13 @@ const std::map<int, double>& memo_cache() {
   return cache;
 }
 
+// Draws through common::Rng, and names that only end in
+// `_distribution` outside namespace std, are fine.
+double rng_draws(common::Rng& rng, const sim::arrival_distribution& d) {
+  const double power_distribution = rng.gaussian(2.0) + rng.uniform();
+  return power_distribution + d.mean_us;
+}
+
 // Ordered containers are always fine.
 double ordered_accumulate(const std::map<int, double>& values) {
   double total = 0.0;

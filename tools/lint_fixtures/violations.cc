@@ -38,6 +38,15 @@ void raw_engines() {
   std::default_random_engine eng(7);             // expect: raw-engine
 }
 
+// Library distributions: their algorithms differ between standard
+// libraries, so only common/rng.h may hold one.
+double library_draws(common::Rng& rng) {
+  std::uniform_real_distribution<double> uni(0.0, 1.0);  // expect: library-draw
+  std::normal_distribution<double> normal(0.0, 2.0);     // expect: library-draw
+  std::bernoulli_distribution coin(0.5);                 // expect: library-draw
+  return std::generate_canonical<double, 53>(rng.engine());  // expect: library-draw
+}
+
 // underived-seed moved out of the 'src' profile: tools/sledzig_analyzer
 // owns src/ seed discipline structurally.  See tools_seed.cc for the
 // bench/tools handoff fixture.
