@@ -373,6 +373,29 @@ void BM_WifiSynchronizeCfo(benchmark::State& state) {
 }
 BENCHMARK(BM_WifiSynchronizeCfo);
 
+void BM_WifiSynchronizePhyLink(benchmark::State& state) {
+  // A phy_link-sized buffer: a 1000 B QAM-64 2/3 frame mixed at 36 dB
+  // (-45 dBm over the -81 dBm floor) behind a 160-sample lead.
+  common::Rng rng(24);
+  wifi::WifiTxConfig cfg;
+  cfg.modulation = wifi::Modulation::kQam64;
+  cfg.rate = wifi::CodingRate::kR23;
+  const auto packet = wifi::wifi_transmit(rng.bytes(1000), cfg);
+  common::Rng noise_rng(25);
+  const channel::Emission e{&packet.samples, -45.0, 0.0, 160, nullptr, 25};
+  const auto mixed = channel::mix_at_receiver(
+      std::vector<channel::Emission>{e}, packet.samples.size() + 480,
+      noise_rng);
+  for (auto _ : state) {
+    auto sync = wifi::synchronize_packet(mixed, 0.55,
+                                         wifi::ChannelWidth::k20MHz);
+    benchmark::DoNotOptimize(sync);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(mixed.size()));
+}
+BENCHMARK(BM_WifiSynchronizePhyLink);
+
 void BM_ZigbeeSoftDespread(benchmark::State& state) {
   common::Rng rng(12);
   const auto chips = zigbee::spread(rng.bits(4 * 64));

@@ -68,6 +68,9 @@ common::Bits convolutional_encode(const common::Bits& in);
 /// a Hamming-metric Viterbi would.  The length must be even.  If
 /// `terminated` is true the decoder assumes the encoder was flushed to
 /// state 0 (tail bits present in the input and returned in the output).
+/// Input with every |LLR| <= 1e280 runs a sweep without the unreachable-
+/// state sentinel clamp; any other input (larger, infinite or NaN LLRs)
+/// runs the clamped sweep, which decodes bounded input identically.
 common::Bits viterbi_decode(std::span<const double> llrs,
                             bool terminated = true);
 

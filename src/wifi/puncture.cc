@@ -4,16 +4,21 @@
 
 namespace sledzig::wifi {
 
-std::vector<bool> puncture_mask(CodingRate r) {
+std::span<const bool> puncture_mask(CodingRate r) {
+  static constexpr bool kR12[] = {true, true};
+  static constexpr bool kR23[] = {true, true, true, false};
+  static constexpr bool kR34[] = {true, true, true, false, false, true};
+  static constexpr bool kR56[] = {true, true,  true,  false, false,
+                                  true, true,  false, false, true};
   switch (r) {
     case CodingRate::kR12:
-      return {true, true};
+      return kR12;
     case CodingRate::kR23:
-      return {true, true, true, false};
+      return kR23;
     case CodingRate::kR34:
-      return {true, true, true, false, false, true};
+      return kR34;
     case CodingRate::kR56:
-      return {true, true, true, false, false, true, true, false, false, true};
+      return kR56;
   }
   throw std::invalid_argument("puncture_mask: bad rate");
 }

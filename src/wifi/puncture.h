@@ -16,8 +16,9 @@
 namespace sledzig::wifi {
 
 /// Keep-mask over one puncturing period of the interleaved A/B stream
-/// (A1 B1 A2 B2 ...).  Rate 1/2 yields {1, 1}.
-std::vector<bool> puncture_mask(CodingRate r);
+/// (A1 B1 A2 B2 ...).  Rate 1/2 yields {1, 1}.  The span views a constant
+/// table that lives as long as the program.
+std::span<const bool> puncture_mask(CodingRate r);
 
 /// Drops the masked-out bits of a 1/2-rate coded stream.
 common::Bits puncture(const common::Bits& coded, CodingRate r);

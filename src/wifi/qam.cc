@@ -67,15 +67,16 @@ common::Cplx qam_map_point(std::span<const common::Bit> bits, Modulation m) {
   if (m == Modulation::kBpsk) {
     return {k * (bits[0] ? 1.0 : -1.0), 0.0};
   }
-  // Interlaced layout: I bits at even group offsets, Q bits at odd.
+  // Interlaced layout: I bits at even group offsets, Q bits at odd.  An
+  // axis carries at most 4 bits (QAM-256).
   const std::size_t half = n_bpsc / 2;
-  common::Bits i_bits(half), q_bits(half);
+  std::array<common::Bit, 4> i_bits{}, q_bits{};
   for (std::size_t t = 0; t < half; ++t) {
     i_bits[t] = bits[2 * t];
     q_bits[t] = bits[2 * t + 1];
   }
-  const double i = axis_amplitude(i_bits);
-  const double q = axis_amplitude(q_bits);
+  const double i = axis_amplitude(std::span(i_bits).first(half));
+  const double q = axis_amplitude(std::span(q_bits).first(half));
   return {k * i, k * q};
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "common/dsp.h"
 #include "common/rx_tally.h"
@@ -19,14 +21,89 @@ namespace sledzig::wifi {
 
 namespace {
 
+// Two doubles per operation, one window or offset per lane.  Lane
+// arithmetic is the scalar IEEE arithmetic, so each lane sums exactly what
+// a scalar loop over its window would.
+typedef double Lanes __attribute__((vector_size(16)));
+
+Lanes load(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Windows (STF scan) or offsets (LTF search) summed together per block,
+/// in kPairs two-lane vectors.
+constexpr std::size_t kBlock = 8;
+constexpr std::size_t kPairs = kBlock / 2;
+
+/// Largest sample component the blocked LTF search takes.  The preamble's
+/// components are at most 1.43 (20 MHz) and 1.25 (40 MHz), so no product
+/// or difference of products overflows, and the written-out complex
+/// product cannot produce the NaN pair on which the library multiply
+/// recomputes.
+constexpr double kMaxLtfComponent = 1e300;
+
 /// Returns the start index of the packet preamble, or nullopt when no
 /// preamble exceeds the detection threshold.
+///
+/// Each offset t correlates the reference as sum_i samples[t+i] *
+/// conj(ref[i]), accumulated in index order.  When every sample component
+/// is finite and at most kMaxLtfComponent, blocks of kBlock adjacent
+/// offsets are summed together with the complex product written out as
+/// (ar*br - ai*bi, ar*bi + ai*br), which is what the library multiply
+/// computes unless both parts are NaN; any other input takes the scalar
+/// loop with the library multiply.
 std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples,
                                            double threshold,
                                            ChannelWidth width) {
   const auto& ref = full_preamble(width);
   if (samples.size() < ref.size()) return std::nullopt;
   const double ref_energy = common::energy(ref);
+  const std::size_t last = samples.size() - ref.size();
+
+  common::CplxVec dots(last + 1);
+  const bool bounded =
+      std::all_of(samples.begin(), samples.end(), [](common::Cplx s) {
+        return std::abs(s.real()) <= kMaxLtfComponent &&
+               std::abs(s.imag()) <= kMaxLtfComponent;
+      });
+  if (bounded) {
+    // Components split into two zero-padded rows, so offsets t..t+1 are
+    // one load per row and a block past `last` reads only padding.
+    const std::size_t blocks = last / kBlock + 1;
+    std::vector<double> re(blocks * kBlock + ref.size(), 0.0);
+    std::vector<double> im(re.size(), 0.0);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      re[i] = samples[i].real();
+      im[i] = samples[i].imag();
+    }
+    for (std::size_t t0 = 0; t0 < blocks * kBlock; t0 += kBlock) {
+      Lanes acc_re[kPairs] = {}, acc_im[kPairs] = {};
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        const common::Cplx c = std::conj(ref[i]);
+        const Lanes br = {c.real(), c.real()};
+        const Lanes bi = {c.imag(), c.imag()};
+        for (std::size_t p = 0; p < kPairs; ++p) {
+          const Lanes ar = load(&re[t0 + 2 * p + i]);
+          const Lanes ai = load(&im[t0 + 2 * p + i]);
+          acc_re[p] += ar * br - ai * bi;
+          acc_im[p] += ar * bi + ai * br;
+        }
+      }
+      for (std::size_t k = 0; k < kBlock && t0 + k <= last; ++k) {
+        dots[t0 + k] = {acc_re[k / 2][k % 2], acc_im[k / 2][k % 2]};
+      }
+    }
+  } else {
+    for (std::size_t t = 0; t <= last; ++t) {
+      common::Cplx acc(0.0, 0.0);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        acc += samples[t + i] * std::conj(ref[i]);
+      }
+      dots[t] = acc;
+    }
+  }
 
   double best_corr = 0.0;
   std::size_t best_pos = 0;
@@ -34,14 +111,9 @@ std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples
   double win_energy = 0.0;
   for (std::size_t i = 0; i < ref.size(); ++i) win_energy += std::norm(samples[i]);
 
-  const std::size_t last = samples.size() - ref.size();
   for (std::size_t t = 0; t <= last; ++t) {
-    common::Cplx acc(0.0, 0.0);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      acc += samples[t + i] * std::conj(ref[i]);
-    }
     const double denom = std::sqrt(std::max(win_energy, 1e-30) * ref_energy);
-    const double corr = std::abs(acc) / denom;
+    const double corr = std::abs(dots[t]) / denom;
     if (corr > best_corr) {
       best_corr = corr;
       best_pos = t;
@@ -52,6 +124,56 @@ std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples
   }
   if (best_corr < threshold) return std::nullopt;
   return best_pos;
+}
+
+/// Per-window sums of the STF coarse scan.  Window k starts at sample 4k
+/// and sums, over its `window` samples j in index order, the lag product
+/// s[j+lag]*conj(s[j]) into `acc` and the norm |s[j]|^2 into `energy`.
+struct StfWindows {
+  std::vector<double> acc_re, acc_im, energy;
+};
+
+/// Sums windows 0..count-1.  Each sample's lag product and norm are
+/// computed once, into residue-major rows (sample j = 4n + r at row r,
+/// column n), so window k's sample 4m + r sits at row r, column k + m, and
+/// the windows of one block read adjacent columns.  Every window keeps
+/// the operands and order of a scalar loop over its own samples.
+StfWindows stf_windows(std::span<const common::Cplx> samples, std::size_t lag,
+                       std::size_t window, std::size_t count) {
+  const std::size_t blocks = (count + kBlock - 1) / kBlock;
+  const std::size_t cols = blocks * kBlock + window / 4;
+  const std::size_t used = 4 * (count - 1) + window;
+  std::vector<double> re(4 * cols, 0.0), im(4 * cols, 0.0),
+      norms(4 * cols, 0.0);
+  for (std::size_t j = 0; j < used; ++j) {
+    const common::Cplx p = samples[j + lag] * std::conj(samples[j]);
+    const std::size_t at = (j % 4) * cols + j / 4;
+    re[at] = p.real();
+    im[at] = p.imag();
+    norms[at] = std::norm(samples[j]);
+  }
+
+  StfWindows out;
+  out.acc_re.resize(blocks * kBlock);
+  out.acc_im.resize(blocks * kBlock);
+  out.energy.resize(blocks * kBlock);
+  for (std::size_t k0 = 0; k0 < blocks * kBlock; k0 += kBlock) {
+    Lanes acc_re[kPairs] = {}, acc_im[kPairs] = {}, energy[kPairs] = {};
+    for (std::size_t m = 0; m < window / 4; ++m) {
+      for (std::size_t r = 0; r < 4; ++r) {
+        const std::size_t at = r * cols + k0 + m;
+        for (std::size_t p = 0; p < kPairs; ++p) {
+          acc_re[p] += load(&re[at + 2 * p]);
+          acc_im[p] += load(&im[at + 2 * p]);
+          energy[p] += load(&norms[at + 2 * p]);
+        }
+      }
+    }
+    std::memcpy(&out.acc_re[k0], acc_re, sizeof acc_re);
+    std::memcpy(&out.acc_im[k0], acc_im, sizeof acc_im);
+    std::memcpy(&out.energy[k0], energy, sizeof energy);
+  }
+  return out;
 }
 
 /// Phase-increment estimate from a delayed autocorrelation at `lag` over
@@ -82,26 +204,24 @@ std::optional<SyncInfo> synchronize_packet(std::span<const common::Cplx> samples
     return std::nullopt;
   }
 
-  // 1. Coarse scan: STF autocorrelation plateau (CFO-immune).
+  // 1. Coarse scan: STF autocorrelation plateau (CFO-immune), at every
+  //    fourth offset.  The lag is a multiple of 4 at both widths, so the
+  //    shifted window's energy is the energy of window k + lag/4.
   double best_metric = 0.0;
   std::size_t coarse = 0;
   const std::size_t last = samples.size() - preamble_len(width);
-  for (std::size_t t = 0; t <= last; t += 4) {
-    common::Cplx acc(0.0, 0.0);
-    double energy = 0.0, energy_shift = 0.0;
-    for (std::size_t i = 0; i < window; ++i) {
-      acc += samples[t + i + lag] * std::conj(samples[t + i]);
-      energy += std::norm(samples[t + i]);
-      energy_shift += std::norm(samples[t + i + lag]);
-    }
+  const std::size_t scans = last / 4 + 1;
+  const StfWindows w = stf_windows(samples, lag, window, scans + lag / 4);
+  for (std::size_t k = 0; k < scans; ++k) {
     // Normalise by both windows (bounds the metric to [0, 1] and avoids the
     // spike at the noise-to-signal boundary).
-    const double denom = std::sqrt(energy * energy_shift);
+    const double denom = std::sqrt(w.energy[k] * w.energy[k + lag / 4]);
     if (denom <= 1e-30) continue;
-    const double metric = std::abs(acc) / denom;
+    const double metric =
+        std::abs(common::Cplx(w.acc_re[k], w.acc_im[k])) / denom;
     if (metric > best_metric) {
       best_metric = metric;
-      coarse = t;
+      coarse = 4 * k;
     }
   }
   if (best_metric < 0.5) return std::nullopt;

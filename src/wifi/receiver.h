@@ -46,7 +46,10 @@ struct SyncInfo {
 
 /// CFO-tolerant synchronisation: STF autocorrelation (lag fft/4) finds the
 /// packet and the coarse CFO, the derotated LTF cross-correlation refines
-/// the timing, and the two LTS bodies give the fine CFO.
+/// the timing, and the two LTS bodies give the fine CFO.  Both scans are
+/// direct sums: each sample's lag product and norm are computed once, and
+/// blocks of windows (STF) or offsets (LTF) are summed together, each in
+/// its own index order, so every metric is the one a scalar loop computes.
 std::optional<SyncInfo> synchronize_packet(std::span<const common::Cplx> samples,
                                            double threshold,
                                            ChannelWidth width);

@@ -12,12 +12,19 @@
 // (`WifiRxConfig::soft_decision = false`), where most marginal QAM-256
 // frames fail, so near-ties of the Hamming metric are exercised too.
 //
+// A third digest hashes where `synchronize_packet` puts each of the same
+// buffers (detected, packet start, the bit pattern of the CFO estimate):
+// a start that moves inside the cyclic prefix, or a CFO that differs in
+// its last bit, can still decode the same bits.
+//
 // The soft digest was recorded before the demapper, Viterbi and
-// constraint-plan rewrites, and the hard one before hard decisions joined
-// the LLR decode chain; any change to either is a behaviour change of the
-// frame path, not a tolerance to adjust.
+// constraint-plan rewrites, the hard one before hard decisions joined the
+// LLR decode chain, and the sync one before the blocked correlation scans;
+// any change to any of them is a behaviour change of the frame path, not a
+// tolerance to adjust.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -96,38 +103,51 @@ struct Outcome {
   std::size_t qam256_marginal_failed = 0;
 };
 
-Outcome run_frames(const wifi::WifiRxConfig& rx_cfg) {
+/// Frame `i`'s payload, transmitted PSDU and received buffer: a 160-sample
+/// lead, a 20 kHz CFO and an 8-bit ADC at the frame's SNR.
+struct Mixed {
+  common::Bytes payload;
+  common::Bytes psdu;
+  common::CplxVec samples;
+};
+
+Mixed mix_frame(const Frame& f, std::size_t i) {
   channel::ImpairmentConfig imp;
   imp.cfo = true;
   imp.cfo_hz = 20e3;
   imp.quantization = true;
   imp.quant_bits = 8;
 
+  Mixed m;
+  m.payload = common::Rng(common::derive_seed(0xd16e57, i)).bytes(f.octets);
+  m.psdu = m.payload;
+  if (f.sledzig_on) {
+    const auto enc = core::sledzig_encode(m.payload, f.cfg);
+    EXPECT_EQ(enc.num_violations, 0u) << "frame " << i;
+    m.psdu = enc.transmit_psdu;
+  }
+  wifi::WifiTxConfig tx;
+  tx.modulation = f.cfg.modulation;
+  tx.rate = f.cfg.rate;
+  tx.scrambler_seed = f.cfg.scrambler_seed;
+  const auto packet = wifi::wifi_transmit(m.psdu, tx);
+
+  const std::uint64_t channel_seed = common::derive_seed(0xc4a77e1, i);
+  common::Rng rng(channel_seed);
+  const channel::Emission e{&packet.samples, f.rx_dbm, 0.0, kLeadSamples,
+                            &imp, channel_seed};
+  m.samples = channel::mix_at_receiver(
+      std::vector<channel::Emission>{e},
+      packet.samples.size() + 3 * kLeadSamples, rng);
+  return m;
+}
+
+Outcome run_frames(const wifi::WifiRxConfig& rx_cfg) {
   Outcome out;
   const auto frames = digest_frames();
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const Frame& f = frames[i];
-    const auto payload =
-        common::Rng(common::derive_seed(0xd16e57, i)).bytes(f.octets);
-    common::Bytes psdu = payload;
-    if (f.sledzig_on) {
-      const auto enc = core::sledzig_encode(payload, f.cfg);
-      EXPECT_EQ(enc.num_violations, 0u) << "frame " << i;
-      psdu = enc.transmit_psdu;
-    }
-    wifi::WifiTxConfig tx;
-    tx.modulation = f.cfg.modulation;
-    tx.rate = f.cfg.rate;
-    tx.scrambler_seed = f.cfg.scrambler_seed;
-    const auto packet = wifi::wifi_transmit(psdu, tx);
-
-    const std::uint64_t channel_seed = common::derive_seed(0xc4a77e1, i);
-    common::Rng rng(channel_seed);
-    const channel::Emission e{&packet.samples, f.rx_dbm, 0.0, kLeadSamples,
-                              &imp, channel_seed};
-    const auto samples = channel::mix_at_receiver(
-        std::vector<channel::Emission>{e},
-        packet.samples.size() + 3 * kLeadSamples, rng);
+    const auto [payload, psdu, samples] = mix_frame(f, i);
     const auto rx = wifi::wifi_receive(samples, rx_cfg);
 
     std::optional<common::Bytes> decoded;
@@ -168,6 +188,25 @@ TEST(FramePathDigest, HardDecisionReceiveMatchesRecordedDigest) {
   // Hard decisions lose most marginal QAM-256 frames, but not all of them.
   EXPECT_GT(out.qam256_marginal_failed, 0u);
   EXPECT_LT(out.qam256_marginal_failed, out.qam256_marginal);
+}
+
+TEST(FramePathDigest, SynchronizationMatchesRecordedDigest) {
+  std::uint64_t digest = kFnvOffset;
+  std::size_t detected = 0;
+  const auto frames = digest_frames();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto sync = wifi::synchronize_packet(mix_frame(frames[i], i).samples,
+                                               wifi::WifiRxConfig{}.detection_threshold,
+                                               wifi::ChannelWidth::k20MHz);
+    fnv1a_u64(digest, sync.has_value());
+    fnv1a_u64(digest, sync ? sync->packet_start : 0);
+    fnv1a_u64(digest, std::bit_cast<std::uint64_t>(sync ? sync->cfo_hz : 0.0));
+    detected += sync.has_value();
+  }
+  EXPECT_EQ(digest, 0x41e3c7f882d08803ull) << std::hex << "digest 0x" << digest;
+  // Every frame is found, even where the marginal QAM-256 ones fail to
+  // decode.
+  EXPECT_EQ(detected, frames.size());
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 // The `ref` namespace holds verbatim copies of the straightforward
 // implementations these kernels replaced: the exhaustive max-log soft
 // demapper, the per-(state, input) Viterbi add-compare-select with a
-// steps x 64 survivor table, and the constraint-plan builder that walks
+// steps x 64 survivor table, the constraint-plan builder that walks
 // every OFDM symbol through the interleaver and solves each cluster over
-// byte-per-bit rows.  The production kernels must reproduce them bit for bit
-// (memcmp on doubles), including on the edge inputs that decide ties,
-// sentinels and saturation.
+// byte-per-bit rows, and the receiver's scalar preamble scans (the STF
+// autocorrelation that recomputed every window's products, and the LTF
+// cross-correlation with the library complex multiply).  The production
+// kernels must reproduce them bit for bit (memcmp on doubles), including
+// on the edge inputs that decide ties, sentinels, overflow and saturation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,19 +19,29 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numbers>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "channel/impairments.h"
+#include "channel/medium.h"
+#include "common/dsp.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "sledzig/channels.h"
 #include "sledzig/significant_bits.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
+#include "wifi/preamble.h"
 #include "wifi/qam.h"
+#include "wifi/receiver.h"
 #include "wifi/signal_field.h"
+#include "wifi/transmitter.h"
 
 namespace sledzig {
 namespace {
@@ -333,6 +345,111 @@ core::ConstraintPlan build_constraint_plan(const core::SledzigConfig& cfg,
   return plan;
 }
 
+// --- Scalar preamble scans ------------------------------------------------
+
+std::optional<std::size_t> detect_preamble(std::span<const common::Cplx> samples,
+                                           double threshold,
+                                           wifi::ChannelWidth width) {
+  const auto& ref = wifi::full_preamble(width);
+  if (samples.size() < ref.size()) return std::nullopt;
+  const double ref_energy = common::energy(ref);
+
+  double best_corr = 0.0;
+  std::size_t best_pos = 0;
+  double win_energy = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) win_energy += std::norm(samples[i]);
+
+  const std::size_t last = samples.size() - ref.size();
+  for (std::size_t t = 0; t <= last; ++t) {
+    common::Cplx acc(0.0, 0.0);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      acc += samples[t + i] * std::conj(ref[i]);
+    }
+    const double denom = std::sqrt(std::max(win_energy, 1e-30) * ref_energy);
+    const double corr = std::abs(acc) / denom;
+    if (corr > best_corr) {
+      best_corr = corr;
+      best_pos = t;
+    }
+    if (t < last) {
+      win_energy += std::norm(samples[t + ref.size()]) - std::norm(samples[t]);
+    }
+  }
+  if (best_corr < threshold) return std::nullopt;
+  return best_pos;
+}
+
+double lag_phase(std::span<const common::Cplx> samples, std::size_t begin,
+                 std::size_t lag, std::size_t span) {
+  common::Cplx acc(0.0, 0.0);
+  for (std::size_t i = 0; i < span; ++i) {
+    acc += samples[begin + i + lag] * std::conj(samples[begin + i]);
+  }
+  return std::arg(acc) / static_cast<double>(lag);
+}
+
+common::CplxVec derotate(std::span<const common::Cplx> samples,
+                         double cfo_hz, double fs) {
+  return common::frequency_shift(samples, -cfo_hz, fs);
+}
+
+std::optional<wifi::SyncInfo> synchronize_packet(
+    std::span<const common::Cplx> samples, double threshold,
+    wifi::ChannelWidth width) {
+  const auto& plan = wifi::channel_plan(width);
+  const std::size_t lag = plan.fft_size / 4;
+  const std::size_t window = wifi::stf_len(width) - 2 * lag;
+  if (samples.size() < wifi::preamble_len(width) + plan.symbol_len()) {
+    return std::nullopt;
+  }
+
+  double best_metric = 0.0;
+  std::size_t coarse = 0;
+  const std::size_t last = samples.size() - wifi::preamble_len(width);
+  for (std::size_t t = 0; t <= last; t += 4) {
+    common::Cplx acc(0.0, 0.0);
+    double energy = 0.0, energy_shift = 0.0;
+    for (std::size_t i = 0; i < window; ++i) {
+      acc += samples[t + i + lag] * std::conj(samples[t + i]);
+      energy += std::norm(samples[t + i]);
+      energy_shift += std::norm(samples[t + i + lag]);
+    }
+    const double denom = std::sqrt(energy * energy_shift);
+    if (denom <= 1e-30) continue;
+    const double metric = std::abs(acc) / denom;
+    if (metric > best_metric) {
+      best_metric = metric;
+      coarse = t;
+    }
+  }
+  if (best_metric < 0.5) return std::nullopt;
+
+  const double fs = plan.sample_rate_hz;
+  const double coarse_cfo =
+      lag_phase(samples, coarse, lag, window) * fs / (2.0 * std::numbers::pi);
+
+  const std::size_t search_begin =
+      coarse > plan.fft_size ? coarse - plan.fft_size : 0;
+  const std::size_t search_len =
+      std::min(samples.size() - search_begin,
+               wifi::preamble_len(width) + 3 * plan.fft_size);
+  const auto region = derotate(samples.subspan(search_begin, search_len),
+                               coarse_cfo, fs);
+  const auto fine = detect_preamble(region, threshold, width);
+  if (!fine) return std::nullopt;
+  const std::size_t start = search_begin + *fine;
+
+  const std::size_t lts1 = start + wifi::stf_len(width) + plan.fft_size / 2;
+  if (lts1 + 2 * plan.fft_size > samples.size()) return std::nullopt;
+  const auto around_ltf =
+      derotate(samples.subspan(lts1, 2 * plan.fft_size), coarse_cfo, fs);
+  const double fine_cfo =
+      lag_phase(around_ltf, 0, plan.fft_size, plan.fft_size) * fs /
+      (2.0 * std::numbers::pi);
+
+  return wifi::SyncInfo{start, coarse_cfo + fine_cfo};
+}
+
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -486,6 +603,268 @@ TEST(HotpathOracle, SoftViterbiMatchesReference) {
           << terminated;
     }
   }
+}
+
+TEST(HotpathOracle, SoftViterbiMatchesReferenceAtTheLlrBound) {
+  // Every |LLR| at most 1e280 runs the sweep without the sentinel clamp;
+  // one LLR past it, or a NaN, runs the clamped sweep over the whole input.
+  constexpr double kBound = 1e280;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kSteps = 3000;
+  const auto coded = random_codeword(0xb0b, kSteps);
+  struct Case {
+    const char* name;
+    std::vector<double> llrs;
+  };
+  std::vector<Case> cases;
+  std::vector<double> at_bound(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    at_bound[i] = coded[i] ? kBound : -kBound;
+  }
+  cases.push_back({"clean +-1e280", at_bound});
+  common::Rng sign(0x1e280);
+  for (auto& l : at_bound) l = sign.uniform() < 0.5 ? -kBound : kBound;
+  cases.push_back({"random +-1e280", at_bound});
+
+  common::Rng rng(0x2e280);
+  std::vector<double> noisy(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    noisy[i] = (coded[i] ? 1.0 : -1.0) + rng.gaussian(2.0);
+  }
+  for (double past : {std::nextafter(kBound, kInf),
+                      -std::nextafter(kBound, kInf)}) {
+    auto llrs = noisy;
+    llrs[kSteps + 1] = past;
+    cases.push_back({"one LLR past 1e280", llrs});
+  }
+  for (std::size_t at : {std::size_t{0}, kSteps, 2 * kSteps - 1}) {
+    auto llrs = noisy;
+    llrs[at] = std::numeric_limits<double>::quiet_NaN();
+    cases.push_back({"NaN", llrs});
+  }
+  for (const auto& c : cases) {
+    for (bool terminated : {true, false}) {
+      EXPECT_EQ(wifi::viterbi_decode(c.llrs, terminated),
+                ref::viterbi_decode_soft(c.llrs, terminated))
+          << c.name << " terminated " << terminated;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Preamble scans
+
+constexpr double kThreshold = 0.55;  // WifiRxConfig's default
+
+struct ScanCase {
+  std::string name;
+  common::CplxVec samples;
+  wifi::ChannelWidth width = wifi::ChannelWidth::k20MHz;
+};
+
+/// A phy_link-style received buffer: a random payload in mode (m, r), a
+/// 160-sample lead, a 20 kHz CFO and an 8-bit ADC at `rx_dbm`.
+common::CplxVec phy_link_buffer(std::uint64_t seed, wifi::Modulation m,
+                                wifi::CodingRate r, std::size_t octets,
+                                double rx_dbm) {
+  channel::ImpairmentConfig imp;
+  imp.cfo = true;
+  imp.cfo_hz = 20e3;
+  imp.quantization = true;
+  imp.quant_bits = 8;
+  wifi::WifiTxConfig tx;
+  tx.modulation = m;
+  tx.rate = r;
+  const auto packet = wifi::wifi_transmit(common::Rng(seed).bytes(octets), tx);
+  common::Rng rng(seed + 1);
+  const channel::Emission e{&packet.samples, rx_dbm, 0.0, 160, &imp, seed};
+  return channel::mix_at_receiver(std::vector<channel::Emission>{e},
+                                  packet.samples.size() + 480, rng);
+}
+
+/// A 300 B QAM-64 2/3 frame at `width` after `lead` zero samples, shifted
+/// by `cfo_hz`, with 200 trailing zeros, plus complex Gaussian noise of
+/// `noise_mw` when positive.
+common::CplxVec frame_buffer(std::uint64_t seed, wifi::ChannelWidth width,
+                             std::size_t lead, double cfo_hz,
+                             double noise_mw) {
+  wifi::WifiTxConfig tx;
+  tx.modulation = wifi::Modulation::kQam64;
+  tx.rate = wifi::CodingRate::kR23;
+  tx.width = width;
+  common::Rng rng(seed);
+  const auto packet = wifi::wifi_transmit(rng.bytes(300), tx);
+  const auto shifted = common::frequency_shift(
+      packet.samples, cfo_hz, wifi::channel_plan(width).sample_rate_hz);
+  common::CplxVec out(lead);
+  out.insert(out.end(), shifted.begin(), shifted.end());
+  out.resize(out.size() + 200);
+  if (noise_mw > 0.0) {
+    for (auto& v : out) v += rng.complex_gaussian(noise_mw);
+  }
+  return out;
+}
+
+double largest_component(std::span<const common::Cplx> samples) {
+  double top = 0.0;
+  for (const auto& v : samples) {
+    top = std::max({top, std::abs(v.real()), std::abs(v.imag())});
+  }
+  return top;
+}
+
+std::vector<ScanCase> scan_cases() {
+  using wifi::ChannelWidth;
+  std::vector<ScanCase> cases;
+  // phy_link frames at 36 dB and 25 dB over the -81 dBm floor.
+  const std::pair<wifi::Modulation, wifi::CodingRate> modes[] = {
+      {wifi::Modulation::kQam16, wifi::CodingRate::kR12},
+      {wifi::Modulation::kQam64, wifi::CodingRate::kR23},
+      {wifi::Modulation::kQam256, wifi::CodingRate::kR34},
+  };
+  std::uint64_t seed = 0x5c0;
+  for (double dbm : {-45.0, -56.0}) {
+    for (const auto& [m, r] : modes) {
+      for (std::size_t octets : {100u, 1000u}) {
+        cases.push_back({"phy_link " + std::string(wifi::to_string(m)) + " " +
+                             std::to_string(octets) + " B at " +
+                             std::to_string(dbm) + " dBm",
+                         phy_link_buffer(seed++, m, r, octets, dbm)});
+      }
+    }
+  }
+
+  // Noise only, and an all-zero buffer where every denominator is <= 1e-30.
+  common::Rng noise(0x5ca7);
+  common::CplxVec pure(3001);
+  for (auto& v : pure) v = noise.complex_gaussian(1e-4);
+  cases.push_back({"noise only", pure});
+  cases.push_back({"all zero", common::CplxVec(3001)});
+
+  cases.push_back({"zero lead", frame_buffer(1, ChannelWidth::k20MHz, 700,
+                                             0.0, 0.0)});
+  cases.push_back({"20 MHz, 20 kHz CFO",
+                   frame_buffer(2, ChannelWidth::k20MHz, 160, 20e3, 1e-4)});
+  cases.push_back({"40 MHz, 20 kHz CFO",
+                   frame_buffer(3, ChannelWidth::k40MHz, 320, 20e3, 1e-4),
+                   ChannelWidth::k40MHz});
+  cases.push_back({"40 MHz zero lead",
+                   frame_buffer(4, ChannelWidth::k40MHz, 500, 0.0, 0.0),
+                   ChannelWidth::k40MHz});
+
+  // The shortest buffer sync takes, and every length up to 40 past it: the
+  // STF scan sums 8 windows (32 samples) per block and the LTF search 8
+  // offsets, so these end every block partway.
+  for (auto width : {ChannelWidth::k20MHz, ChannelWidth::k40MHz}) {
+    const auto frame = frame_buffer(5, width, 0, 20e3, 1e-4);
+    const std::size_t shortest =
+        wifi::preamble_len(width) + wifi::channel_plan(width).symbol_len();
+    for (std::size_t extra = 0; extra <= 40; ++extra) {
+      cases.push_back({std::string(wifi::to_string(width)) + " length +" +
+                           std::to_string(extra),
+                       common::CplxVec(frame.begin(),
+                                       frame.begin() + static_cast<long>(
+                                                           shortest + extra)),
+                       width});
+    }
+  }
+
+  // A frame with one data sample past its preamble at the blocked LTF
+  // search's 1e300 bound, which normalisation overflows but leaves the
+  // preamble's window alone: just below, at and just above the bound (the
+  // last takes the scalar loop).  Then one past the bound on both axes,
+  // which stays past it after derotation, and two at the largest double,
+  // which derotation overflows to +-inf; both sit where sync's LTF search
+  // region includes them, and both take the scalar loop there too.
+  const std::size_t lead = 160;
+  const auto frame = frame_buffer(6, ChannelWidth::k20MHz, lead, 20e3, 1e-4);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, edge] :
+       {std::pair{"below", std::nextafter(1e300, 0.0)}, std::pair{"at", 1e300},
+        std::pair{"past", std::nextafter(1e300, kInf)}}) {
+    auto spiked = frame;
+    spiked[lead + 600] = common::Cplx(edge, 0.0);
+    cases.push_back({std::string("one component ") + name + " 1e300", spiked});
+  }
+  {
+    auto spiked = frame;
+    spiked[lead + 400] = common::Cplx(1.2e300, 1.2e300);
+    cases.push_back({"both axes past 1e300", spiked});
+    constexpr double kMax = std::numeric_limits<double>::max();
+    spiked[lead + 400] = common::Cplx(kMax, kMax);
+    spiked[lead + 416] = common::Cplx(kMax, -kMax);
+    cases.push_back({"derotates to inf", spiked});
+  }
+
+  // NaN and inf samples, which only synchronize_packet sees (wifi_receive
+  // refuses them).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t at : {lead + 40, lead + 200, lead + 600}) {
+    for (common::Cplx bad : {common::Cplx(kNaN, 0.0), common::Cplx(0.0, kInf),
+                             common::Cplx(-kInf, kInf)}) {
+      auto poisoned = frame;
+      poisoned[at] = bad;
+      cases.push_back({"non-finite at " + std::to_string(at), poisoned});
+    }
+  }
+  return cases;
+}
+
+bool all_finite(std::span<const common::Cplx> samples) {
+  return std::all_of(samples.begin(), samples.end(), [](common::Cplx v) {
+    return std::isfinite(v.real()) && std::isfinite(v.imag());
+  });
+}
+
+TEST(HotpathOracle, PreambleScansMatchScalarReference) {
+  // The blocked LTF search writes the complex product out for samples up
+  // to 1e300 per component; that equals the library multiply only while
+  // no product or sum of two overflows, which needs reference components
+  // well below DBL_MAX / 2e300.
+  EXPECT_LE(largest_component(wifi::full_preamble(wifi::ChannelWidth::k20MHz)),
+            1.44);
+  EXPECT_LE(largest_component(wifi::full_preamble(wifi::ChannelWidth::k40MHz)),
+            1.26);
+
+  std::size_t synced = 0, detected = 0, past_bound = 0, non_finite = 0;
+  for (const auto& c : scan_cases()) {
+    const auto got = wifi::synchronize_packet(c.samples, kThreshold, c.width);
+    const auto want = ref::synchronize_packet(c.samples, kThreshold, c.width);
+    ASSERT_EQ(got.has_value(), want.has_value()) << c.name;
+    if (want) {
+      ++synced;
+      EXPECT_EQ(got->packet_start, want->packet_start) << c.name;
+      EXPECT_EQ(std::memcmp(&got->cfo_hz, &want->cfo_hz, sizeof(double)), 0)
+          << c.name << ": " << got->cfo_hz << " vs " << want->cfo_hz;
+    }
+
+    // Without CFO correction the receiver runs the LTF search over the
+    // whole buffer.
+    wifi::WifiRxConfig cfg;
+    cfg.correct_cfo = false;
+    cfg.width = c.width;
+    const auto rx = wifi::wifi_receive(c.samples, cfg);
+    if (!all_finite(c.samples)) {
+      ++non_finite;
+      EXPECT_EQ(rx.error, common::RxError::kNanSamples) << c.name;
+      continue;
+    }
+    const auto start = ref::detect_preamble(c.samples, kThreshold, c.width);
+    ASSERT_EQ(rx.detected, start.has_value()) << c.name;
+    if (start) {
+      ++detected;
+      EXPECT_EQ(rx.packet_start, *start) << c.name;
+    }
+    if (largest_component(c.samples) > 1e300) {
+      ++past_bound;
+      EXPECT_TRUE(start.has_value()) << c.name;
+    }
+  }
+  // The frames are found, and three inputs take the scalar LTF loop.
+  EXPECT_GE(synced, 60u);
+  EXPECT_GE(detected, 60u);
+  EXPECT_EQ(past_bound, 3u);
+  EXPECT_EQ(non_finite, 9u);
 }
 
 // ---------------------------------------------------------------------------
