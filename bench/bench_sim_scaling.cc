@@ -8,8 +8,12 @@
 // memo and times kRepetitions more runs.  Every timed run's digest and
 // event count must equal the warm-up's (a mismatch is fatal), so a speed
 // change can never silently trade the engine's determinism away.  Each
-// point records min/median/max events/s; the file records the build type,
-// thread count and repetitions.
+// point records min/median/max events/s; `construct_ms`, the median of
+// kRepetitions construction-only runs (the same config with a 1 ns
+// horizon, so only the engine's set-up and the events at t = 0 run); and
+// `peak_rss_mb`, the process's VmHWM after the point.  Points run in
+// ascending size, so each peak is its own point's.  The file records the
+// build type, thread count and repetitions.
 //
 // `--smoke` runs only the small grid points (CI determinism guard);
 // the full sweep tops out at a 1100-node campus.  `--seed N` re-seeds the
@@ -18,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +57,8 @@ sim::ScenarioConfig grid_scenario(std::size_t n_wifi, std::size_t n_zigbee) {
 }
 
 constexpr int kRepetitions = 5;
+// Construction-only horizon: before every event but those at t = 0.
+constexpr double kConstructHorizonS = 1e-9;
 
 struct Point {
   std::string label;
@@ -60,7 +67,22 @@ struct Point {
   double min_events_per_s;
   double median_events_per_s;
   double max_events_per_s;
+  double construct_ms;
+  double peak_rss_mb;
 };
+
+/// Peak resident set size of this process (VmHWM) in MB, or -1 when
+/// /proc/self/status cannot be read.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;
+    }
+  }
+  return -1.0;
+}
 
 /// Wall-time of one run.
 double time_run(const sim::ScenarioConfig& cfg, std::uint64_t* digest,
@@ -90,14 +112,26 @@ bool bench_point(sim::ScenarioConfig cfg, const std::string& label,
   }
   std::sort(rates.begin(), rates.end());
 
+  sim::ScenarioConfig construct = cfg;
+  construct.duration_s = kConstructHorizonS;
+  std::vector<double> construct_ms;
+  for (int i = 0; i < kRepetitions; ++i) {
+    std::uint64_t unused_digest = 0, unused_events = 0;
+    construct_ms.push_back(
+        1e3 * time_run(construct, &unused_digest, &unused_events));
+  }
+  std::sort(construct_ms.begin(), construct_ms.end());
+
   const std::size_t nodes = cfg.wifi.size() + cfg.zigbee.size();
-  out.push_back({label, nodes, events, rates.front(),
-                 rates[rates.size() / 2], rates.back()});
+  out.push_back({label, nodes, events, rates.front(), rates[rates.size() / 2],
+                 rates.back(), construct_ms[construct_ms.size() / 2],
+                 peak_rss_mb()});
   std::printf("%-16s %5zu nodes: %9llu events, median %10.0f ev/s "
-              "(min %.0f, max %.0f)\n",
+              "(min %.0f, max %.0f), construct %.3f ms, peak RSS %.1f MB\n",
               label.c_str(), nodes, static_cast<unsigned long long>(events),
               out.back().median_events_per_s, out.back().min_events_per_s,
-              out.back().max_events_per_s);
+              out.back().max_events_per_s, out.back().construct_ms,
+              out.back().peak_rss_mb);
   return true;
 }
 
@@ -161,11 +195,12 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"%s\": {\"nodes\": %zu, \"events\": %llu, "
                  "\"min_events_per_s\": %.0f, \"median_events_per_s\": %.0f, "
-                 "\"max_events_per_s\": %.0f}%s\n",
+                 "\"max_events_per_s\": %.0f, \"construct_ms\": %.4f, "
+                 "\"peak_rss_mb\": %.1f}%s\n",
                  p.label.c_str(), p.nodes,
                  static_cast<unsigned long long>(p.events), p.min_events_per_s,
-                 p.median_events_per_s, p.max_events_per_s,
-                 i + 1 < points.size() ? "," : "");
+                 p.median_events_per_s, p.max_events_per_s, p.construct_ms,
+                 p.peak_rss_mb, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "}\n");
   std::fclose(f);

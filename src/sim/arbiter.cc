@@ -3,42 +3,81 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/units.h"
 
 namespace sledzig::sim {
 
 ArbiterTables::ArbiterTables(std::size_t n)
-    : num_nodes(n),
-      power(2 * n * n),
-      audible(n * n, 0),
-      cca_noise_mw(n),
-      cca_threshold_dbm(n),
-      bit_words((n + 63) / 64),
-      comp(n, 0) {
-  nonzero_bits.assign(2 * n * bit_words, 0);
+    : ArbiterTables(std::vector<std::uint32_t>(n, 0)) {}
+
+ArbiterTables::ArbiterTables(std::vector<std::uint32_t> node_comp)
+    : num_nodes(node_comp.size()),
+      cca_noise_mw(num_nodes),
+      cca_threshold_dbm(num_nodes),
+      comp(std::move(node_comp)),
+      local(num_nodes),
+      members(num_nodes) {
+  const std::size_t num_comps =
+      comp.empty() ? 1 : std::size_t{*std::max_element(comp.begin(),
+                                                       comp.end())} + 1;
+  blocks.resize(num_comps);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    local[n] = static_cast<std::uint32_t>(blocks[comp[n]].size++);
+  }
+  std::size_t first = 0, power_size = 0, bits_size = 0, pairs_size = 0;
+  for (Block& b : blocks) {
+    b.words = (b.size + 63) / 64;
+    b.first = first;
+    b.power = power_size;
+    b.bits = bits_size;
+    b.pairs = pairs_size;
+    first += b.size;
+    power_size += 2 * b.size * b.size;
+    bits_size += 2 * b.size * b.words;
+    pairs_size += b.size * b.size;
+  }
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    members[blocks[comp[n]].first + local[n]] = static_cast<std::uint32_t>(n);
+  }
+  power.resize(power_size);
+  nonzero_bits.assign(bits_size, 0);
+  audible.assign(pairs_size, 0);
 }
 
 void ArbiterTables::set_link(std::size_t point, std::size_t tx,
                              const SegmentPower& sp) {
-  power[point * num_nodes + tx] = sp;
-  const std::uint64_t bit = std::uint64_t{1} << (tx & 63);
-  std::uint64_t& word = nonzero_bits[point * bit_words + (tx >> 6)];
-  if (sp.payload_mw > common::MilliWatt{} ||
-      sp.preamble_mw > common::MilliWatt{}) {
+  const bool nonzero = sp.payload_mw > common::MilliWatt{} ||
+                       sp.preamble_mw > common::MilliWatt{};
+  if (!stored(point, tx)) {
+    if (!nonzero) return;
+    throw std::logic_error(
+        "nonzero power across coupling components at listening point " +
+        std::to_string(point) + " (tx " + std::to_string(tx) + ")");
+  }
+  const Block& b = blocks[comp[tx]];
+  const std::size_t r = block_row(point);
+  const std::uint32_t col = local[tx];
+  power[b.power + r * b.size + col] = sp;
+  const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+  std::uint64_t& word = nonzero_bits[b.bits + r * b.words + (col >> 6)];
+  if (nonzero) {
     word |= bit;
   } else {
     word &= ~bit;
   }
   if (point < num_nodes) {
-    audible[point * num_nodes + tx] =
+    audible[b.pairs + r * b.size + col] =
         sp.payload_mw >= common::to_mw(cca_threshold_dbm[point]) ? 1 : 0;
   }
 }
 
 Arbiter::Arbiter(ArbiterTables tables, double max_cca_us)
     : tables_(std::move(tables)), max_cca_us_(max_cca_us) {
-  ledgers_.resize(std::max<std::size_t>(1, tables_.num_comps));
+  ledgers_.resize(tables_.blocks.size());
 }
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters)
@@ -59,7 +98,8 @@ std::uint32_t Arbiter::begin_tx(std::uint32_t node, double start_us,
     l.head = 0;
   }
   const auto id = static_cast<std::uint32_t>(l.first_id + l.txs.size());
-  l.txs.push_back(Transmission{node, start_us, payload_start_us, end_us});
+  l.txs.push_back(Transmission{node, tables_.local[node], start_us,
+                               payload_start_us, end_us});
   return id;
 }
 
@@ -77,11 +117,12 @@ bool Arbiter::busy_at(std::uint32_t listener, double t_us) const {
   // Anything on air at t started within the longest duration of it; other
   // components are never audible (0 mW); and any() ignores scan order.
   const auto live = ledgers_[tables_.comp[listener]].live();
+  const char* heard = audible_row(listener);
   const double lo_start = t_us - max_duration_us_;
   for (auto it = live.rbegin(); it != live.rend() && it->start_us >= lo_start;
        ++it) {
     if (it->start_us <= t_us && t_us < it->end_us && it->node != listener &&
-        audible(listener, it->node)) {
+        heard[it->local] != 0) {
       return true;
     }
   }
@@ -110,12 +151,13 @@ bool Arbiter::zigbee_cca_busy(std::uint32_t listener, double t0_us,
   const double window = t1_us - t0_us;
   if (window <= 0.0) return false;
   double energy = 0.0;  // mW * us
+  const LinkRow row = cca_row(listener);
   for (const Transmission& x : overlapping(listener, t0_us, t1_us)) {
     if (x.node == listener) continue;
     // Zero-power links (pruned or channel-disjoint) contribute exactly
     // 0.0 mW*us; skip them without touching the (cache-cold at campus
     // scale) power table.
-    if (!cca_nonzero(listener, x.node)) continue;
+    if (!row.nonzero(x.local)) continue;
     const double pre =
         std::max(0.0, std::min(t1_us, x.payload_start_us) -
                           std::max(t0_us, x.start_us));
@@ -125,7 +167,7 @@ bool Arbiter::zigbee_cca_busy(std::uint32_t listener, double t0_us,
     // the longest duration seen) contribute exactly nothing — skip them
     // before the power-table read, which is the expensive part.
     if (pre <= 0.0 && pay <= 0.0) continue;
-    const auto& p = cca_power(listener, x.node);
+    const SegmentPower& p = row.power[x.local];
     energy += pre * p.preamble_mw.value() + pay * p.payload_mw.value();
   }
   const common::Dbm avg_dbm = common::to_dbm(

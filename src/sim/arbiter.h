@@ -27,47 +27,121 @@ struct SegmentPower {
 
 /// One emission; its kind (WiFi, ZigBee, jammer) follows from `node`.
 struct Transmission {
-  std::uint32_t node = 0;  // global node index
+  std::uint32_t node = 0;   // global node index
+  std::uint32_t local = 0;  // node's local id in its coupling component
   double start_us = 0.0;
   double payload_start_us = 0.0;  // == start_us for ZigBee and jammer bursts
   double end_us = 0.0;
 };
 
-/// Power tables the arbiter resolves transmissions against, for N nodes.
-/// Listening points are indexed 0..N-1 for node transmitter positions
-/// (CCA / energy detect) and N..2N-1 for node receiver positions
-/// (delivery): power[point * N + tx_node].  set_link is the only writer of
+/// One listening point's row of the power table and its nonzero-bit index,
+/// indexed by transmitter local id (Transmission::local).
+struct LinkRow {
+  const SegmentPower* power = nullptr;
+  const std::uint64_t* bits = nullptr;
+
+  bool nonzero(std::uint32_t tx_local) const {
+    return (bits[tx_local >> 6] >> (tx_local & 63)) & 1u;
+  }
+};
+
+/// Power tables the arbiter resolves transmissions against, for N nodes
+/// split into coupling components (LinkCache::comp).  Received power across
+/// components is 0 mW by the definition of a component, so only pairs
+/// within one are stored: component c with n members holds one dense block
+/// of each table, indexed by local id, a node's rank among its component's
+/// members in ascending global index.  Listening points are indexed
+/// 0..N-1 for node transmitter positions (CCA / energy detect) and N..2N-1
+/// for node receiver positions (delivery); in c's 2n x n power block, rows
+/// 0..n-1 are its CCA points, rows n..2n-1 its receiver points, and columns
+/// are transmitters.  With one component local ids are global ids and the
+/// block is the whole 2N x N table.  set_link is the only writer of
 /// `power`, `nonzero_bits` and `audible`, so the three always agree.
 struct ArbiterTables {
-  /// Tables for `num_nodes` nodes: every link 0 mW and inaudible, CCA
-  /// noise and thresholds zero, and every node in coupling component 0.
+  /// Where component c's blocks start, and its size.
+  struct Block {
+    std::size_t size = 0;    // members, n
+    std::size_t words = 0;   // nonzero_bits words per row, (n + 63) / 64
+    std::size_t first = 0;   // its members start at members[first]
+    std::size_t power = 0;   // 2n x n entries of `power` from here
+    std::size_t bits = 0;    // 2n x words entries of `nonzero_bits`
+    std::size_t pairs = 0;   // n x n entries of `audible`
+  };
+
+  /// Tables for `num_nodes` nodes in one coupling component.
   explicit ArbiterTables(std::size_t num_nodes = 0);
+  /// Tables for nodes in coupling components comp[node] (dense ids, as in
+  /// LinkCache::comp): every link 0 mW and inaudible, CCA noise and
+  /// thresholds zero.
+  explicit ArbiterTables(std::vector<std::uint32_t> node_comp);
 
   std::size_t num_nodes = 0;
-  std::vector<SegmentPower> power;        // 2N x N
-  std::vector<char> audible;  // N x N: ED-visible at tx point
+  std::vector<SegmentPower> power;  // one 2n x n block per component
+  std::vector<char> audible;  // one n x n block: ED-visible at tx point
   std::vector<common::MilliWatt> cca_noise_mw;     // per node, in its CCA band
   std::vector<common::Dbm> cca_threshold_dbm;      // per node
-  /// Interference-graph index: bit `tx` of row `point` is set iff
-  /// power[point * num_nodes + tx] is nonzero.  At dense node counts the
-  /// power table outgrows every cache level while this index stays
-  /// resident, so medium queries test the bit before touching the table.
-  /// Skipping an exactly-zero entry changes no arithmetic (it contributes
-  /// exactly 0.0 energy and can never win a strict-> power comparison), so
-  /// queries stay bit-identical to a full table scan.
-  std::vector<std::uint64_t> nonzero_bits;  // 2N x bit_words
-  std::size_t bit_words = 0;                // (num_nodes + 63) / 64
+  /// Interference-graph index: bit `tx` of a point's row is set iff that
+  /// power entry is nonzero.  At dense node counts the power table
+  /// outgrows every cache level while this index stays resident, so
+  /// medium queries test the bit before touching the table.  Skipping an
+  /// exactly-zero entry changes no arithmetic (it contributes exactly 0.0
+  /// energy and can never win a strict-> power comparison), so queries
+  /// stay bit-identical to a full table scan.
+  std::vector<std::uint64_t> nonzero_bits;  // one 2n x words block
   /// Spectral coupling component per node (see LinkCache::comp): the
   /// arbiter keeps one transmission ledger per component and medium
-  /// queries scan only the listener's — exact, because cross-component
-  /// received power is 0 mW everywhere.
+  /// queries scan only the listener's.
   std::vector<std::uint32_t> comp;
-  std::size_t num_comps = 1;
+  std::vector<std::uint32_t> local;    // per node: its local id
+  std::vector<std::uint32_t> members;  // global ids, by component, ascending
+  std::vector<Block> blocks;           // per component
+
+  /// Component c's members in ascending global index (local id order).
+  std::span<const std::uint32_t> component(std::size_t c) const {
+    return std::span<const std::uint32_t>(members).subspan(blocks[c].first,
+                                                           blocks[c].size);
+  }
+  /// Is (point, tx) stored, i.e. within one coupling component?
+  bool stored(std::size_t point, std::size_t tx) const {
+    return comp[listener_of(point)] == comp[tx];
+  }
+  /// `power` index of a stored (point, tx) pair; a table laid out like
+  /// `power` shares it.
+  std::size_t power_slot(std::size_t point, std::size_t tx) const {
+    const Block& b = blocks[comp[listener_of(point)]];
+    return b.power + block_row(point) * b.size + local[tx];
+  }
+  /// `audible` index of the first pair of `listener`'s row.
+  std::size_t pair_row(std::size_t listener) const {
+    const Block& b = blocks[comp[listener]];
+    return b.pairs + local[listener] * b.size;
+  }
+  /// The power and index row of listening point `point`.
+  LinkRow row(std::size_t point) const {
+    const Block& b = blocks[comp[listener_of(point)]];
+    const std::size_t r = block_row(point);
+    return {power.data() + b.power + r * b.size,
+            nonzero_bits.data() + b.bits + r * b.words};
+  }
 
   /// Writes one link's received power and keeps its index bit and (at a
   /// CCA point) its energy-detect audibility in step.  Audibility reads
-  /// the listener's CCA threshold, so thresholds are set first.
+  /// the listener's CCA threshold, so thresholds are set first.  A pair
+  /// across components is 0 mW: writing it zero is a no-op, and writing
+  /// it nonzero throws std::logic_error naming the point and the
+  /// transmitter.
   void set_link(std::size_t point, std::size_t tx, const SegmentPower& sp);
+
+ private:
+  std::size_t listener_of(std::size_t point) const {
+    return point < num_nodes ? point : point - num_nodes;
+  }
+  /// `point`'s row in its component's power block: CCA points first.
+  std::size_t block_row(std::size_t point) const {
+    const std::size_t listener = listener_of(point);
+    return (point < num_nodes ? 0 : blocks[comp[listener]].size) +
+           local[listener];
+  }
 };
 
 class Arbiter {
@@ -120,20 +194,20 @@ class Arbiter {
   std::span<const Transmission> overlapping(std::uint32_t listener,
                                             double t0_us, double t1_us) const;
 
-  /// Received power of `tx_node` at `listener`'s receiver position.
-  const SegmentPower& rx_power(std::uint32_t listener,
-                               std::uint32_t tx_node) const {
-    return tables_.power[(tables_.num_nodes + listener) * tables_.num_nodes +
-                         tx_node];
+  /// Received power of `tx_node` at `listener`'s receiver position (0 mW
+  /// across components).
+  SegmentPower rx_power(std::uint32_t listener, std::uint32_t tx_node) const {
+    return link(tables_.num_nodes + listener, tx_node);
   }
   /// ... at `listener`'s transmitter (CCA) position.
-  const SegmentPower& cca_power(std::uint32_t listener,
-                                std::uint32_t tx_node) const {
-    return tables_.power[listener * tables_.num_nodes + tx_node];
+  SegmentPower cca_power(std::uint32_t listener, std::uint32_t tx_node) const {
+    return link(listener, tx_node);
   }
 
   bool audible(std::uint32_t listener, std::uint32_t tx_node) const {
-    return tables_.audible[listener * tables_.num_nodes + tx_node] != 0;
+    return tables_.stored(listener, tx_node) &&
+           tables_.audible[tables_.pair_row(listener) +
+                           tables_.local[tx_node]] != 0;
   }
 
   /// Retunes one link (DESIGN.md §18: SledZig toggle, ZigBee hop).
@@ -150,6 +224,21 @@ class Arbiter {
     return link_bit(listener, tx_node);
   }
 
+  /// Row views for scans over one listener's ledger: each entry is read
+  /// at its Transmission::local.
+  LinkRow rx_row(std::uint32_t listener) const {
+    return tables_.row(tables_.num_nodes + listener);
+  }
+  LinkRow cca_row(std::uint32_t listener) const {
+    return tables_.row(listener);
+  }
+  const char* audible_row(std::uint32_t listener) const {
+    return tables_.audible.data() + tables_.pair_row(listener);
+  }
+
+  /// The layout: components, local ids and block offsets.
+  const ArbiterTables& tables() const { return tables_; }
+
  private:
   /// One component's transmissions in start order; txs[k] has id
   /// first_id + k, and txs[0, head) are retired, awaiting a prefix erase.
@@ -163,10 +252,14 @@ class Arbiter {
     }
   };
 
+  SegmentPower link(std::size_t point, std::size_t tx_node) const {
+    return tables_.stored(point, tx_node)
+               ? tables_.power[tables_.power_slot(point, tx_node)]
+               : SegmentPower{};
+  }
   bool link_bit(std::size_t point, std::size_t tx_node) const {
-    return (tables_.nonzero_bits[point * tables_.bit_words + (tx_node >> 6)] >>
-            (tx_node & 63)) &
-           1u;
+    return tables_.stored(point, tx_node) &&
+           tables_.row(point).nonzero(tables_.local[tx_node]);
   }
 
   ArbiterTables tables_;

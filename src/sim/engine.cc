@@ -58,13 +58,15 @@ SegmentPower shadowed(const Link& e, common::Db jitter) {
 }
 
 /// Does a prebuilt cache have this config's dimensions?  Only the node
-/// counts are checked: a cache of the right shape is used as is, so its
-/// content is the caller's (see ScenarioConfig::link_cache).
+/// counts (and that every node has a component, which sizes the tables)
+/// are checked: a cache of the right shape is used as is, so its content
+/// is the caller's (see ScenarioConfig::link_cache).
 bool cache_matches(const LinkCache* cache, const ScenarioConfig& cfg) {
   return cache != nullptr && cache->num_wifi == cfg.wifi.size() &&
          cache->num_nodes == cfg.wifi.size() + cfg.zigbee.size() &&
          cache->num_total ==
-             cfg.wifi.size() + cfg.zigbee.size() + cfg.faults.jammers.size();
+             cfg.wifi.size() + cfg.zigbee.size() + cfg.faults.jammers.size() &&
+         cache->comp.size() == cache->num_total;
 }
 
 /// Everything one run owns.  Constructed per call, so run_scenario holds
@@ -199,10 +201,6 @@ class Engine {
   bool wifi_frame_delivered(std::size_t i, const Transmission& tx) const;
   bool zigbee_frame_delivered(std::size_t j, const Transmission& tx);
 
-  double perr(std::size_t zig_j, std::uint32_t tx_node, bool preamble) const {
-    return perr_[(zig_j * num_total_ + tx_node) * 2 + (preamble ? 1 : 0)];
-  }
-
   /// A node's own-clock mapping of an absolute step time: the interval the
   /// MAC asked for, stretched by the node's drift factor.  A drifting
   /// node's timer fires late, so the MAC can re-arm a step already due
@@ -224,7 +222,12 @@ class Engine {
   std::vector<WifiNode> wifi_;
   std::vector<ZigbeeNode> zigbee_;
   std::vector<FaultSource> faults_;  // one pending action each
-  std::vector<double> perr_;  // M x num_total x {payload, preamble segment}
+  /// {payload, preamble segment} symbol error probability per (mote, tx)
+  /// pair: one row per mote, shaped like its receiver-point row (its
+  /// component's transmitters by local id), starting at perr_row_[j].
+  /// With one component this is the M x T layout.
+  std::vector<double> perr_;
+  std::vector<std::size_t> perr_row_;
   common::MilliWatt noise20_mw_;
   common::MilliWatt noise2_mw_;
   common::Db impair_penalty_db_;
@@ -257,10 +260,11 @@ class Engine {
   /// Current band centre per real node (hops update it); only filled when
   /// the control plane is active.
   std::vector<double> center_hz_;
-  /// Stored shadowing jitter per (point, tx) pair, 2T x T, so a retuned
-  /// entry re-applies the exact draw the constructor fill consumed.  Hops
-  /// overwrite affected pairs with the pure-function kControl draw.  Only
-  /// allocated when a policy can retune (SledZig toggle / channel hop).
+  /// Stored shadowing jitter per (point, tx) pair, laid out like the
+  /// arbiter's power table, so a retuned entry re-applies the exact draw
+  /// the constructor fill consumed.  Hops overwrite affected pairs with the
+  /// pure-function kControl draw.  Only allocated when a policy can retune
+  /// (SledZig toggle / channel hop).
   std::vector<double> jitter_db_;
   std::uint64_t control_actions_ = 0;
 
@@ -352,7 +356,6 @@ Engine::Engine(const ScenarioConfig& cfg)
           zigbee_node_center_hz(cfg_.zigbee[j].channel, cfg_.sledzig);
     }
   }
-  if (needs_retune) jitter_db_.assign(2 * num_total_ * num_total_, 0.0);
 
   // --- power tables: every transmitter heard at every listening point ---
   // Point p in [0, T) is entry p's transmitter position (CCA); point T + p
@@ -370,21 +373,22 @@ Engine::Engine(const ScenarioConfig& cfg)
                                                  : LinkCache::build(cfg_);
   common::Rng jitter_rng(
       common::derive_seed(cfg_.seed, 4 * num_nodes_ + 3));
-  ArbiterTables tables(num_total_);
+  // One table block per coupling component (DESIGN.md §15).  A runtime
+  // channel hop can couple nodes across the cache's static components, so
+  // a hop-armed run keeps every node in one component: one block and one
+  // global ledger (cross-component power is 0 mW, so splitting changes
+  // where values live and which entries a scan visits, never a result).
+  ArbiterTables tables = control_active_ && cfg_.control.hop.enabled
+                             ? ArbiterTables(num_total_)
+                             : ArbiterTables(cache->comp);
+  // Retuning policies replay the fill's exact draws, stored like `power`.
+  if (needs_retune) jitter_db_.assign(tables.power.size(), 0.0);
   for (std::size_t n = 0; n < num_total_; ++n) {
     const bool is_zigbee = n >= num_wifi_ && n < num_nodes_;
     tables.cca_noise_mw[n] = common::to_mw(
         is_zigbee ? channel::kNoiseFloor2MhzDbm : channel::kNoiseFloor20MhzDbm);
     tables.cca_threshold_dbm[n] = is_zigbee ? channel::kZigbeeCcaThresholdDbm
                                             : channel::kWifiCcaThresholdDbm;
-  }
-  // A runtime channel hop can couple nodes across the cache's static
-  // components, so a hop-armed run keeps every node in component 0 (the
-  // tables' default): one global ledger (cross-component power is 0 mW, so
-  // splitting is a scan optimisation, never a semantic one).
-  if (!(control_active_ && cfg_.control.hop.enabled)) {
-    tables.comp.assign(cache->comp.begin(), cache->comp.end());
-    tables.num_comps = cache->num_comps;
   }
   // Walk the cache's compact coupled-pair rows: only spectrally-coupled
   // pairs consume a draw — which is every pair in a single-channel
@@ -398,9 +402,10 @@ Engine::Engine(const ScenarioConfig& cfg)
       const CoupledLink& e = cache->coupled[k];
       const common::Db jitter{
           jitter_rng.gaussian(cfg_.shadowing_sigma_db.value())};
-      // Retuning policies replay the exact draw later, so capture it.
-      if (!jitter_db_.empty()) {
-        jitter_db_[p * num_total_ + e.tx] = jitter.value();
+      // Retuning policies replay the exact draw later, so capture it.  A
+      // pair across components is never retuned.
+      if (!jitter_db_.empty() && tables.stored(p, e.tx)) {
+        jitter_db_[tables.power_slot(p, e.tx)] = jitter.value();
       }
       if (e.state == LinkState::kLive) {
         tables.set_link(p, e.tx, shadowed(e, jitter));
@@ -433,7 +438,19 @@ Engine::Engine(const ScenarioConfig& cfg)
   for (std::size_t i = 0; i < num_wifi_; ++i) {
     nodes_[i].signal_mw = arbiter_.rx_power(global(i), global(i)).payload_mw;
   }
-  perr_.assign(num_zigbee_ * num_total_ * 2, 0.0);
+  // Motes in component order; a component's members ascend, so its motes
+  // follow its WiFi members and precede its jammers.
+  perr_row_.resize(num_zigbee_);
+  std::size_t perr_pairs = 0;
+  for (std::size_t c = 0; c < arbiter_.tables().blocks.size(); ++c) {
+    const auto members = arbiter_.tables().component(c);
+    for (const std::uint32_t g : members) {
+      if (g < num_wifi_ || g >= num_nodes_) continue;
+      perr_row_[g - num_wifi_] = perr_pairs;
+      perr_pairs += members.size();
+    }
+  }
+  perr_.assign(2 * perr_pairs, 0.0);
   for (std::size_t j = 0; j < num_zigbee_; ++j) refresh_mote(j);
 
   // --- the decision layer, with per-mote static context ---
@@ -743,6 +760,7 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
   const auto& n = nodes_[g];
   // A deaf station cannot decode anything, interference or not.
   if (n.deaf) return false;
+  const LinkRow row = arbiter_.rx_row(g);
   for (const Transmission& x :
        arbiter_.overlapping(g, tx.start_us, tx.end_us)) {
     // An entry that ended by the frame's start (the ledger scan looks back
@@ -750,8 +768,8 @@ bool Engine::wifi_frame_delivered(std::size_t i, const Transmission& tx) const {
     // zero-power link can only yield worst_mw <= 0.0 below: skip both
     // without the (cache-cold at campus scale) table read.
     if (x.end_us <= tx.start_us || x.node == g) continue;
-    if (!arbiter_.rx_nonzero(g, x.node)) continue;
-    const auto& sp = arbiter_.rx_power(g, x.node);
+    if (!row.nonzero(x.local)) continue;
+    const SegmentPower& sp = row.power[x.local];
     const bool pre_overlap =
         std::min(tx.end_us, x.payload_start_us) >
         std::max(tx.start_us, x.start_us);
@@ -784,14 +802,16 @@ bool Engine::zigbee_frame_delivered(std::size_t j, const Transmission& tx) {
   // front is what makes the scan O(degree).  The end test and the bit
   // index answer before the power table or perr_ is touched.
   rel_.clear();
+  const LinkRow row = arbiter_.rx_row(g);
+  const double* perr = &perr_[2 * perr_row_[j]];
   for (const Transmission& x :
        arbiter_.overlapping(g, tx.start_us, tx.end_us)) {
     if (x.end_us <= tx.start_us || x.node == g) continue;
-    if (!arbiter_.rx_nonzero(g, x.node)) continue;
-    const auto& sp = arbiter_.rx_power(g, x.node);
+    if (!row.nonzero(x.local)) continue;
+    const SegmentPower& sp = row.power[x.local];
+    const double* p = perr + 2 * x.local;
     rel_.push_back({x.start_us, x.payload_start_us, x.end_us, sp.preamble_mw,
-                    sp.payload_mw, perr(j, x.node, true),
-                    perr(j, x.node, false)});
+                    sp.payload_mw, p[1], p[0]});
   }
   return zigbee_symbols_survive({tx.start_us, tx.end_us, z.p_err_idle}, rel_,
                                 delivery_scratch_, z.delivery_rng);
@@ -924,15 +944,18 @@ void Engine::on_fault(const FaultAction& a, double t) {
 void Engine::rebuild_adjacency() {
   // CSR lists in ascending listener order, exactly the order the old
   // all-pairs notify_busy loop visited, so skipping inaudible listeners
-  // changes nothing but the iteration count.
+  // changes nothing but the iteration count.  Listeners in other
+  // components are inaudible (0 mW), and a component's members ascend, so
+  // its WiFi members (global ids below num_wifi_) come first.
+  const ArbiterTables& tables = arbiter_.tables();
   adj_.clear();
   adj_off_.assign(num_total_ + 1, 0);
   for (std::size_t t = 0; t < num_total_; ++t) {
-    for (std::size_t w = 0; w < num_wifi_; ++w) {
+    for (const std::uint32_t w : tables.component(tables.comp[t])) {
+      if (w >= num_wifi_) break;
       if (w == t) continue;  // audible(w, w) is 0 anyway
-      if (arbiter_.audible(static_cast<std::uint32_t>(w),
-                           static_cast<std::uint32_t>(t))) {
-        adj_.push_back(static_cast<std::uint32_t>(w));
+      if (arbiter_.audible(w, static_cast<std::uint32_t>(t))) {
+        adj_.push_back(w);
       }
     }
     adj_off_[t + 1] = static_cast<std::uint32_t>(adj_.size());
@@ -956,7 +979,9 @@ void Engine::refresh_mote(std::size_t j) {
       signal_dbm, cfg_.zigbee[j].sensitivity_dbm);
   z.p_err_idle = zig_symbol_perr(g, common::MilliWatt{}, false);
   z.p_err_idle_preamble = zig_symbol_perr(g, common::MilliWatt{}, true);
-  for (std::size_t t = 0; t < num_total_; ++t) {
+  // Transmitters in other components never reach the mote's ledger scan.
+  const ArbiterTables& tables = arbiter_.tables();
+  for (const std::uint32_t t : tables.component(tables.comp[g])) {
     if (t != g) set_perr(j, t);
   }
 }
@@ -965,7 +990,7 @@ void Engine::set_perr(std::size_t j, std::size_t t) {
   const auto& z = zigbee_[j];
   const std::uint32_t g = global_z(j);
   const auto tx = static_cast<std::uint32_t>(t);
-  double* p = &perr_[(j * num_total_ + t) * 2];
+  double* p = &perr_[2 * (perr_row_[j] + arbiter_.tables().local[t])];
   // The "preamble" shape of the error model is calibrated for the bursty
   // WiFi preamble; a ZigBee interferer's whole frame — and a jammer's
   // noise-like burst — behaves like payload.
@@ -978,7 +1003,7 @@ void Engine::set_perr(std::size_t j, std::size_t t) {
     p[1] = wifi_tx ? z.p_err_idle_preamble : z.p_err_idle;
     return;
   }
-  const SegmentPower& sp = arbiter_.rx_power(g, tx);
+  const SegmentPower sp = arbiter_.rx_power(g, tx);
   p[0] = zig_symbol_perr(g, sp.payload_mw, false);
   p[1] = zig_symbol_perr(g, sp.preamble_mw, wifi_tx);
 }
@@ -994,7 +1019,8 @@ void Engine::retune_pair(std::size_t point, std::size_t tx) {
   // Retuned entries are never pruned — the prune decision was made against
   // the build-time spectrum picture and a retune must only make links
   // audible, never silently drop one.
-  const common::Db jitter{jitter_db_[point * num_total_ + tx]};
+  const common::Db jitter{
+      jitter_db_[arbiter_.tables().power_slot(point, tx)]};
   arbiter_.set_link(point, tx,
                     e.state == LinkState::kLive ? shadowed(e, jitter)
                                                 : SegmentPower{});
@@ -1006,10 +1032,14 @@ void Engine::apply_sledzig(bool engage, double t) {
   // Only ZigBee listening points hear the scheme difference (the
   // protected-window payload offset); WiFi-listener entries and all
   // ZigBee-transmitter entries are scheme-invariant, so rows outside the
-  // retuned set keep their exact build-time values.
+  // retuned set keep their exact build-time values.  Pairs across
+  // components stay 0 mW: coupling is band overlap, which no scheme
+  // toggle creates.
+  const ArbiterTables& tables = arbiter_.tables();
   for (std::size_t j = 0; j < num_zigbee_; ++j) {
     const std::size_t g = global_z(j);
-    for (std::size_t w = 0; w < num_wifi_; ++w) {
+    for (const std::uint32_t w : tables.component(tables.comp[g])) {
+      if (w >= num_wifi_) break;
       retune_pair(g, w);
       retune_pair(num_total_ + g, w);
     }
@@ -1032,8 +1062,9 @@ void Engine::apply_hop(std::size_t j, unsigned channel, double t) {
   // derive_seed(seed, kControl, point, tx, channel) — no stateful stream,
   // so the tables after any action history are a function of (config,
   // seed, history), bit-identical across thread counts and replays.
+  // A hop-armed run keeps one component, so every pair is stored.
   const auto fresh_jitter = [&](std::size_t point, std::size_t tx) {
-    jitter_db_[point * num_total_ + tx] =
+    jitter_db_[arbiter_.tables().power_slot(point, tx)] =
         common::Rng(common::derive_seed(cfg_.seed,
                                         common::seed_domain::kControl, point,
                                         tx, channel))

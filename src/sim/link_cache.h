@@ -76,8 +76,8 @@ struct LinkCache {
   std::size_t num_nodes = 0;  ///< wifi + zigbee
   std::size_t num_total = 0;  ///< nodes + jammer pseudo-nodes
   /// The coupled pairs only, as CSR rows over listening points (rows
-  /// 0..T-1 are CCA points, T..2T-1 receiver points, matching the
-  /// ArbiterTables::power layout; ascending tx within a row).  Uncoupled
+  /// 0..T-1 are CCA points, T..2T-1 receiver points, the point numbering
+  /// ArbiterTables::set_link takes; ascending tx within a row).  Uncoupled
   /// pairs — spectrally disjoint bands — are simply absent: the per-run
   /// fill walks this list in order, so it neither scans nor draws for
   /// them.  In a legacy all-channel-0 scenario every pair is coupled and
@@ -92,10 +92,11 @@ struct LinkCache {
   /// node (jammer pseudo-nodes included).  Two nodes share a component iff
   /// they are connected through live-or-pruned coupled links, so received
   /// power across components is exactly 0 mW at every listening point —
-  /// which is what lets the arbiter keep one transmission ledger per
-  /// component and scan only the listener's.  One component in any legacy
-  /// single-channel scenario (and whenever a wideband jammer is present,
-  /// since it couples to everything).
+  /// which is what lets the arbiter keep one transmission ledger and one
+  /// block of each link table per component, and scan only the
+  /// listener's.  One component in any legacy single-channel scenario
+  /// (and whenever a wideband jammer is present, since it couples to
+  /// everything).
   std::vector<std::uint32_t> comp;
   std::size_t num_comps = 1;
 

@@ -211,8 +211,8 @@ struct ScenarioConfig {
   /// is seed-independent and therefore identical across replications.
   /// run_replications builds one and shares it across the fan-out; leave
   /// null to let each run build its own.  Only the dimensions are checked
-  /// (a cache whose node counts differ from the topology is rebuilt); the
-  /// content is the caller's.  A cache built for other positions, channels
+  /// (a cache whose node counts differ from the topology, or whose `comp`
+  /// does not cover every node, is rebuilt); the content is the caller's.  A cache built for other positions, channels
   /// or scheme is used as is and changes the results, which is also how a
   /// deliberately edited cache (bench_ablation_preamble) reaches a run.
   std::shared_ptr<const LinkCache> link_cache;

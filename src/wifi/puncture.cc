@@ -35,27 +35,29 @@ common::Bits puncture(const common::Bits& coded, CodingRate r) {
 
 std::vector<double> depuncture(std::span<const double> punctured,
                                CodingRate r) {
+  if (punctured.empty()) return {};
   const auto mask = puncture_mask(r);
   std::size_t kept_per_period = 0;
   for (bool keep : mask) kept_per_period += keep ? 1 : 0;
-
-  std::vector<double> out;
-  out.reserve(punctured.size() * mask.size() / kept_per_period + mask.size());
-  std::size_t in_pos = 0;
-  std::size_t last_kept_end = 0;  // one past the last real (non-erased) LLR
-  while (in_pos < punctured.size()) {
-    for (bool keep : mask) {
-      if (keep && in_pos < punctured.size()) {
-        out.push_back(punctured[in_pos++]);
-        last_kept_end = out.size();
-      } else {
-        out.push_back(0.0);
-      }
+  // The encoder may have stopped mid-pattern: the output ends at the last
+  // real LLR, rounded up to a whole trellis step, and every erased
+  // position reads 0.
+  const std::size_t last_kept_end =
+      punctured_to_coded_index(r, punctured.size() - 1) + 1;
+  std::vector<double> out(last_kept_end + (last_kept_end % 2), 0.0);
+  const double* in = punctured.data();
+  const double* const in_end = in + punctured.size();
+  double* o = out.data();
+  // Whole periods, then the partial one.
+  for (std::size_t p = punctured.size() / kept_per_period; p > 0;
+       --p, o += mask.size()) {
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i]) o[i] = *in++;
     }
   }
-  // The encoder may have stopped mid-pattern; drop padding beyond the last
-  // real LLR, rounded up to a whole trellis step.
-  out.resize(last_kept_end + (last_kept_end % 2));
+  for (std::size_t i = 0; in != in_end; ++i) {
+    if (mask[i]) o[i] = *in++;
+  }
   return out;
 }
 

@@ -480,18 +480,38 @@ TEST(FastPath, ControlledRunsAreBitIdentical) {
   campus.faults.random.surge_rate_per_s = 2.0;
   campus.faults.random.mean_surge_us = 40000.0;
   campus.metrics = nullptr;
+  // Both runs above arm hops, which keeps every node in one component.
+  // Without hops the campus keeps its three channel components, so a
+  // SledZig toggle retunes links stored one block per component.
+  auto blocks = campus_scenario(/*ap_grid_x=*/3, /*ap_grid_y=*/3,
+                                /*sensors_per_ap=*/4, /*spacing_m=*/20.0,
+                                /*duration_s=*/2.0, /*seed=*/31);
+  blocks.control.enabled = true;
+  blocks.control.sledzig.enabled = true;
+  blocks.control.duty.enabled = true;
+  blocks.faults.random.surge_rate_per_s = 2.0;
+  blocks.faults.random.mean_surge_us = 40000.0;
+  blocks.metrics = nullptr;
+  ASSERT_EQ(LinkCache::build(blocks)->num_comps, 3u);
 
   std::size_t hops = 0;
   std::size_t toggles = 0;
   const std::pair<const ScenarioConfig*, std::uint64_t> runs[] = {
-      {&ab, 0x9a6e201303ece269ull}, {&campus, 0x6ddc3c814da0b25bull}};
+      {&ab, 0x9a6e201303ece269ull},
+      {&campus, 0x6ddc3c814da0b25bull},
+      {&blocks, 0x4921267277d87b87ull}};
   for (const auto& [cfg, expected] : runs) {
     ScenarioConfig traced = *cfg;
     traced.record_trace = true;
     const auto r = run_scenario(traced);
+    std::size_t run_toggles = 0;
     for (const auto& e : r.trace) {
       hops += e.type == TraceType::kControlHop ? 1 : 0;
-      toggles += e.type == TraceType::kControlSledzig ? 1 : 0;
+      run_toggles += e.type == TraceType::kControlSledzig ? 1 : 0;
+    }
+    toggles += run_toggles;
+    if (cfg == &blocks) {
+      EXPECT_GT(run_toggles, 0u) << "the multi-component run never toggled";
     }
     EXPECT_EQ(r.trace_digest, expected) << std::hex << r.trace_digest;
   }
@@ -530,6 +550,157 @@ TEST(FastPath, SetLinkKeepsIndexAndAudibilityInStep) {
   t.set_link(2 + 0, 1, SegmentPower{});
   EXPECT_EQ(t.nonzero_bits[2], 0u);
   for (const char a : t.audible) EXPECT_EQ(a, 7);
+}
+
+TEST(FastPath, TablesHoldOneBlockPerComponent) {
+  // Components of 3, 1 and 70 nodes, interleaved in global order, so the
+  // 70-node block's rows span two bit words.
+  constexpr std::size_t kNodes = 74;
+  std::vector<std::uint32_t> comp(kNodes, 2);
+  for (const std::size_t n : {5, 20, 73}) comp[n] = 0;
+  comp[10] = 1;
+  ArbiterTables t(comp);
+  ASSERT_EQ(t.blocks.size(), 3u);
+  EXPECT_EQ(t.blocks[0].size, 3u);
+  EXPECT_EQ(t.blocks[1].size, 1u);
+  EXPECT_EQ(t.blocks[2].size, 70u);
+  EXPECT_EQ(t.power.size(), 2u * (3 * 3 + 1 * 1 + 70 * 70));
+  EXPECT_EQ(t.nonzero_bits.size(), 2u * (3 * 1 + 1 * 1 + 70 * 2));
+  EXPECT_EQ(t.audible.size(), 3u * 3 + 1 * 1 + 70 * 70);
+  // No table is T x T.
+  EXPECT_LT(t.power.size(), 2 * kNodes * kNodes);
+  EXPECT_LT(t.audible.size(), kNodes * kNodes);
+  // Local ids rank members in ascending global order.
+  EXPECT_EQ(t.local[5], 0u);
+  EXPECT_EQ(t.local[20], 1u);
+  EXPECT_EQ(t.local[73], 2u);
+  EXPECT_EQ(t.local[10], 0u);
+  EXPECT_EQ(t.local[11], 9u);
+  const auto c0 = t.component(0);
+  EXPECT_EQ(std::vector<std::uint32_t>(c0.begin(), c0.end()),
+            (std::vector<std::uint32_t>{5, 20, 73}));
+
+  // A distinct value at every stored (point, tx) pair: loud and quiet
+  // alternate around the CCA threshold, and every seventh is zero.
+  t.cca_threshold_dbm.assign(kNodes, common::Dbm{-62.0});
+  const common::MilliWatt threshold = common::to_mw(common::Dbm{-62.0});
+  const auto value = [](std::size_t point, std::size_t tx) {
+    const std::size_t k = point * kNodes + tx;
+    if (k % 7 == 3) return SegmentPower{};
+    const double mw = 1e-12 * static_cast<double>(k + 1) * (k % 2 ? 1e9 : 1.0);
+    return SegmentPower{common::MilliWatt{mw}, common::MilliWatt{2.0 * mw}};
+  };
+  for (std::size_t p = 0; p < 2 * kNodes; ++p) {
+    for (std::size_t tx = 0; tx < kNodes; ++tx) {
+      if (t.stored(p, tx)) t.set_link(p, tx, value(p, tx));
+    }
+  }
+  const Arbiter arb(t, 0.0);
+  for (std::uint32_t l = 0; l < kNodes; ++l) {
+    const LinkRow rx = arb.rx_row(l);
+    const LinkRow cca = arb.cca_row(l);
+    const char* heard = arb.audible_row(l);
+    for (std::uint32_t tx = 0; tx < kNodes; ++tx) {
+      SCOPED_TRACE("listener " + std::to_string(l) + ", tx " +
+                   std::to_string(tx));
+      if (comp[l] != comp[tx]) {
+        // Across components: 0 mW, unindexed and inaudible.
+        EXPECT_EQ(arb.rx_power(l, tx).payload_mw, common::MilliWatt{});
+        EXPECT_EQ(arb.cca_power(l, tx).preamble_mw, common::MilliWatt{});
+        EXPECT_FALSE(arb.rx_nonzero(l, tx));
+        EXPECT_FALSE(arb.cca_nonzero(l, tx));
+        EXPECT_FALSE(arb.audible(l, tx));
+        continue;
+      }
+      const SegmentPower want_rx = value(kNodes + l, tx);
+      const SegmentPower want_cca = value(l, tx);
+      const bool rx_on = want_rx.payload_mw > common::MilliWatt{};
+      const bool cca_on = want_cca.payload_mw > common::MilliWatt{};
+      const bool loud = want_cca.payload_mw >= threshold;
+      const std::uint32_t col = t.local[tx];
+      EXPECT_EQ(arb.rx_power(l, tx).payload_mw, want_rx.payload_mw);
+      EXPECT_EQ(arb.rx_power(l, tx).preamble_mw, want_rx.preamble_mw);
+      EXPECT_EQ(arb.cca_power(l, tx).payload_mw, want_cca.payload_mw);
+      EXPECT_EQ(arb.cca_power(l, tx).preamble_mw, want_cca.preamble_mw);
+      EXPECT_EQ(arb.rx_nonzero(l, tx), rx_on);
+      EXPECT_EQ(arb.cca_nonzero(l, tx), cca_on);
+      EXPECT_EQ(arb.audible(l, tx), loud);
+      EXPECT_EQ(rx.power[col].payload_mw, want_rx.payload_mw);
+      EXPECT_EQ(cca.power[col].preamble_mw, want_cca.preamble_mw);
+      EXPECT_EQ(rx.nonzero(col), rx_on);
+      EXPECT_EQ(cca.nonzero(col), cca_on);
+      EXPECT_EQ(heard[col] != 0, loud);
+    }
+  }
+}
+
+TEST(FastPath, SetLinkAcrossComponentsIsZeroOrAnError) {
+  // Nodes 0 and 2 share a component; node 1 is alone.  T = 3, so node
+  // 2's receiver point is 3 + 2 = 5.
+  ArbiterTables t(std::vector<std::uint32_t>{0, 1, 0});
+  t.cca_threshold_dbm.assign(3, common::Dbm{-62.0});
+  const ArbiterTables before = t;
+  t.set_link(0, 1, SegmentPower{});
+  t.set_link(5, 1, SegmentPower{});
+  EXPECT_EQ(t.nonzero_bits, before.nonzero_bits);
+  EXPECT_EQ(t.audible, before.audible);
+  const common::MilliWatt loud = common::to_mw(common::Dbm{-40.0});
+  try {
+    t.set_link(5, 1, {loud, loud});
+    FAIL() << "nonzero power across components was stored";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("listening point 5 "), std::string::npos) << what;
+    EXPECT_NE(what.find("(tx 1)"), std::string::npos) << what;
+  }
+  EXPECT_EQ(t.nonzero_bits, before.nonzero_bits);
+}
+
+TEST(FastPath, CacheThatSplitsACoupledPairFailsTheRun) {
+  // A hand-built cache whose components split the AP from the mote would
+  // drop their coupled energy, since no ledger scan crosses components:
+  // the table fill refuses it, naming the first such live link it meets.
+  ScenarioConfig cfg = two_node_paper_scenario(
+      core::SledzigConfig{}, /*sledzig_on=*/true, /*wifi_duty_ratio=*/0.5,
+      /*d_wz_m=*/4.0, /*d_z_m=*/1.0, /*duration_s=*/0.2, /*seed=*/3);
+  auto cache = std::make_shared<LinkCache>(*LinkCache::build(cfg));
+  ASSERT_EQ(cache->num_comps, 1u);
+  cache->comp = {0, 1};
+  cache->num_comps = 2;
+  // The fill walks points in order: the first live link across the split.
+  std::string point, tx;
+  for (std::size_t p = 0; p < 2 * cache->num_total && point.empty(); ++p) {
+    for (auto k = cache->coupled_off[p]; k < cache->coupled_off[p + 1]; ++k) {
+      const CoupledLink& e = cache->coupled[k];
+      if (e.state == LinkState::kLive &&
+          cache->comp[p % cache->num_total] != cache->comp[e.tx]) {
+        point = std::to_string(p);
+        tx = std::to_string(e.tx);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(point.empty());
+  cfg.link_cache = cache;
+  try {
+    run_scenario(cfg);
+    FAIL() << "a cache that splits a coupled pair ran";
+  } catch (const std::invalid_argument& e) {
+    FAIL() << "rejected as an invalid config instead: " << e.what();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("across coupling components"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("listening point " + point + " "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(tx " + tx + ")"), std::string::npos) << what;
+  }
+  // A component list that misses a node cannot size the tables: that
+  // cache is rebuilt, like one whose node counts differ.
+  cache->comp = {0};
+  ScenarioConfig fresh = cfg;
+  fresh.link_cache = nullptr;
+  EXPECT_EQ(run_scenario(cfg).trace_digest, run_scenario(fresh).trace_digest);
 }
 
 TEST(FastPath, ActivePruningMatchesReferenceStatistically) {

@@ -7,7 +7,8 @@
 // every OFDM symbol through the interleaver and solves each cluster over
 // byte-per-bit rows, and the receiver's scalar preamble scans (the STF
 // autocorrelation that recomputed every window's products, and the LTF
-// cross-correlation with the library complex multiply).  The production
+// cross-correlation with the library complex multiply), and the
+// depuncturer that grew its output one push_back at a time.  The production
 // kernels must reproduce them bit for bit (memcmp on doubles), including
 // on the edge inputs that decide ties, sentinels, overflow and saturation.
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
 #include "wifi/preamble.h"
+#include "wifi/puncture.h"
 #include "wifi/qam.h"
 #include "wifi/receiver.h"
 #include "wifi/signal_field.h"
@@ -450,6 +452,34 @@ std::optional<wifi::SyncInfo> synchronize_packet(
   return wifi::SyncInfo{start, coarse_cfo + fine_cfo};
 }
 
+// --- Depuncturer that grew its output one LLR at a time --------------------
+
+std::vector<double> depuncture(std::span<const double> punctured,
+                               wifi::CodingRate r) {
+  const auto mask = wifi::puncture_mask(r);
+  std::size_t kept_per_period = 0;
+  for (bool keep : mask) kept_per_period += keep ? 1 : 0;
+
+  std::vector<double> out;
+  out.reserve(punctured.size() * mask.size() / kept_per_period + mask.size());
+  std::size_t in_pos = 0;
+  std::size_t last_kept_end = 0;  // one past the last real (non-erased) LLR
+  while (in_pos < punctured.size()) {
+    for (bool keep : mask) {
+      if (keep && in_pos < punctured.size()) {
+        out.push_back(punctured[in_pos++]);
+        last_kept_end = out.size();
+      } else {
+        out.push_back(0.0);
+      }
+    }
+  }
+  // The encoder may have stopped mid-pattern; drop padding beyond the last
+  // real LLR, rounded up to a whole trellis step.
+  out.resize(last_kept_end + (last_kept_end % 2));
+  return out;
+}
+
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -460,8 +490,10 @@ constexpr wifi::Modulation kAllModulations[] = {
     wifi::Modulation::kQam64, wifi::Modulation::kQam256};
 
 bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  // An empty vector's data() may be null, which memcmp may not be handed.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Seeded Gaussian points plus the inputs where rounding decides the
@@ -999,6 +1031,38 @@ TEST(HotpathOracle, PlansMatchReferenceForExplicitWindows) {
       check_plan(wide, svc, svc + 1500 * 8 + 16);
     }
   }
+}
+
+TEST(HotpathOracle, DepunctureMatchesReference) {
+  // Every rate over every length from empty to 140, so inputs end on each
+  // position of a period, mid-period included, and some end their last
+  // kept LLR on an odd (1-based) coded position, where the even-step trim
+  // appends one erased LLR; plus one 5000-LLR stream.  LLRs are seeded
+  // Gaussians with a negative zero among them.
+  common::Rng gen(77);
+  std::vector<double> llrs(5000);
+  for (double& l : llrs) l = gen.gaussian(3.0);
+  llrs[3] = -0.0;
+  std::size_t odd_ends = 0;
+  for (const auto rate : {wifi::CodingRate::kR12, wifi::CodingRate::kR23,
+                          wifi::CodingRate::kR34, wifi::CodingRate::kR56}) {
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 140; ++n) lengths.push_back(n);
+    lengths.push_back(llrs.size());
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE("rate " + std::to_string(static_cast<int>(rate)) +
+                   ", length " + std::to_string(n));
+      const std::span<const double> in(llrs.data(), n);
+      const auto want = ref::depuncture(in, rate);
+      const auto got = wifi::depuncture(in, rate);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_TRUE(same_doubles(got, want));
+      if (n > 0 && (wifi::punctured_to_coded_index(rate, n - 1) % 2) == 0) {
+        ++odd_ends;  // the last kept LLR opens its trellis step
+      }
+    }
+  }
+  EXPECT_GT(odd_ends, 0u);
 }
 
 }  // namespace

@@ -16,16 +16,18 @@ and structure (missing / extra paths) must match exactly.
 Default bands encode what the snapshots promise: deterministic fields
 (events, nodes, counters, prr, throughput) hold tight bands, because the
 engine is bit-reproducible and only a real behaviour change can move them;
-wall-time fields (events_per_s, speedup) hold a band wide enough for a
-quiet machine but tight enough that a genuine slowdown — the acceptance
-criterion is a 20 % events/s regression — still fails.  CI passes
-explicitly wide --band overrides for the wall-time fields on shared
-runners; the defaults are tuned for like-for-like hardware.
+wall-time fields (events_per_s, construct_ms, speedup) hold a band wide
+enough for a quiet machine but tight enough that a genuine slowdown — the
+acceptance criterion is a 20 % events/s regression — still fails; peak
+memory (peak_rss_mb) holds about 10 %, so a 20 % rise fails.  CI passes
+explicitly wide --band overrides for the wall-time and memory fields on
+shared runners; the defaults are tuned for like-for-like hardware.
 
 Exit codes: 0 in tolerance, 1 regression (every violation listed),
 2 usage/IO error.  `--self-test` checks the gate against itself: the
 baseline must pass against itself, and a synthetic 20 % events/s
-regression plus a 5 % prr drift must both fail under default bands.
+regression, a 20 % peak-RSS rise and a 5 % prr drift must each fail under
+default bands.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from pathlib import Path
 # Order: most specific first.
 DEFAULT_BANDS = [
     ("*events_per_s", 0.15),  # wall-time: noisy, but a 20% loss must fail
+    ("*construct_ms", 0.15),  # wall-time of the engine's set-up alone
+    ("*peak_rss_mb", 0.10),   # process VmHWM: a 20% rise must fail
     ("*speedup", 0.25),       # ratio of two wall-times: noisier
     ("*prr", 0.02),           # deterministic given (config, seed)
     ("*throughput_kbps", 0.02),
@@ -138,32 +142,25 @@ def self_test(baseline_path: Path, bands) -> int:
         print("self-test: baseline does not pass against itself")
         failures += 1
 
-    # Synthetic 20% throughput regression on every events/s field (the
-    # ISSUE acceptance criterion) — must fail under default bands.
-    injected = json.loads(json.dumps(baseline))
-    touched = 0
-    for cell in injected.values():
-        if isinstance(cell, dict):
-            for key in cell:
-                if key.endswith("events_per_s"):
-                    cell[key] = cell[key] * 0.8
-                    touched += 1
-    if touched and not compare(baseline, injected, bands):
-        print("self-test: 20% events/s regression NOT caught")
-        failures += 1
-
-    # 5% drift on a deterministic field must also fail.
-    injected = json.loads(json.dumps(baseline))
-    touched = 0
-    for cell in injected.values():
-        if isinstance(cell, dict):
-            for key in cell:
-                if key.endswith("prr"):
-                    cell[key] = cell[key] * 0.95
-                    touched += 1
-    if touched and not compare(baseline, injected, bands):
-        print("self-test: 5% prr drift NOT caught")
-        failures += 1
+    # Each injected regression scales one kind of field in every cell and
+    # must fail under default bands: a 20% events/s loss (the throughput
+    # acceptance criterion), a 20% peak-RSS rise and a 5% prr drift on a
+    # deterministic field.
+    for suffix, factor, what in (("events_per_s", 0.8,
+                                  "20% events/s regression"),
+                                 ("peak_rss_mb", 1.2, "20% peak-RSS rise"),
+                                 ("prr", 0.95, "5% prr drift")):
+        injected = json.loads(json.dumps(baseline))
+        touched = 0
+        for cell in injected.values():
+            if isinstance(cell, dict):
+                for key in cell:
+                    if key.endswith(suffix):
+                        cell[key] = cell[key] * factor
+                        touched += 1
+        if touched and not compare(baseline, injected, bands):
+            print(f"self-test: {what} NOT caught")
+            failures += 1
 
     if failures:
         print(f"self-test FAILED: {failures} mismatch(es)")
