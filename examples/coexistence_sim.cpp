@@ -148,11 +148,12 @@ int campus_demo(int argc, char** argv) {
               gx, gy, spa, cfg.wifi.size(), cfg.zigbee.size(),
               cfg.duration_s);
 
+  // lint: allow(wall-clock): times the run for the printed events/s only
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = sim::run_scenario(cfg);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  // lint: allow(wall-clock): times the run for the printed events/s only
+  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
   double wifi_mbps = 0.0, wifi_prr = 0.0;
   for (const auto& s : r.wifi) {

@@ -7,7 +7,7 @@
 //
 //   * objects preserve insertion order (a vector of pairs, no hashing), so
 //     dumps are byte-stable and the tree stays clean of unordered
-//     containers (tools/lint_determinism.py bans them in src/);
+//     containers (tools/sledzig_analyzer bans them in src/);
 //   * dump() is a canonical serialization: the same value always produces
 //     the same bytes, which is what campaign hashes and store digests are
 //     computed over;

@@ -9,7 +9,7 @@
 // same work items ran — the same index-addressed contract as
 // common::parallel.
 //
-// Determinism rules (enforced by tools/lint_determinism.py and the
+// Determinism rules (enforced by tools/sledzig_analyzer and the
 // digest-invariance tests in tests/sim_test.cc):
 //   * metrics are observational only — nothing digest-checked may ever read
 //     them back into a result path;

@@ -679,7 +679,7 @@ void Engine::start_tx(std::uint32_t g, double now) {
   trace(now, g, TraceType::kTxStart, 0, n.serve_start_us);
   n.active_tx = arbiter_.begin_tx(g, now, now + n.preamble_us,
                                   now + n.airtime_us);
-  queue_.push(now + n.airtime_us, EventType::kTxEnd, g, 0, n.active_tx);
+  queue_.push(now + n.airtime_us, EventType::kTxEnd, g, n.active_tx);
   notify_busy(g, now);
 }
 
@@ -892,7 +892,7 @@ void Engine::start_jam_burst(std::size_t jam_k, double t, double len_us) {
   // per-symbol delivery all see its energy through the same power tables
   // as a real transmitter.
   const std::uint32_t tx_id = arbiter_.begin_tx(g, t, t, t + len_us);
-  queue_.push(t + len_us, EventType::kTxEnd, g, 0, tx_id);
+  queue_.push(t + len_us, EventType::kTxEnd, g, tx_id);
   notify_busy(g, t);
 }
 
@@ -1164,8 +1164,7 @@ SimResult Engine::run() {
                  std::max(0.0, n.traffic.first_arrival() + n.skew_us));
   }
   for (std::size_t f = 0; f < faults_.size(); ++f) {
-    queue_.push(faults_[f].next().at_us, EventType::kFault, 0, 0,
-                static_cast<std::uint32_t>(f));
+    queue_.push(faults_[f].next().at_us, EventType::kFault, 0, f);
   }
   if (controller_ != nullptr && cfg_.control.epoch_us < duration_us_) {
     queue_.push(cfg_.control.epoch_us, EventType::kControl, 0);
@@ -1196,15 +1195,15 @@ SimResult Engine::run() {
         }
         break;
       case EventType::kTxEnd:
-        on_tx_end(e.node, e.tx_id, e.time_us);
+        on_tx_end(e.node, static_cast<std::uint32_t>(e.token), e.time_us);
         break;
       case EventType::kFault: {
         // Queue the source's next action before this one acts, so it
         // precedes whatever the action queues for the same instant.
-        FaultSource& src = faults_[e.tx_id];
+        FaultSource& src = faults_[e.token];
         const FaultAction a = src.next();
         if (src.advance()) {
-          queue_.push(src.next().at_us, EventType::kFault, 0, 0, e.tx_id);
+          queue_.push(src.next().at_us, EventType::kFault, 0, e.token);
         }
         on_fault(a, e.time_us);
         break;

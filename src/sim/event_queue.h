@@ -19,7 +19,7 @@ enum class EventType : std::uint8_t {
   kArrival,  ///< the node's traffic source delivers a frame
   kTimer,    ///< a MAC state-machine timer (validated against the node token)
   kTxEnd,    ///< a transmission leaves the air; delivery is evaluated
-  kFault,    ///< a FaultSource's pending action fires (tx_id = source index)
+  kFault,    ///< a FaultSource's pending action fires (token = source index)
   kControl,  ///< a control-plane epoch boundary (observation + actions)
 };
 /// Count of EventType values: move it when appending an enumerator.
@@ -31,15 +31,15 @@ struct Event {
   std::uint64_t seq = 0;    ///< global insertion order: deterministic ties
   EventType type = EventType::kArrival;
   std::uint32_t node = 0;   ///< owning node (global index)
-  /// Staleness guard: the node's timer token for kTimer, its arrival epoch
-  /// for kArrival (a crash bumps the epoch, orphaning the pending arrival
-  /// chain so a reboot can start a fresh one without double-clocking).
+  /// Staleness key, read by type.  kTimer: the node's timer token.
+  /// kArrival: its arrival epoch (a crash bumps the epoch, orphaning the
+  /// pending arrival chain so a reboot can start a fresh one without
+  /// double-clocking).  kTxEnd: the transmission's id in its transmitter's
+  /// component ledger (Arbiter::begin_tx), stale once it differs from the
+  /// node's active_tx.  kFault: the fault source's index.
   std::uint64_t token = 0;
-  /// kTxEnd: the transmission's id in its transmitter's component ledger
-  /// (Arbiter::begin_tx), stale once it differs from the node's active_tx.
-  /// kFault: the fault source's index.
-  std::uint32_t tx_id = 0;
 };
+static_assert(sizeof(Event) == 32, "an Event fills half a cache line");
 
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
@@ -63,8 +63,8 @@ struct EventAfter {
 class EventQueue {
  public:
   void push(double time_us, EventType type, std::uint32_t node,
-            std::uint64_t token = 0, std::uint32_t tx_id = 0) {
-    heap_.push_back(Event{time_us, next_seq_++, type, node, token, tx_id});
+            std::uint64_t token = 0) {
+    heap_.push_back(Event{time_us, next_seq_++, type, node, token});
     std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
   }
 

@@ -41,8 +41,8 @@ std::vector<int> forced_data_subcarriers(OverlapChannel ch, std::size_t count) {
     throw std::invalid_argument("forced_data_subcarriers: count > 48");
   }
   const double center = channel_center_subcarriers(ch);
-  std::vector<int> by_distance(wifi::data_subcarrier_indices().begin(),
-                               wifi::data_subcarrier_indices().end());
+  std::vector<int> by_distance =
+      wifi::channel_plan(wifi::ChannelWidth::k20MHz).data_indices;
   std::stable_sort(by_distance.begin(), by_distance.end(),
                    [center](int a, int b) {
                      return std::abs(a - center) < std::abs(b - center);

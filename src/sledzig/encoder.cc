@@ -222,6 +222,7 @@ std::optional<OverlapChannel> detect_channel_from_points(
     return std::nullopt;
   }
   const std::size_t num_symbols = points.size() / wifi::kNumDataSubcarriers;
+  const auto& plan = wifi::channel_plan(wifi::ChannelWidth::k20MHz);
   std::optional<OverlapChannel> best;
   double best_fraction = 0.0;
   for (OverlapChannel ch : kAllOverlapChannels) {
@@ -229,7 +230,7 @@ std::optional<OverlapChannel> detect_channel_from_points(
     std::size_t lowest = 0, total = 0;
     for (std::size_t s = 0; s < num_symbols; ++s) {
       for (int logical : subcarriers) {
-        const int pos = wifi::data_subcarrier_position(logical);
+        const int pos = plan.data_position(logical);
         const auto& point =
             points[s * wifi::kNumDataSubcarriers + static_cast<std::size_t>(pos)];
         ++total;

@@ -15,10 +15,6 @@ std::size_t bits_per_subcarrier(Modulation m) {
   throw std::invalid_argument("bits_per_subcarrier: bad modulation");
 }
 
-std::size_t coded_bits_per_symbol(Modulation m) {
-  return kNumDataSubcarriers * bits_per_subcarrier(m);
-}
-
 RateFraction rate_fraction(CodingRate r) {
   switch (r) {
     case CodingRate::kR12: return {1, 2};
@@ -27,12 +23,6 @@ RateFraction rate_fraction(CodingRate r) {
     case CodingRate::kR56: return {5, 6};
   }
   throw std::invalid_argument("rate_fraction: bad coding rate");
-}
-
-std::size_t data_bits_per_symbol(Modulation m, CodingRate r) {
-  const auto frac = rate_fraction(r);
-  const std::size_t cbps = coded_bits_per_symbol(m);
-  return cbps * frac.num / frac.den;
 }
 
 std::string to_string(Modulation m) {

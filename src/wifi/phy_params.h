@@ -36,14 +36,9 @@ enum class ChannelWidth { k20MHz, k40MHz };
 
 std::string to_string(ChannelWidth w);
 
-/// Coded bits carried by one subcarrier (N_BPSC).
+/// Coded bits carried by one subcarrier (N_BPSC).  Per-symbol counts are
+/// a plan's: coded_bits_per_symbol / data_bits_per_symbol in subcarriers.h.
 std::size_t bits_per_subcarrier(Modulation m);
-
-/// Coded bits per OFDM symbol (N_CBPS = 48 * N_BPSC).
-std::size_t coded_bits_per_symbol(Modulation m);
-
-/// Data bits per OFDM symbol (N_DBPS = N_CBPS * rate).
-std::size_t data_bits_per_symbol(Modulation m, CodingRate r);
 
 /// Rate as numerator/denominator.
 struct RateFraction {

@@ -97,30 +97,22 @@ struct PreambleSet {
   common::CplxVec stf, ltf, full, lts, ltf_bins;
 };
 
+PreambleSet build_preamble_set(ChannelWidth width) {
+  const auto& plan = channel_plan(width);
+  PreambleSet s;
+  s.stf = build_stf(plan);
+  s.ltf = build_ltf(plan);
+  s.full = s.stf;
+  s.full.insert(s.full.end(), s.ltf.begin(), s.ltf.end());
+  s.lts = build_lts(plan);
+  s.ltf_bins = build_ltf_bins(plan);
+  return s;
+}
+
 const PreambleSet& preamble_set(ChannelWidth width) {
   static const PreambleSet sets[2] = {
-      [] {
-        const auto& plan = channel_plan(ChannelWidth::k20MHz);
-        PreambleSet s;
-        s.stf = build_stf(plan);
-        s.ltf = build_ltf(plan);
-        s.full = s.stf;
-        s.full.insert(s.full.end(), s.ltf.begin(), s.ltf.end());
-        s.lts = build_lts(plan);
-        s.ltf_bins = build_ltf_bins(plan);
-        return s;
-      }(),
-      [] {
-        const auto& plan = channel_plan(ChannelWidth::k40MHz);
-        PreambleSet s;
-        s.stf = build_stf(plan);
-        s.ltf = build_ltf(plan);
-        s.full = s.stf;
-        s.full.insert(s.full.end(), s.ltf.begin(), s.ltf.end());
-        s.lts = build_lts(plan);
-        s.ltf_bins = build_ltf_bins(plan);
-        return s;
-      }(),
+      build_preamble_set(ChannelWidth::k20MHz),
+      build_preamble_set(ChannelWidth::k40MHz),
   };
   return sets[width == ChannelWidth::k20MHz ? 0 : 1];
 }
@@ -130,36 +122,21 @@ const PreambleSet& preamble_set(ChannelWidth width) {
 const common::CplxVec& short_training_field(ChannelWidth width) {
   return preamble_set(width).stf;
 }
-const common::CplxVec& short_training_field() {
-  return short_training_field(ChannelWidth::k20MHz);
-}
 
 const common::CplxVec& long_training_field(ChannelWidth width) {
   return preamble_set(width).ltf;
-}
-const common::CplxVec& long_training_field() {
-  return long_training_field(ChannelWidth::k20MHz);
 }
 
 const common::CplxVec& full_preamble(ChannelWidth width) {
   return preamble_set(width).full;
 }
-const common::CplxVec& full_preamble() {
-  return full_preamble(ChannelWidth::k20MHz);
-}
 
 const common::CplxVec& ltf_reference_bins(ChannelWidth width) {
   return preamble_set(width).ltf_bins;
 }
-const common::CplxVec& ltf_reference_bins() {
-  return ltf_reference_bins(ChannelWidth::k20MHz);
-}
 
 const common::CplxVec& long_training_symbol(ChannelWidth width) {
   return preamble_set(width).lts;
-}
-const common::CplxVec& long_training_symbol() {
-  return long_training_symbol(ChannelWidth::k20MHz);
 }
 
 std::size_t stf_len(ChannelWidth width) {

@@ -19,24 +19,23 @@ inline constexpr std::size_t kLtfLen = 160;      // 32 CP + 2 x 64
 inline constexpr std::size_t kPreambleLen = kStfLen + kLtfLen;
 
 /// The short training field (160 samples at 20 MHz, 320 at 40 MHz).
-const common::CplxVec& short_training_field();
-const common::CplxVec& short_training_field(ChannelWidth width);
+const common::CplxVec& short_training_field(
+    ChannelWidth width = ChannelWidth::k20MHz);
 
 /// The long training field.
-const common::CplxVec& long_training_field();
-const common::CplxVec& long_training_field(ChannelWidth width);
+const common::CplxVec& long_training_field(
+    ChannelWidth width = ChannelWidth::k20MHz);
 
 /// STF followed by LTF.
-const common::CplxVec& full_preamble();
-const common::CplxVec& full_preamble(ChannelWidth width);
+const common::CplxVec& full_preamble(ChannelWidth width = ChannelWidth::k20MHz);
 
 /// Frequency-domain LTS reference values per FFT bin (0 where unoccupied).
-const common::CplxVec& ltf_reference_bins();
-const common::CplxVec& ltf_reference_bins(ChannelWidth width);
+const common::CplxVec& ltf_reference_bins(
+    ChannelWidth width = ChannelWidth::k20MHz);
 
 /// One long training symbol (time domain, no CP).
-const common::CplxVec& long_training_symbol();
-const common::CplxVec& long_training_symbol(ChannelWidth width);
+const common::CplxVec& long_training_symbol(
+    ChannelWidth width = ChannelWidth::k20MHz);
 
 /// Sample counts for a width (scale with the FFT size).
 std::size_t stf_len(ChannelWidth width);

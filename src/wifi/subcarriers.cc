@@ -77,48 +77,9 @@ std::size_t data_bits_per_symbol(Modulation m, CodingRate r,
   return coded_bits_per_symbol(m, plan) * frac.num / frac.den;
 }
 
-const std::array<int, 48>& data_subcarrier_indices() {
-  static const std::array<int, 48> indices = [] {
-    std::array<int, 48> out{};
-    std::size_t i = 0;
-    for (int l = -26; l <= 26; ++l) {
-      if (l == 0 || l == -21 || l == -7 || l == 7 || l == 21) continue;
-      out[i++] = l;
-    }
-    if (i != 48) throw std::logic_error("data subcarrier count");
-    return out;
-  }();
-  return indices;
-}
-
-const std::array<int, 4>& pilot_subcarrier_indices() {
-  static const std::array<int, 4> indices = {-21, -7, 7, 21};
-  return indices;
-}
-
-const std::array<double, 4>& pilot_base_values() {
-  static const std::array<double, 4> values = {1.0, 1.0, 1.0, -1.0};
-  return values;
-}
-
 double pilot_polarity(std::size_t symbol_index) {
   static const common::Bits seq = scrambler_sequence(0x7f, 127);
   return seq[symbol_index % 127] ? -1.0 : 1.0;
-}
-
-std::size_t logical_to_fft_bin(int logical) {
-  if (logical < -32 || logical > 31) {
-    throw std::invalid_argument("logical_to_fft_bin: out of range");
-  }
-  return static_cast<std::size_t>((logical + 64) % 64);
-}
-
-int data_subcarrier_position(int logical) {
-  const auto& indices = data_subcarrier_indices();
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] == logical) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 }  // namespace sledzig::wifi

@@ -5,11 +5,10 @@
 // 40 MHz: 108 data + 6 pilot subcarriers over a 128-point FFT
 // (802.11n-style); logical indices -64..63.
 //
-// The free functions below are the 20 MHz fast path used throughout the
-// paper reproduction; ChannelPlan generalises them for wider channels.
+// ChannelPlan describes either width; the 20 MHz plan is the one the
+// paper reproduction uses throughout.
 #pragma once
 
-#include <array>
 #include <complex>
 #include <vector>
 
@@ -46,33 +45,18 @@ struct ChannelPlan {
 /// The shared immutable plan for a width.
 const ChannelPlan& channel_plan(ChannelWidth width);
 
-/// Coded bits per OFDM symbol for a plan (num_data * N_BPSC).
-std::size_t coded_bits_per_symbol(Modulation m, const ChannelPlan& plan);
+/// Coded bits per OFDM symbol for a plan (N_CBPS = num_data * N_BPSC).
+std::size_t coded_bits_per_symbol(
+    Modulation m, const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
-/// Data bits per OFDM symbol for a plan.
-std::size_t data_bits_per_symbol(Modulation m, CodingRate r,
-                                 const ChannelPlan& plan);
-
-/// Ascending logical indices of the 48 data subcarriers
-/// (-26..26 excluding 0 and the pilots at +-7, +-21).
-const std::array<int, 48>& data_subcarrier_indices();
-
-/// Logical indices of the 4 pilot subcarriers.
-const std::array<int, 4>& pilot_subcarrier_indices();
-
-/// Base pilot values before polarity: {1, 1, 1, -1} at {-21, -7, 7, 21}.
-const std::array<double, 4>& pilot_base_values();
+/// Data bits per OFDM symbol for a plan (N_DBPS = N_CBPS * rate).
+std::size_t data_bits_per_symbol(
+    Modulation m, CodingRate r,
+    const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// Pilot polarity p_n for OFDM symbol n (n = 0 is the SIGNAL symbol).  The
 /// sequence is the 127-periodic scrambler output with an all-ones seed,
 /// mapped 0 -> +1, 1 -> -1.
 double pilot_polarity(std::size_t symbol_index);
-
-/// Maps logical index (-32..31) to FFT bin (0..63).
-std::size_t logical_to_fft_bin(int logical);
-
-/// Position of a logical index in the 48-entry data subcarrier order, or -1
-/// if it is not a data subcarrier.
-int data_subcarrier_position(int logical);
 
 }  // namespace sledzig::wifi

@@ -264,9 +264,10 @@ TEST(MultiChannel, BothWindowsForcedOnAir) {
       wifi::data_bits_per_symbol(cfg.modulation, cfg.rate);
   const std::size_t full_symbols = (enc.transmit_psdu.size() * 8) / dbps;
   const std::size_t first = enc.num_unforced_head > 0 ? 1 : 0;
+  const auto& plan = wifi::channel_plan(wifi::ChannelWidth::k20MHz);
   for (std::size_t s = first; s < full_symbols; ++s) {
     for (int logical : cfg.forced_subcarrier_set()) {
-      const int pos = wifi::data_subcarrier_position(logical);
+      const int pos = plan.data_position(logical);
       EXPECT_TRUE(wifi::is_lowest_point(
           packet.data_points[s * wifi::kNumDataSubcarriers +
                              static_cast<std::size_t>(pos)],

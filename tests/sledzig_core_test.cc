@@ -78,7 +78,9 @@ TEST(Channels, Fig11SweepCounts) {
       EXPECT_EQ(subs.size(), count);
       // All chosen subcarriers are data subcarriers.
       for (int s : subs) {
-        EXPECT_GE(wifi::data_subcarrier_position(s), 0);
+        EXPECT_GE(
+            wifi::channel_plan(wifi::ChannelWidth::k20MHz).data_position(s),
+            0);
       }
     }
   }
@@ -281,9 +283,10 @@ TEST_P(SledzigCombos, ForcedSubcarriersCarryLowestPoints) {
   // Head-unforced constraints (twins inside the first five encoder steps)
   // only affect symbol 0.
   const std::size_t first = enc.num_unforced_head > 0 ? 1 : 0;
+  const auto& plan = wifi::channel_plan(wifi::ChannelWidth::k20MHz);
   for (std::size_t s = first; s < full_symbols; ++s) {
     for (int logical : subcarriers) {
-      const int pos = wifi::data_subcarrier_position(logical);
+      const int pos = plan.data_position(logical);
       const auto& point =
           packet.data_points[s * wifi::kNumDataSubcarriers +
                              static_cast<std::size_t>(pos)];
@@ -310,12 +313,13 @@ TEST_P(SledzigCombos, NonOverlappedSubcarriersUnconstrained) {
   std::size_t outside_total = 0, outside_lowest = 0;
   const std::size_t num_symbols =
       packet.data_points.size() / wifi::kNumDataSubcarriers;
+  const auto& plan = wifi::channel_plan(wifi::ChannelWidth::k20MHz);
   for (std::size_t s = 0; s < num_symbols; ++s) {
-    for (int logical : wifi::data_subcarrier_indices()) {
+    for (int logical : plan.data_indices) {
       if (std::find(forced.begin(), forced.end(), logical) != forced.end()) {
         continue;
       }
-      const int pos = wifi::data_subcarrier_position(logical);
+      const int pos = plan.data_position(logical);
       const auto& point =
           packet.data_points[s * wifi::kNumDataSubcarriers +
                              static_cast<std::size_t>(pos)];

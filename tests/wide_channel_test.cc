@@ -45,9 +45,15 @@ TEST(Plan40, Plan20MatchesLegacyConstants) {
   EXPECT_EQ(p.fft_size, wifi::kNumSubcarriers);
   EXPECT_EQ(p.num_data(), wifi::kNumDataSubcarriers);
   EXPECT_EQ(p.cp_len, wifi::kCyclicPrefixLen);
-  for (std::size_t i = 0; i < 48; ++i) {
-    EXPECT_EQ(p.data_indices[i], wifi::data_subcarrier_indices()[i]);
+  // 802.11 17.3.5.10: data on -26..26 except DC and the pilots at +-7, +-21.
+  std::vector<int> standard_data;
+  for (int l = -26; l <= 26; ++l) {
+    if (l != 0 && std::abs(l) != 7 && std::abs(l) != 21) {
+      standard_data.push_back(l);
+    }
   }
+  EXPECT_EQ(p.data_indices, standard_data);
+  EXPECT_EQ(p.pilot_indices, (std::vector<int>{-21, -7, 7, 21}));
 }
 
 TEST(Plan40, BitCounts) {

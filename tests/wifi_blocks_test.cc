@@ -341,27 +341,36 @@ INSTANTIATE_TEST_SUITE_P(QamOnly, QamSignificantBits,
 // ----------------------------------------------------------- subcarrier map
 
 TEST(Subcarriers, CountsAndDisjointness) {
-  const auto& data = data_subcarrier_indices();
-  const auto& pilots = pilot_subcarrier_indices();
-  EXPECT_EQ(data.size(), 48u);
-  for (int p : pilots) {
-    EXPECT_EQ(data_subcarrier_position(p), -1);
+  // 802.11 17.3.5.10: 48 data subcarriers on -26..26, skipping DC and the
+  // pilots at -21, -7, 7, 21, whose base values are 1, 1, 1, -1.
+  const std::vector<int> standard_data = {
+      -26, -25, -24, -23, -22, -20, -19, -18, -17, -16, -15, -14,
+      -13, -12, -11, -10, -9,  -8,  -6,  -5,  -4,  -3,  -2,  -1,
+      1,   2,   3,   4,   5,   6,   8,   9,   10,  11,  12,  13,
+      14,  15,  16,  17,  18,  19,  20,  22,  23,  24,  25,  26};
+  const auto& plan = channel_plan(ChannelWidth::k20MHz);
+  EXPECT_EQ(plan.data_indices, standard_data);
+  EXPECT_EQ(plan.pilot_indices, (std::vector<int>{-21, -7, 7, 21}));
+  EXPECT_EQ(plan.pilot_values, (std::vector<double>{1.0, 1.0, 1.0, -1.0}));
+  for (int p : plan.pilot_indices) {
+    EXPECT_EQ(plan.data_position(p), -1);
   }
-  EXPECT_EQ(data_subcarrier_position(0), -1);   // DC
-  EXPECT_EQ(data_subcarrier_position(27), -1);  // guard band
-  EXPECT_EQ(data_subcarrier_position(-26), 0);
-  EXPECT_EQ(data_subcarrier_position(26), 47);
+  EXPECT_EQ(plan.data_position(0), -1);   // DC
+  EXPECT_EQ(plan.data_position(27), -1);  // guard band
+  EXPECT_EQ(plan.data_position(-26), 0);
+  EXPECT_EQ(plan.data_position(26), 47);
 }
 
 TEST(Subcarriers, PaperTableIiGeometry) {
   // The positions used in Table II: CH2 overlaps logical -10..-3; its data
   // subcarriers occupy positions 15..21 of the 48-entry data order.
-  EXPECT_EQ(data_subcarrier_position(-10), 15);
-  EXPECT_EQ(data_subcarrier_position(-9), 16);
-  EXPECT_EQ(data_subcarrier_position(-8), 17);
-  EXPECT_EQ(data_subcarrier_position(-7), -1);  // pilot
-  EXPECT_EQ(data_subcarrier_position(-6), 18);
-  EXPECT_EQ(data_subcarrier_position(-3), 21);
+  const auto& plan = channel_plan(ChannelWidth::k20MHz);
+  EXPECT_EQ(plan.data_position(-10), 15);
+  EXPECT_EQ(plan.data_position(-9), 16);
+  EXPECT_EQ(plan.data_position(-8), 17);
+  EXPECT_EQ(plan.data_position(-7), -1);  // pilot
+  EXPECT_EQ(plan.data_position(-6), 18);
+  EXPECT_EQ(plan.data_position(-3), 21);
 }
 
 TEST(Subcarriers, PilotPolarityMatchesStandardPrefix) {

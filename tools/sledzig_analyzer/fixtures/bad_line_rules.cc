@@ -1,7 +1,7 @@
-// Seeded violations for lint_determinism.py --self-test.  Every marked line
-// MUST be flagged (linted with the strict 'src' profile); the self-test
-// fails if any marker is missed or anything unmarked fires.  This file is
-// never compiled — it only has to look like C++ to the linter.
+// Seeded line-rule violations under the strict src/ profile.  Every marked
+// line MUST be flagged; the self-test fails if any marker is missed or
+// anything unmarked fires.  This file is never compiled — it only has to
+// look like C++ to the analyzer.
 
 #include <cstdlib>
 #include <ctime>
@@ -47,11 +47,10 @@ double library_draws(common::Rng& rng) {
   return std::generate_canonical<double, 53>(rng.engine());  // expect: library-draw
 }
 
-// underived-seed moved out of the 'src' profile: tools/sledzig_analyzer
-// owns src/ seed discipline structurally.  See tools_seed.cc for the
-// bench/tools handoff fixture.
-void underived_seeds_not_checked_here(std::uint64_t base, std::size_t i) {
-  Rng trial_rng(base + i);  // no finding under 'src' since the handoff
+// In src/ a hand-mixed seed is a seed-derivation finding, not an
+// underived-seed one; see bad_bench_seed.cc and bad_tools_seed.cc.
+void underived_seeds_in_src(std::uint64_t base, std::size_t i) {
+  Rng trial_rng(base + i);                       // expect: seed-derivation
 }
 
 int mutable_static_state() {

@@ -1,8 +1,8 @@
-// Header fixture for lint_determinism.py --self-test.  Checks two
-// profile-sensitive behaviours: pattern rules (banned-rng, raw-engine,
-// wall-clock) apply to headers exactly as to .cc files, while the
-// static-state rule applies to .cc files ONLY — the unannotated mutable
-// static member below must NOT fire here.
+// Header fixture under the src/ profile.  Checks two path-sensitive
+// behaviours: pattern rules (banned-rng, raw-engine, wall-clock) apply to
+// headers exactly as to .cc files, while the static-state rule applies to
+// .cc files ONLY — the unannotated mutable static member below must NOT
+// fire here.
 
 #pragma once
 

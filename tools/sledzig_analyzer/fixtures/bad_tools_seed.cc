@@ -1,8 +1,7 @@
-// lint-profile: tools
-// Handoff fixture: after tools/sledzig_analyzer took over src/ seed
-// discipline, lint_determinism still owns it for tools/ and bench/ —
-// helper binaries and benchmarks seed Rngs too, and their streams must
-// decorrelate the same way.  This file is never compiled.
+// analyzer: path tools/fixture_seed.cc
+// Outside src/ the structural seed rule does not run, but helper binaries
+// and benchmarks seed Rngs too, and their streams must decorrelate the
+// same way: underived-seed checks each Rng construction.  Never compiled.
 
 #include <cstdint>
 
@@ -12,6 +11,7 @@ void underived_seeds(std::uint64_t base, std::size_t i) {
   Rng trial_rng(base + i);                       // expect: underived-seed
   Rng xor_rng(base ^ i);                         // expect: underived-seed
   common::Rng scaled(base * 31 + i);             // expect: underived-seed
+  Rng shifted((base << 8) | i);                  // expect: underived-seed
 }
 
 void derived_seeds(std::uint64_t base, std::size_t i) {

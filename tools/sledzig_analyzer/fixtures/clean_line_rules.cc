@@ -1,6 +1,6 @@
-// Negative fixture for lint_determinism.py --self-test: every construct
-// here is legitimate and must produce ZERO findings under the strict 'src'
-// profile.  Lines exercise the known near-misses of each rule.
+// Negative fixture for the line rules: every construct here is legitimate
+// and must produce ZERO findings under the strict src/ profile.  Lines
+// exercise the known near-misses of each rule.
 
 #include <cstdint>
 #include <map>

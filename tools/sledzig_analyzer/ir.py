@@ -69,6 +69,7 @@ class Allow:
 
 @dataclass
 class FileFacts:
+    lines: list[str] = field(default_factory=list)  # comment-stripped
     unit_decls: list[UnitDecl] = field(default_factory=list)
     rng_ctors: list[RngCtor] = field(default_factory=list)
     seed_mixes: list[SeedMix] = field(default_factory=list)

@@ -16,6 +16,8 @@ Deliberate scope limits, shared with the clang backend so the two agree:
 * seed facts are lexical by design: the rule enforces a *source-level*
   convention (all mixing goes through a deriver), so textual adjacency is
   the right level to check it at.
+* the line rules see the source line by line with comments blanked and
+  string literals kept, exactly as written.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
+
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return"}
 FUNC_TAIL = {")", "const", "noexcept", "override", "final", "mutable"}
 
@@ -52,6 +56,14 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.text!r}@{self.line})"
+
+
+def strip_comments(text: str) -> list[str]:
+    """The lines of `text.splitlines()` with comments removed; a block
+    comment keeps its line breaks, so line numbers still match."""
+    joined = "\n".join(text.splitlines())
+    return COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n"),
+                          joined).split("\n")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -154,7 +166,7 @@ RNG_NAME_RE = re.compile(r"(?:^|_)rng_?$|^rng")
 
 
 def extract(text: str, rel_path: str) -> FileFacts:
-    facts = FileFacts()
+    facts = FileFacts(lines=strip_comments(text))
     tokens = tokenize(text)
     n = len(tokens)
 

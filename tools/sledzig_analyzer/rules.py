@@ -1,6 +1,26 @@
 """Rules layer: FileFacts -> Findings.
 
-Backend-independent.  The three invariants (DESIGN.md §16):
+Backend-independent.  A file is checked against its directory's profile
+(config.rules_for).  Line rules (DESIGN.md §11) match comment-stripped
+lines:
+
+  banned-rng       nondeterministic RNG sources (std::random_device,
+                   rand(), srand(), drand48), everywhere.
+  wall-clock       clock reads (time(), clock(), gettimeofday,
+                   std::chrono::*_clock::now) outside bench/ — benchmarks
+                   may time themselves; results must not.
+  unordered        std::unordered_{map,set,...} in src/ — iteration order
+                   is implementation-defined.
+  raw-engine       direct <random> engines, everywhere — all randomness
+                   goes through common::Rng, whose engine is in the tree.
+  library-draw     std::*_distribution and std::generate_canonical outside
+                   src/common/rng.h — their algorithms are the library's,
+                   not the standard's.
+  static-state     mutable static or thread_local storage in src/ .cc
+                   files, where cross-thread nondeterminism breeds.
+  underived-seed   hand-mixed Rng seed expressions in bench/ and tools/.
+
+Structural rules (DESIGN.md §16) judge extracted facts, in src/ only:
 
   raw-unit         double/float parameters and fields whose names carry a
                    physical-unit suffix must use the strong types in
@@ -15,10 +35,10 @@ Backend-independent.  The three invariants (DESIGN.md §16):
                    (src/common/seed_domains.h) behind its compile-time
                    uniqueness check.
 
-Suppression: `// lint: allow(rule): reason` within ALLOW_REACH_LINES
-above the finding (same grammar as tools/lint_determinism.py).  Allows
-without a reason are themselves findings, and the per-tree allow count
-for these rules is capped at MAX_ALLOWS.
+Suppression: `// lint: allow(rule): reason`.  A line-rule allow covers its
+own line and the next.  A structural allow reaches ALLOW_REACH_LINES
+below it and needs a reason (one without is itself a finding), and src/'s
+structural allows are capped at MAX_ALLOWS (allow-budget).
 """
 
 from __future__ import annotations
@@ -27,7 +47,7 @@ import re
 
 import config
 from config import (ALL_RULES, RULE_RAW_UNIT, RULE_SEED, RULE_SEED_DOMAIN,
-                    RULE_TOKEN, raw_unit_allowlisted)
+                    RULE_TOKEN, RULE_UNDERIVED, raw_unit_allowlisted)
 from ir import Allow, FileFacts, Finding
 
 _ARITH_RE = re.compile(r"[+^%]|(?<![*/])\*(?![*/])|<<|>>")
@@ -43,8 +63,8 @@ def collect_allows(raw_lines: list[str]) -> list[Allow]:
 
 
 def _allowed(allows: list[Allow], line: int, rule: str) -> bool:
-    return any(a.rule == rule and
-               line - config.ALLOW_REACH_LINES <= a.line <= line
+    reach = config.ALLOW_REACH_LINES if rule in ALL_RULES else 1
+    return any(a.rule == rule and line - reach <= a.line <= line
                for a in allows)
 
 
@@ -57,63 +77,61 @@ def seed_expr_is_derived(expr: str) -> bool:
 
 
 def evaluate(facts: FileFacts, rel_path: str) -> list[Finding]:
-    findings: list[Finding] = []
+    rules = config.rules_for(rel_path)
     allows = facts.allows
+    findings: list[Finding] = []
 
-    if not raw_unit_allowlisted(rel_path):
+    def add(line: int, rule: str, message: str) -> None:
+        if not _allowed(allows, line, rule):
+            findings.append(Finding(rel_path, line, rule, message))
+
+    for idx, code in enumerate(facts.lines):
+        for name, pattern, message in config.LINE_RULES:
+            if name in rules and pattern.search(code):
+                add(idx + 1, name, message)
+
+    for seed_rule in rules & {RULE_SEED, RULE_UNDERIVED}:
+        for c in facts.rng_ctors:
+            if not seed_expr_is_derived(c.expr):
+                add(c.line, seed_rule,
+                    f"Rng seed expression '{c.expr.strip()}' mixes by hand; "
+                    "route index-dependent seeds through common::derive_seed")
+
+    if RULE_RAW_UNIT in rules and not raw_unit_allowlisted(rel_path):
         for d in facts.unit_decls:
-            if _allowed(allows, d.line, RULE_RAW_UNIT):
-                continue
-            findings.append(Finding(
-                rel_path, d.line, RULE_RAW_UNIT,
+            add(d.line, RULE_RAW_UNIT,
                 f"raw double {d.kind} '{d.name}' carries a unit suffix; use "
-                "the strong types in common/units.h (Db/Dbm/MilliWatt/Hz)"))
+                "the strong types in common/units.h (Db/Dbm/MilliWatt/Hz)")
 
-    for c in facts.rng_ctors:
-        if seed_expr_is_derived(c.expr):
-            continue
-        if _allowed(allows, c.line, RULE_SEED):
-            continue
-        findings.append(Finding(
-            rel_path, c.line, RULE_SEED,
-            f"Rng seed expression '{c.expr.strip()}' mixes by hand; route "
-            "index-dependent seeds through common::derive_seed"))
+    if RULE_SEED in rules:
+        for s in facts.seed_mixes:
+            add(s.line, RULE_SEED,
+                f"seed-typed value '{s.text}' flows through arithmetic "
+                "outside a deriver; only derive_seed-family functions may "
+                "mix seeds")
 
-    for s in facts.seed_mixes:
-        if _allowed(allows, s.line, RULE_SEED):
-            continue
-        findings.append(Finding(
-            rel_path, s.line, RULE_SEED,
-            f"seed-typed value '{s.text}' flows through arithmetic outside "
-            "a deriver; only derive_seed-family functions may mix seeds"))
-
-    if rel_path != config.SEED_DOMAIN_REGISTRY:
+    if RULE_SEED_DOMAIN in rules and rel_path != config.SEED_DOMAIN_REGISTRY:
         for dl in facts.domain_literals:
-            if _allowed(allows, dl.line, RULE_SEED_DOMAIN):
-                continue
-            findings.append(Finding(
-                rel_path, dl.line, RULE_SEED_DOMAIN,
+            add(dl.line, RULE_SEED_DOMAIN,
                 f"ad-hoc seed-domain tag {dl.text} passed straight to a "
                 "deriver; name it in common/seed_domains.h "
                 "(seed_domain::k...) so the registry's uniqueness check "
-                "covers it"))
+                "covers it")
 
     seen_funcs: set[int] = set()
-    for t in facts.timer_arms:
+    for t in facts.timer_arms if RULE_TOKEN in rules else ():
         if t.guarded or t.func_line in seen_funcs:
             continue
         seen_funcs.add(t.func_line)
-        if (_allowed(allows, t.func_line, RULE_TOKEN)
-                or _allowed(allows, t.line, RULE_TOKEN)):
+        if _allowed(allows, t.line, RULE_TOKEN):
             continue
         where = f"'{t.func_name}' " if t.func_name else ""
-        findings.append(Finding(
-            rel_path, t.func_line, RULE_TOKEN,
+        add(t.func_line, RULE_TOKEN,
             f"function {where}arms a kTimer event (line {t.line}) without "
-            "invalidating a token first; stale timers outlive their state"))
+            "invalidating a token first; stale timers outlive their state")
 
     for a in allows:
-        if a.rule in ALL_RULES and not a.reason:
+        if a.rule in ALL_RULES and a.rule in rules and not a.reason:
             findings.append(Finding(
                 rel_path, a.line, a.rule,
                 "allow annotation without a reason; write "
@@ -123,15 +141,16 @@ def evaluate(facts: FileFacts, rel_path: str) -> list[Finding]:
 
 
 def check_allow_budget(per_file_allows: dict[str, list[Allow]]) -> list[Finding]:
-    """Tree-level cap on analyzer-rule allows: the escape hatch must stay
+    """Tree-level cap on structural-rule allows: the escape hatch must stay
     rare enough to audit by hand."""
     sites = [(path, a) for path, allows in per_file_allows.items()
-             for a in allows if a.rule in ALL_RULES]
+             for a in allows
+             if a.rule in ALL_RULES and a.rule in config.rules_for(path)]
     if len(sites) < config.MAX_ALLOWS:
         return []
     listing = ", ".join(f"{p}:{a.line}" for p, a in sites)
     path, a = sites[-1]
     return [Finding(
         path, a.line, "allow-budget",
-        f"{len(sites)} analyzer allows in src/ (budget {config.MAX_ALLOWS}); "
+        f"{len(sites)} structural allows in src/ (budget {config.MAX_ALLOWS}); "
         f"fix sites instead of annotating them ({listing})")]
