@@ -8,8 +8,6 @@
 // GF(2)) falls back to alternative tap positions.  This bench counts, per
 // configuration, how many equations needed a non-paper position — i.e. how
 // often the fixed strategy alone would have failed.
-#include <map>
-
 #include "bench_util.h"
 #include "sledzig/significant_bits.h"
 
@@ -30,21 +28,19 @@ Counts analyse(const core::SledzigConfig& cfg, std::size_t symbols) {
   const auto plan = core::build_constraint_plan(cfg, 0, dbps * symbols);
   Counts c;
   c.unforced = plan.num_unforced();
-  for (const auto& cluster : plan.clusters) {
-    // Twin = two equations share a step.
-    std::map<std::size_t, unsigned> step_count;
-    for (const auto& eq : cluster.equations) ++step_count[eq.step];
-    for (std::size_t e = 0; e < cluster.equations.size(); ++e) {
-      const auto& eq = cluster.equations[e];
-      ++c.equations;
-      const bool twin = step_count[eq.step] == 2;
-      const std::size_t paper_pos =
-          twin ? (eq.branch == 0 ? eq.step - 5 : eq.step - 1) : eq.step;
-      if (cluster.positions[e] == paper_pos) {
-        ++c.paper_positions;
-      } else {
-        ++c.fallback_positions;
-      }
+  const auto& eqs = plan.equations;
+  for (std::size_t e = 0; e < eqs.size(); ++e) {
+    const auto& eq = eqs[e];
+    ++c.equations;
+    // Twin = two forced equations share a step (they sit side by side).
+    const bool twin = (e > 0 && eqs[e - 1].step == eq.step) ||
+                      (e + 1 < eqs.size() && eqs[e + 1].step == eq.step);
+    const std::size_t paper_pos =
+        twin ? (eq.branch == 0 ? eq.step - 5 : eq.step - 1) : eq.step;
+    if (plan.positions[e] == paper_pos) {
+      ++c.paper_positions;
+    } else {
+      ++c.fallback_positions;
     }
   }
   return c;

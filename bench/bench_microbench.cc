@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -306,6 +307,38 @@ void BM_SledzigEncodeThreeChannels(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SledzigEncodeThreeChannels)->Arg(600);
+
+void BM_SledzigEncodePhyLinkMix(benchmark::State& state) {
+  // perfbench's phy_link frame mix: the three paper modes cycled frame by
+  // frame over CH1-CH4 at 100, 400 and 1000 B, with every fourth frame
+  // instead taking a size spread evenly over 60..1500 B (a golden-ratio
+  // sequence).  One encode per iteration, cycling over 144 frames.
+  constexpr std::size_t kRecurringSizes[] = {100, 400, 1000};
+  common::Rng rng(25);
+  double spread = 0.5;
+  std::vector<std::pair<core::SledzigConfig, common::Bytes>> frames;
+  for (std::size_t i = 0; i < 144; ++i) {
+    auto cfg = paper_mode(static_cast<std::int64_t>(i % 3));
+    cfg.channel = core::kAllOverlapChannels[(i / 3) % 4];
+    std::size_t size = kRecurringSizes[(i / 12) % 3];
+    if (i % 4 == 3) {
+      spread += 0.6180339887498949;
+      spread -= std::floor(spread);
+      size = 60 + static_cast<std::size_t>(spread * 1441);
+    }
+    frames.emplace_back(cfg, rng.bytes(size));
+  }
+  std::size_t next = 0;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const auto& [cfg, payload] = frames[next++ % frames.size()];
+    auto enc = core::sledzig_encode(payload, cfg);
+    benchmark::DoNotOptimize(enc);
+    bytes += static_cast<std::int64_t>(payload.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_SledzigEncodePhyLinkMix);
 
 void BM_SledzigDecode(benchmark::State& state) {
   common::Rng rng(7);

@@ -5,11 +5,11 @@
 namespace sledzig::common {
 
 Bits bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  Bits bits;
-  bits.reserve(bytes.size() * 8);
+  Bits bits(bytes.size() * 8);
+  Bit* out = bits.data();
   for (std::uint8_t byte : bytes) {
-    for (int i = 0; i < 8; ++i) {
-      bits.push_back(static_cast<Bit>((byte >> i) & 1u));
+    for (unsigned i = 0; i < 8; ++i) {
+      *out++ = static_cast<Bit>((byte >> i) & 1u);
     }
   }
   return bits;
@@ -19,9 +19,13 @@ Bytes bits_to_bytes(std::span<const Bit> bits) {
   if (bits.size() % 8 != 0) {
     throw std::invalid_argument("bits_to_bytes: size must be a multiple of 8");
   }
-  Bytes bytes(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bytes[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1u) << (i % 8));
+  Bytes bytes(bits.size() / 8);
+  const Bit* in = bits.data();
+  for (std::uint8_t& byte : bytes) {
+    unsigned value = 0;
+    for (unsigned i = 0; i < 8; ++i) value |= (in[i] & 1u) << i;
+    byte = static_cast<std::uint8_t>(value);
+    in += 8;
   }
   return bytes;
 }

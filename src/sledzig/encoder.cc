@@ -1,6 +1,7 @@
 #include "sledzig/encoder.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "sledzig/gf2_rows.h"
@@ -19,18 +20,23 @@ constexpr common::Bit kUnset = 2;
 /// The little-endian payload length that leads the inner data.
 constexpr std::size_t kLengthHeaderOctets = 2;
 
+/// sledzig_encode tries at most this many payload-region sizes.
+constexpr int kMaxSizingTrials = 64;
+
 /// Solves the square GF(2) system of one cluster and writes the unknowns
 /// into the stream.  Clusters are solved in stream order, so the only
 /// kUnset positions an equation taps are its own cluster's unknowns; every
 /// other tap (positions before the stream start read as 0) is known and
 /// moves to the right-hand side.  The plan's positions are the pivots its
 /// own elimination chose, which guarantees invertibility.
-void solve_cluster(const Cluster& cluster, common::Bits& x, Gf2Rows& rows) {
-  const std::size_t first = cluster.equations.front().step;
+void solve_cluster(std::span<const Equation> equations,
+                   std::span<const std::size_t> positions, common::Bits& x,
+                   Gf2Rows& rows) {
+  const std::size_t first = equations.front().step;
   const std::size_t base = first >= 6 ? first - 6 : 0;
-  rows.reset(cluster.equations.back().step - base + 1);
-  for (std::size_t e = 0; e < cluster.equations.size(); ++e) {
-    const Equation& eq = cluster.equations[e];
+  rows.reset(equations.back().step - base + 1);
+  for (std::size_t e = 0; e < equations.size(); ++e) {
+    const Equation& eq = equations[e];
     rows.flip_rhs(eq.value & 1u);
     for (unsigned o = 0; o <= 6 && o <= eq.step; ++o) {
       if (!wifi::taps(eq.branch, o)) continue;
@@ -42,14 +48,14 @@ void solve_cluster(const Cluster& cluster, common::Bits& x, Gf2Rows& rows) {
       }
     }
     rows.reduce(eq.step);
-    const std::size_t pivot = cluster.positions[e] - base;
+    const std::size_t pivot = positions[e] - base;
     if (!rows.test(pivot)) {
       throw std::logic_error("sledzig: singular cluster system");
     }
     rows.keep(eq.step, pivot);
   }
   rows.back_substitute([&](std::size_t r, unsigned value) {
-    x[cluster.positions[r]] = static_cast<common::Bit>(value);
+    x[positions[r]] = static_cast<common::Bit>(value);
   });
 }
 
@@ -66,6 +72,29 @@ common::Bit encoder_output(const common::Bits& x, std::size_t step,
 }
 
 std::size_t round_up8(std::size_t v) { return (v + 7) / 8 * 8; }
+
+/// A payload-region size that no sizing trial of sledzig_encode passes,
+/// for `data_bits` bits of inner data.  Each trial moves the region t to
+/// round_up8(data_bits + extras + 8), and t holds at most
+/// min(t, extra_bits_per_symbol * ceil((svc + t) / N_DBPS)) extras: one per
+/// position, and no more than a symbol's significant bits in each symbol t
+/// reaches into.  That map of t never decreases, so its iterates from the
+/// first trial's t bound the trials one for one.
+std::size_t sizing_bound(const SledzigConfig& cfg, std::size_t svc,
+                         std::size_t data_bits) {
+  const std::size_t dbps =
+      wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan());
+  const std::size_t per_symbol = extra_bits_per_symbol(cfg);
+  std::size_t t = round_up8(data_bits);
+  for (int trial = 1; trial < kMaxSizingTrials; ++trial) {
+    const std::size_t symbols = (svc + t + dbps - 1) / dbps;
+    const std::size_t next =
+        round_up8(data_bits + std::min(t, per_symbol * symbols) + 8);
+    if (next == t) break;
+    t = next;
+  }
+  return t;
+}
 
 }  // namespace
 
@@ -113,68 +142,68 @@ SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
 
   const std::size_t svc = cfg.include_service_field ? 16 : 0;
 
-  // Find the smallest multiple-of-8 payload-region size T whose capacity
-  // (after removing extra-bit positions) fits the inner data.
-  std::size_t t = round_up8(data_bits.size());
-  ConstraintPlan plan;
-  for (int iter = 0; iter < 64; ++iter) {
-    plan = build_constraint_plan(cfg, svc, svc + t);
-    const std::size_t capacity = t - plan.extra_positions.size();
-    if (capacity >= data_bits.size()) break;
-    t = round_up8(data_bits.size() + plan.extra_positions.size() + 8);
+  // Find the smallest multiple-of-8 payload-region size t whose capacity
+  // (after removing extra-bit positions) fits the inner data.  A plan is a
+  // prefix of any longer one, so one plan past every trial counts the
+  // extras of each (DESIGN.md section 10).
+  const std::size_t d = data_bits.size();
+  ConstraintPlan plan =
+      build_constraint_plan(cfg, svc, svc + sizing_bound(cfg, svc, d));
+  std::size_t t = round_up8(d);
+  std::size_t extras = extra_bits_before(plan, svc + t);
+  for (int trial = 1; t - extras < d; ++trial) {
+    if (trial == kMaxSizingTrials) {
+      throw std::logic_error("sledzig_encode: sizing did not converge");
+    }
+    t = round_up8(d + extras + 8);
+    extras = extra_bits_before(plan, svc + t);
   }
-  const std::size_t capacity = t - plan.extra_positions.size();
-  if (capacity < data_bits.size()) {
-    throw std::logic_error("sledzig_encode: sizing did not converge");
-  }
+  truncate_constraint_plan(plan, svc + t);
 
   // Scrambled-domain stream: service prefix (scrambled zeros = keystream),
-  // data bits (scrambled with a data-indexed keystream), extra positions.
-  const auto key_abs = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
-  const auto key_data = wifi::scrambler_sequence(cfg.scrambler_seed, capacity);
-
-  common::Bits x(svc + t, kUnset);
-  for (std::size_t p = 0; p < svc; ++p) x[p] = key_abs[p];
+  // data bits (scrambled with the keystream indexed by data bit), extra
+  // positions.
+  const auto key = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
+  common::Bits x(svc + t, 0);
+  for (const std::size_t p : plan.positions) x[p] = kUnset;
+  std::copy_n(key.begin(), svc, x.begin());
   std::size_t j = 0;
-  auto extra = plan.extra_positions.begin();  // sorted, inside [svc, svc + t)
   for (std::size_t p = svc; p < svc + t; ++p) {
-    if (extra != plan.extra_positions.end() && *extra == p) {
-      ++extra;
-      continue;
-    }
-    const common::Bit data = j < data_bits.size() ? data_bits[j] : 0;
-    x[p] = static_cast<common::Bit>((data ^ key_data[j]) & 1u);
+    if (x[p] == kUnset) continue;
+    const common::Bit data = j < d ? data_bits[j] : 0;
+    x[p] = static_cast<common::Bit>((data ^ key[j]) & 1u);
     ++j;
   }
 
   // Solve the clusters in stream order.
   SledzigEncodeResult result;
+  result.num_extra_bits = plan.positions.size();
   result.num_twins = plan.num_twins;
   result.num_unforced_tail = plan.num_unforced_tail;
   result.num_unforced_head = plan.num_unforced_head;
   result.num_collisions = plan.num_collisions;
   Gf2Rows rows;
-  for (const auto& cluster : plan.clusters) {
-    solve_cluster(cluster, x, rows);
-    result.num_extra_bits += cluster.positions.size();
-  }
-  for (auto& bit : x) {
-    if (bit == kUnset) bit = 0;  // defensive; plan covers all extras
+  std::size_t begin = 0;
+  for (const std::size_t end : plan.cluster_ends) {
+    solve_cluster(
+        std::span<const Equation>(plan.equations).subspan(begin, end - begin),
+        std::span<const std::size_t>(plan.positions)
+            .subspan(begin, end - begin),
+        x, rows);
+    begin = end;
   }
 
   // Verify every forced equation against a real encode pass.
-  for (const auto& cluster : plan.clusters) {
-    for (const auto& eq : cluster.equations) {
-      if (encoder_output(x, eq.step, eq.branch) != eq.value) {
-        ++result.num_violations;
-      }
+  for (const Equation& eq : plan.equations) {
+    if (encoder_output(x, eq.step, eq.branch) != eq.value) {
+      ++result.num_violations;
     }
   }
 
   // Descramble the payload region into transmit bytes.
   common::Bits t_bits(t);
   for (std::size_t p = svc; p < svc + t; ++p) {
-    t_bits[p - svc] = static_cast<common::Bit>((x[p] ^ key_abs[p]) & 1u);
+    t_bits[p - svc] = static_cast<common::Bit>((x[p] ^ key[p]) & 1u);
   }
   result.transmit_psdu = common::bits_to_bytes(t_bits);
   result.scrambled_payload = std::move(x);
@@ -187,32 +216,23 @@ std::optional<common::Bytes> sledzig_decode(const common::Bytes& transmit_psdu,
   if (t == 0) return std::nullopt;
   const std::size_t svc = cfg.include_service_field ? 16 : 0;
   const auto plan = build_constraint_plan(cfg, svc, svc + t);
-  const auto key_abs = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
-  const auto t_bits = common::bytes_to_bits(transmit_psdu);
+  const auto key = wifi::scrambler_sequence(cfg.scrambler_seed, svc + t);
 
-  common::Bits residual;
-  residual.reserve(t);
-  auto extra = plan.extra_positions.begin();  // sorted, inside [svc, svc + t)
-  for (std::size_t p = svc; p < svc + t; ++p) {
-    if (extra != plan.extra_positions.end() && *extra == p) {
-      ++extra;
-      continue;
-    }
-    residual.push_back(
-        static_cast<common::Bit>((t_bits[p - svc] ^ key_abs[p]) & 1u));
+  // Drop the extra positions and descramble the rest twice, in place: by
+  // stream position back to the scrambled domain, then by data index.
+  auto bits = common::bytes_to_bits(transmit_psdu);
+  for (const std::size_t p : plan.positions) bits[p - svc] = kUnset;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < t; ++i) {
+    if (bits[i] == kUnset) continue;
+    bits[n] = static_cast<common::Bit>((bits[i] ^ key[svc + i] ^ key[n]) & 1u);
+    ++n;
   }
-  const auto key_data =
-      wifi::scrambler_sequence(cfg.scrambler_seed, residual.size());
-  for (std::size_t i = 0; i < residual.size(); ++i) {
-    residual[i] = static_cast<common::Bit>((residual[i] ^ key_data[i]) & 1u);
-  }
-  if (residual.size() < 16) return std::nullopt;
-  const std::size_t len = static_cast<std::size_t>(
-      common::bits_to_uint(residual, 16));
-  if (16 + len * 8 > residual.size()) return std::nullopt;
-  common::Bits payload_bits(residual.begin() + 16,
-                            residual.begin() + 16 + len * 8);
-  return common::bits_to_bytes(payload_bits);
+  if (n < 16) return std::nullopt;
+  const auto len = static_cast<std::size_t>(common::bits_to_uint(bits, 16));
+  if (16 + len * 8 > n) return std::nullopt;
+  return common::bits_to_bytes(
+      std::span<const common::Bit>(bits).subspan(16, len * 8));
 }
 
 std::optional<OverlapChannel> detect_channel_from_points(

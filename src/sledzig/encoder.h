@@ -42,6 +42,8 @@ struct SledzigEncodeResult {
   /// Constraints whose verification failed after solving (should be zero;
   /// counted defensively).
   std::size_t num_violations = 0;
+
+  bool operator==(const SledzigEncodeResult&) const = default;
 };
 
 /// Maximum payload the 2-byte length framing supports.

@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "sledzig/gf2_rows.h"
 #include "wifi/convolutional.h"
@@ -50,7 +51,7 @@ std::vector<SignificantBit> significant_bits_for_symbol(
   const auto subcarriers = cfg.forced_subcarrier_set();
   const auto specs = wifi::significant_bits(cfg.modulation);
   // Gather convention: QAM-input bit j reads pre-interleaver position perm[j].
-  const auto perm = wifi::interleaver_permutation(cfg.modulation, plan);
+  const auto perm = wifi::interleaver_table(cfg.modulation, plan);
   const std::size_t n_bpsc = wifi::bits_per_subcarrier(cfg.modulation);
   const std::size_t n_cbps = wifi::coded_bits_per_symbol(cfg.modulation, plan);
 
@@ -88,11 +89,13 @@ namespace {
 
 /// Chooses one unknown stream position per equation of a cluster by GF(2)
 /// forward elimination, preferring each equation's own tap positions in the
-/// paper's offset order.  Kept equations and their positions go to `out`;
-/// an equation left without an independent unknown counts as unforced.
+/// paper's offset order.  Kept equations and their positions are appended
+/// to `plan`; an equation left without an independent unknown counts as
+/// unforced.  Every equation has step < payload_end, so every tap it has
+/// at or after payload_begin is forcible.
 void solve_cluster_positions(std::span<const Equation> eqs,
-                             std::size_t payload_begin, std::size_t payload_end,
-                             Gf2Rows& rows, Cluster& out, ConstraintPlan& plan) {
+                             std::size_t payload_begin, Gf2Rows& rows,
+                             ConstraintPlan& plan) {
   // Paper-preferred offsets per generator: a single forces x_n first, and a
   // twin's g0 equation forces x_{n-5} (Algorithm 1 of the paper); the
   // remaining taps are fallbacks (g0 lacks x_{n-1}/x_{n-4}, g1 lacks
@@ -105,15 +108,12 @@ void solve_cluster_positions(std::span<const Equation> eqs,
   const std::size_t first = eqs.front().step;
   const std::size_t base = first >= 6 ? first - 6 : 0;
   rows.reset(eqs.back().step - base + 1);
-  out.equations.reserve(eqs.size());
-  out.positions.reserve(eqs.size());
 
   for (std::size_t e = 0; e < eqs.size(); ++e) {
     const Equation& eq = eqs[e];
     for (unsigned o = 0; o <= 6 && o <= eq.step; ++o) {
       const std::size_t pos = eq.step - o;
-      if (wifi::taps(eq.branch, o) && pos >= payload_begin &&
-          pos < payload_end) {
+      if (wifi::taps(eq.branch, o) && pos >= payload_begin) {
         rows.set(pos - base);
       }
     }
@@ -132,19 +132,34 @@ void solve_cluster_positions(std::span<const Equation> eqs,
     if (pivot == Gf2Rows::kNone) pivot = rows.highest();
     if (pivot == Gf2Rows::kNone) {
       rows.drop();
-      // Equations near the stream head (or the SERVICE field) simply lack
-      // room for an unknown; anything else is a genuine rank collision.
-      if (eq.step < payload_begin + 7) {
-        ++plan.num_unforced_head;
-      } else {
-        ++plan.num_collisions;
-      }
+      plan.unforced_steps.push_back(eq.step);
       continue;
     }
     rows.keep(eq.step, pivot);
-    out.equations.push_back(eq);
-    out.positions.push_back(base + pivot);
+    plan.equations.push_back(eq);
+    plan.positions.push_back(base + pivot);
   }
+}
+
+/// Fills the counters of a plan whose equations, unforced steps and
+/// per-symbol counts cover [payload_begin, payload_end).
+void count_plan(ConstraintPlan& plan) {
+  const std::size_t symbols =
+      (plan.payload_end + plan.symbol_steps - 1) / plan.symbol_steps;
+  plan.num_singles = plan.symbol_singles * symbols;
+  plan.num_twins = plan.symbol_twins * symbols;
+  // Every significant bit of those symbols is a kept equation, an unforced
+  // one, or past payload_end.
+  plan.num_unforced_tail =
+      (plan.num_singles + 2 * plan.num_twins) - plan.equations.size() -
+      plan.unforced_steps.size();
+  // Equations near the stream head (or the SERVICE field) simply lack room
+  // for an unknown; anything else is a genuine rank collision.
+  const auto& steps = plan.unforced_steps;
+  plan.num_unforced_head = static_cast<std::size_t>(
+      std::lower_bound(steps.begin(), steps.end(), plan.payload_begin + 7) -
+      steps.begin());
+  plan.num_collisions = steps.size() - plan.num_unforced_head;
 }
 
 }  // namespace
@@ -174,6 +189,9 @@ ConstraintPlan build_constraint_plan(const SledzigConfig& cfg,
   const auto pattern = significant_bits_for_symbol(cfg, 0);
 
   ConstraintPlan plan;
+  plan.payload_begin = payload_begin;
+  plan.payload_end = payload_end;
+  plan.symbol_steps = dbps;
 
   // Count singles/twins (runs of equal steps) per symbol.
   for (std::size_t i = 0; i < pattern.size();) {
@@ -184,55 +202,73 @@ ConstraintPlan build_constraint_plan(const SledzigConfig& cfg,
     if (run > 2) {
       throw std::logic_error("build_constraint_plan: >2 outputs per step");
     }
-    ++(run == 1 ? plan.num_singles : plan.num_twins);
+    ++(run == 1 ? plan.symbol_singles : plan.symbol_twins);
     i += run;
   }
-  plan.num_singles *= num_symbols;
-  plan.num_twins *= num_symbols;
 
-  // Split off the tail region.
+  // Equations up to the tail region.
   std::vector<Equation> equations;
   equations.reserve(num_symbols * pattern.size());
   for (std::size_t s = 0; s < num_symbols; ++s) {
     for (const auto& bit : pattern) {
       const std::size_t step = bit.step + s * dbps;
-      if (step >= payload_end) {
-        ++plan.num_unforced_tail;
-        continue;
-      }
+      if (step >= payload_end) break;  // the pattern is in step order
       equations.push_back(Equation{step, bit.branch, bit.value});
     }
   }
 
   // Cluster equations whose 7-bit tap windows can interact, then choose the
   // unknowns cluster by cluster.
-  const auto joins_previous = [&](std::size_t i) {
-    return equations[i].step <= equations[i - 1].step + 6;
-  };
-  std::size_t num_clusters = equations.empty() ? 0 : 1;
-  for (std::size_t i = 1; i < equations.size(); ++i) {
-    num_clusters += joins_previous(i) ? 0 : 1;
-  }
-  plan.clusters.reserve(num_clusters);
-  plan.extra_positions.reserve(equations.size());
+  plan.equations.reserve(equations.size());
+  plan.positions.reserve(equations.size());
   Gf2Rows rows;
   for (std::size_t i = 0; i < equations.size();) {
     std::size_t end = i + 1;
-    while (end < equations.size() && joins_previous(end)) ++end;
-    Cluster cluster;
+    while (end < equations.size() &&
+           equations[end].step <= equations[end - 1].step + 6) {
+      ++end;
+    }
     solve_cluster_positions(
         std::span<const Equation>(equations).subspan(i, end - i),
-        payload_begin, payload_end, rows, cluster, plan);
+        payload_begin, rows, plan);
     i = end;
-    if (!cluster.equations.empty()) {
-      plan.extra_positions.insert(plan.extra_positions.end(),
-                                  cluster.positions.begin(),
-                                  cluster.positions.end());
-      plan.clusters.push_back(std::move(cluster));
+    const std::size_t size = plan.equations.size();
+    if (size > (plan.cluster_ends.empty() ? 0 : plan.cluster_ends.back())) {
+      plan.cluster_ends.push_back(size);
     }
   }
-  std::sort(plan.extra_positions.begin(), plan.extra_positions.end());
+  count_plan(plan);
   return plan;
+}
+
+std::size_t extra_bits_before(const ConstraintPlan& plan,
+                              std::size_t payload_end) {
+  return static_cast<std::size_t>(
+      std::partition_point(plan.equations.begin(), plan.equations.end(),
+                           [&](const Equation& eq) {
+                             return eq.step < payload_end;
+                           }) -
+      plan.equations.begin());
+}
+
+void truncate_constraint_plan(ConstraintPlan& plan, std::size_t payload_end) {
+  if (payload_end < plan.payload_begin || payload_end > plan.payload_end) {
+    throw std::invalid_argument("truncate_constraint_plan: bad payload end");
+  }
+  const std::size_t kept = extra_bits_before(plan, payload_end);
+  plan.equations.resize(kept);
+  plan.positions.resize(kept);
+  // Clusters that start before the cut stay; the one it splits ends there.
+  auto& ends = plan.cluster_ends;
+  auto split = std::upper_bound(ends.begin(), ends.end(), kept);
+  const std::size_t start = split == ends.begin() ? 0 : *(split - 1);
+  if (split != ends.end() && start < kept) *split++ = kept;
+  ends.erase(split, ends.end());
+  auto& steps = plan.unforced_steps;
+  steps.erase(std::lower_bound(steps.begin(), steps.end(), payload_end),
+              steps.end());
+  plan.payload_end = payload_end;
+  count_plan(plan);
 }
 
 }  // namespace sledzig::core

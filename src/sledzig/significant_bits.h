@@ -88,23 +88,32 @@ struct Equation {
   std::size_t step = 0;
   unsigned branch = 0;  // 0 = y_{2n-1} (g0), 1 = y_{2n} (g1)
   common::Bit value = 0;
+
+  bool operator==(const Equation&) const = default;
 };
 
-/// A maximal group of equations whose 7-bit tap windows overlap.  The
-/// cluster is solved jointly: `positions` are the extra-bit stream positions
-/// chosen as unknowns, one per equation, such that the square GF(2) system
+/// The extra-bit plan of one payload region, flat.  Equations whose 7-bit
+/// tap windows overlap form a cluster, solved jointly: each equation gets
+/// one unknown stream position such that the cluster's square GF(2) system
 /// is invertible.  Most clusters are a lone single (position n, the paper's
 /// choice) or a lone twin (positions n-5 and n-1); the general solver also
 /// handles the denser patterns that QAM-256 produces on some channels.
-struct Cluster {
-  std::vector<Equation> equations;
-  std::vector<std::size_t> positions;  // same length as equations
-};
-
+///
+/// A plan is a prefix of any longer one: the plan of [b, e) is the plan of
+/// [b, E), E >= e, cut to its equations with step < e
+/// (truncate_constraint_plan, DESIGN.md section 10).
 struct ConstraintPlan {
-  std::vector<Cluster> clusters;
-  /// Union of all chosen extra positions, sorted ascending.
-  std::vector<std::size_t> extra_positions;
+  /// The payload region [payload_begin, payload_end) the plan forces.
+  std::size_t payload_begin = 0;
+  std::size_t payload_end = 0;
+  /// Forced equations in (step, branch) order, and the extra-bit stream
+  /// position chosen as each one's unknown: positions[i] solves
+  /// equations[i].  Positions are distinct and lie in the payload region.
+  std::vector<Equation> equations;
+  std::vector<std::size_t> positions;
+  /// Cluster c is equations [cluster_ends[c - 1], cluster_ends[c]), from 0
+  /// for c = 0.
+  std::vector<std::size_t> cluster_ends;
   std::size_t num_singles = 0;
   std::size_t num_twins = 0;
   /// Equations at/after payload_end (tail/pad region appended by the WiFi
@@ -116,10 +125,20 @@ struct ConstraintPlan {
   /// Equations dropped because the cluster system was rank-deficient.
   /// Zero in every supported configuration (tested).
   std::size_t num_collisions = 0;
+  /// Steps of the equations counted in num_unforced_head and
+  /// num_collisions, ascending.
+  std::vector<std::size_t> unforced_steps;
+  /// One OFDM symbol's share: N_DBPS encoder steps holding `symbol_singles`
+  /// singles and `symbol_twins` twins.
+  std::size_t symbol_steps = 0;
+  std::size_t symbol_singles = 0;
+  std::size_t symbol_twins = 0;
 
   std::size_t num_unforced() const {
     return num_unforced_tail + num_unforced_head + num_collisions;
   }
+
+  bool operator==(const ConstraintPlan&) const = default;
 };
 
 /// Builds the deterministic constraint plan for an uncoded stream of
@@ -129,5 +148,15 @@ struct ConstraintPlan {
 ConstraintPlan build_constraint_plan(const SledzigConfig& cfg,
                                      std::size_t payload_begin,
                                      std::size_t payload_end);
+
+/// Forced equations of `plan` with step < payload_end: the extra bits of
+/// the plan for [plan.payload_begin, payload_end).
+std::size_t extra_bits_before(const ConstraintPlan& plan,
+                              std::size_t payload_end);
+
+/// Cuts `plan` to the plan build_constraint_plan returns for the same
+/// config over [plan.payload_begin, payload_end), for payload_end in
+/// [plan.payload_begin, plan.payload_end].
+void truncate_constraint_plan(ConstraintPlan& plan, std::size_t payload_end);
 
 }  // namespace sledzig::core

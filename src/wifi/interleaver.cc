@@ -1,5 +1,7 @@
 #include "wifi/interleaver.h"
 
+#include <array>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace sledzig::wifi {
@@ -23,9 +25,31 @@ std::vector<std::size_t> interleaver_permutation(Modulation m,
   return perm;
 }
 
+std::span<const std::size_t> interleaver_table(Modulation m,
+                                               const ChannelPlan& plan) {
+  static const auto tables = [] {
+    std::array<std::array<std::vector<std::size_t>, 2>, 5> all;
+    for (const Modulation mod :
+         {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16,
+          Modulation::kQam64, Modulation::kQam256}) {
+      for (const ChannelWidth width :
+           {ChannelWidth::k20MHz, ChannelWidth::k40MHz}) {
+        all[static_cast<std::size_t>(mod)][static_cast<std::size_t>(width)] =
+            interleaver_permutation(mod, channel_plan(width));
+      }
+    }
+    return all;
+  }();
+  if (&plan != &channel_plan(plan.width)) {
+    throw std::invalid_argument("interleaver_table: not a shared channel plan");
+  }
+  return tables.at(static_cast<std::size_t>(m))
+      .at(static_cast<std::size_t>(plan.width));
+}
+
 std::vector<std::size_t> interleaver_inverse(Modulation m,
                                              const ChannelPlan& plan) {
-  const auto perm = interleaver_permutation(m, plan);
+  const auto perm = interleaver_table(m, plan);
   std::vector<std::size_t> inv(perm.size());
   for (std::size_t k = 0; k < perm.size(); ++k) inv[perm[k]] = k;
   return inv;
@@ -41,7 +65,7 @@ std::vector<T> apply_blockwise(const std::vector<T>& in, Modulation m,
     throw std::invalid_argument(
         "interleave: input not a multiple of N_CBPS");
   }
-  const auto perm = interleaver_permutation(m, plan);
+  const auto perm = interleaver_table(m, plan);
   std::vector<T> out(in.size());
   for (std::size_t block = 0; block < in.size(); block += n_cbps) {
     for (std::size_t k = 0; k < n_cbps; ++k) {

@@ -18,6 +18,7 @@
 // to coded-stream (pre-interleaver) positions: that is perm(j) itself.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/bits.h"
@@ -30,6 +31,11 @@ namespace sledzig::wifi {
 /// The 20 MHz block uses 16 columns; wider plans use their own column count
 /// (18 for 40 MHz).
 std::vector<std::size_t> interleaver_permutation(
+    Modulation m, const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
+
+/// interleaver_permutation(m, plan), computed once per (modulation, width)
+/// for the life of the program.  `plan` must be channel_plan(plan.width).
+std::span<const std::size_t> interleaver_table(
     Modulation m, const ChannelPlan& plan = channel_plan(ChannelWidth::k20MHz));
 
 /// inverse[k] = post-interleaver index where pre-interleaver bit k lands.

@@ -1,5 +1,6 @@
 #include "wifi/puncture.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sledzig::wifi {
@@ -25,10 +26,23 @@ std::span<const bool> puncture_mask(CodingRate r) {
 
 common::Bits puncture(const common::Bits& coded, CodingRate r) {
   const auto mask = puncture_mask(r);
-  common::Bits out;
-  out.reserve(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    if (mask[i % mask.size()]) out.push_back(coded[i]);
+  const std::size_t periods = coded.size() / mask.size();
+  const std::size_t rest = coded.size() % mask.size();
+  const auto kept_in = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        std::count(mask.begin(), mask.begin() + static_cast<long>(n), true));
+  };
+  common::Bits out(periods * kept_in(mask.size()) + kept_in(rest));
+  const common::Bit* in = coded.data();
+  common::Bit* o = out.data();
+  // Whole periods, then the partial one.
+  for (std::size_t p = periods; p > 0; --p, in += mask.size()) {
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i]) *o++ = in[i];
+    }
+  }
+  for (std::size_t i = 0; i < rest; ++i) {
+    if (mask[i]) *o++ = in[i];
   }
   return out;
 }

@@ -7,10 +7,12 @@
 // every OFDM symbol through the interleaver and solves each cluster over
 // byte-per-bit rows, and the receiver's scalar preamble scans (the STF
 // autocorrelation that recomputed every window's products, and the LTF
-// cross-correlation with the library complex multiply), and the
-// depuncturer that grew its output one push_back at a time.  The production
-// kernels must reproduce them bit for bit (memcmp on doubles), including
-// on the edge inputs that decide ties, sentinels, overflow and saturation.
+// cross-correlation with the library complex multiply), the depuncturer
+// that grew its output one push_back at a time, the serial scrambler LFSR,
+// and the SledZig encoder that built one nested plan per sizing trial.  The
+// production kernels must reproduce them bit for bit (memcmp on doubles),
+// including on the edge inputs that decide ties, sentinels, overflow and
+// saturation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,15 +28,19 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "channel/impairments.h"
 #include "channel/medium.h"
 #include "common/dsp.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sledzig/channels.h"
+#include "sledzig/encoder.h"
+#include "sledzig/gf2_rows.h"
 #include "sledzig/significant_bits.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
@@ -42,6 +48,7 @@
 #include "wifi/puncture.h"
 #include "wifi/qam.h"
 #include "wifi/receiver.h"
+#include "wifi/scrambler.h"
 #include "wifi/signal_field.h"
 #include "wifi/transmitter.h"
 
@@ -195,6 +202,46 @@ common::Bits viterbi_decode_soft(const std::vector<double>& llrs,
 
 // --- Constraint-plan builder ---------------------------------------------
 
+// The nested plan layout the flat core::ConstraintPlan replaced: a pair of
+// vectors per cluster, and the sorted union of the positions.
+struct Cluster {
+  std::vector<core::Equation> equations;
+  std::vector<std::size_t> positions;  // same length as equations
+};
+
+struct ConstraintPlan {
+  std::vector<Cluster> clusters;
+  std::vector<std::size_t> extra_positions;
+  std::size_t num_singles = 0;
+  std::size_t num_twins = 0;
+  std::size_t num_unforced_tail = 0;
+  std::size_t num_unforced_head = 0;
+  std::size_t num_collisions = 0;
+};
+
+/// A flat plan in the nested layout.
+ConstraintPlan nest(const core::ConstraintPlan& flat) {
+  ConstraintPlan plan;
+  std::size_t begin = 0;
+  for (const std::size_t end : flat.cluster_ends) {
+    Cluster cluster;
+    cluster.equations.assign(flat.equations.begin() + static_cast<long>(begin),
+                             flat.equations.begin() + static_cast<long>(end));
+    cluster.positions.assign(flat.positions.begin() + static_cast<long>(begin),
+                             flat.positions.begin() + static_cast<long>(end));
+    plan.clusters.push_back(std::move(cluster));
+    begin = end;
+  }
+  plan.extra_positions = flat.positions;
+  std::sort(plan.extra_positions.begin(), plan.extra_positions.end());
+  plan.num_singles = flat.num_singles;
+  plan.num_twins = flat.num_twins;
+  plan.num_unforced_tail = flat.num_unforced_tail;
+  plan.num_unforced_head = flat.num_unforced_head;
+  plan.num_collisions = flat.num_collisions;
+  return plan;
+}
+
 std::vector<core::SignificantBit> all_significant_bits(
     const core::SledzigConfig& cfg, std::size_t num_symbols) {
   std::vector<core::SignificantBit> all;
@@ -214,7 +261,7 @@ common::Bit gen_coeff(unsigned branch, std::size_t step, std::size_t pos) {
   return static_cast<common::Bit>((gen >> (6 - (step - pos))) & 1u);
 }
 
-void solve_cluster_positions(core::Cluster& cluster, std::size_t payload_begin,
+void solve_cluster_positions(Cluster& cluster, std::size_t payload_begin,
                              std::size_t payload_end,
                              std::vector<core::Equation>& unforced) {
   std::vector<std::size_t> candidates;
@@ -289,14 +336,14 @@ void solve_cluster_positions(core::Cluster& cluster, std::size_t payload_begin,
   cluster.positions = std::move(positions);
 }
 
-core::ConstraintPlan build_constraint_plan(const core::SledzigConfig& cfg,
-                                           std::size_t payload_begin,
-                                           std::size_t payload_end) {
+ConstraintPlan build_constraint_plan(const core::SledzigConfig& cfg,
+                                     std::size_t payload_begin,
+                                     std::size_t payload_end) {
   const std::size_t dbps =
       wifi::data_bits_per_symbol(cfg.modulation, cfg.rate, cfg.plan());
   const std::size_t num_symbols = (payload_end + dbps - 1) / dbps;
   const auto sig = all_significant_bits(cfg, num_symbols);
-  core::ConstraintPlan plan;
+  ConstraintPlan plan;
   std::map<std::size_t, unsigned> outputs_per_step;
   std::vector<core::Equation> equations;
   for (const auto& bit : sig) {
@@ -318,7 +365,7 @@ core::ConstraintPlan build_constraint_plan(const core::SledzigConfig& cfg,
   }
   std::vector<core::Equation> unforced;
   for (std::size_t i = 0; i < equations.size();) {
-    core::Cluster cluster;
+    Cluster cluster;
     cluster.equations.push_back(equations[i]);
     std::size_t last_step = equations[i].step;
     std::size_t jmp = i + 1;
@@ -478,6 +525,200 @@ std::vector<double> depuncture(std::span<const double> punctured,
   // real LLR, rounded up to a whole trellis step.
   out.resize(last_kept_end + (last_kept_end % 2));
   return out;
+}
+
+// --- Serial scrambler LFSR and push_back bit conversions --------------------
+
+common::Bits scrambler_sequence(std::uint8_t seed, std::size_t count) {
+  if ((seed & 0x7f) == 0) {
+    throw std::invalid_argument("scrambler: seed must be a nonzero 7-bit value");
+  }
+  // state bits: state[0] = x1 ... state[6] = x7 in the standard's notation.
+  std::uint8_t state = static_cast<std::uint8_t>(seed & 0x7f);
+  common::Bits out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    // Feedback = x7 XOR x4.
+    const std::uint8_t x7 = (state >> 6) & 1u;
+    const std::uint8_t x4 = (state >> 3) & 1u;
+    const std::uint8_t fb = x7 ^ x4;
+    out[i] = fb;
+    state = static_cast<std::uint8_t>(((state << 1) | fb) & 0x7f);
+  }
+  return out;
+}
+
+common::Bits bytes_to_bits(std::span<const std::uint8_t> bytes) {
+  common::Bits bits;
+  bits.reserve(bytes.size() * 8);
+  for (std::uint8_t byte : bytes) {
+    for (int i = 0; i < 8; ++i) {
+      bits.push_back(static_cast<common::Bit>((byte >> i) & 1u));
+    }
+  }
+  return bits;
+}
+
+common::Bytes bits_to_bytes(std::span<const common::Bit> bits) {
+  common::Bytes bytes(bits.size() / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    bytes[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1u) << (i % 8));
+  }
+  return bytes;
+}
+
+// --- Encoder that built one nested plan per sizing trial --------------------
+
+constexpr common::Bit kUnset = 2;
+
+void solve_cluster(const Cluster& cluster, common::Bits& x,
+                   core::Gf2Rows& rows) {
+  const std::size_t first = cluster.equations.front().step;
+  const std::size_t base = first >= 6 ? first - 6 : 0;
+  rows.reset(cluster.equations.back().step - base + 1);
+  for (std::size_t e = 0; e < cluster.equations.size(); ++e) {
+    const core::Equation& eq = cluster.equations[e];
+    rows.flip_rhs(eq.value & 1u);
+    for (unsigned o = 0; o <= 6 && o <= eq.step; ++o) {
+      if (!wifi::taps(eq.branch, o)) continue;
+      const std::size_t pos = eq.step - o;
+      if (x[pos] == kUnset) {
+        rows.set(pos - base);
+      } else {
+        rows.flip_rhs(x[pos] & 1u);
+      }
+    }
+    rows.reduce(eq.step);
+    const std::size_t pivot = cluster.positions[e] - base;
+    if (!rows.test(pivot)) {
+      throw std::logic_error("sledzig: singular cluster system");
+    }
+    rows.keep(eq.step, pivot);
+  }
+  rows.back_substitute([&](std::size_t r, unsigned value) {
+    x[cluster.positions[r]] = static_cast<common::Bit>(value);
+  });
+}
+
+common::Bit encoder_output(const common::Bits& x, std::size_t step,
+                           unsigned branch) {
+  unsigned state = 0;  // x_{n-1} in bit 5 ... x_{n-6} in bit 0
+  for (unsigned i = 1; i <= 6 && i <= step; ++i) {
+    state |= static_cast<unsigned>(x[step - i] & 1u) << (6 - i);
+  }
+  const auto r = wifi::encode_step(state, x[step]);
+  return branch == 0 ? r.out_a : r.out_b;
+}
+
+std::size_t round_up8(std::size_t v) { return (v + 7) / 8 * 8; }
+
+ConstraintPlan nested_plan(const core::SledzigConfig& cfg, std::size_t begin,
+                           std::size_t end) {
+  return nest(core::build_constraint_plan(cfg, begin, end));
+}
+
+core::SledzigEncodeResult sledzig_encode(const common::Bytes& payload,
+                                         const core::SledzigConfig& cfg) {
+  common::Bytes inner;
+  inner.reserve(payload.size() + 2);
+  inner.push_back(static_cast<std::uint8_t>(payload.size() & 0xff));
+  inner.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
+  inner.insert(inner.end(), payload.begin(), payload.end());
+  const auto data_bits = bytes_to_bits(inner);
+
+  const std::size_t svc = cfg.include_service_field ? 16 : 0;
+
+  std::size_t t = round_up8(data_bits.size());
+  ConstraintPlan plan;
+  for (int iter = 0; iter < 64; ++iter) {
+    plan = nested_plan(cfg, svc, svc + t);
+    const std::size_t capacity = t - plan.extra_positions.size();
+    if (capacity >= data_bits.size()) break;
+    t = round_up8(data_bits.size() + plan.extra_positions.size() + 8);
+  }
+  const std::size_t capacity = t - plan.extra_positions.size();
+  if (capacity < data_bits.size()) {
+    throw std::logic_error("sledzig_encode: sizing did not converge");
+  }
+
+  const auto key_abs = scrambler_sequence(cfg.scrambler_seed, svc + t);
+  const auto key_data = scrambler_sequence(cfg.scrambler_seed, capacity);
+
+  common::Bits x(svc + t, kUnset);
+  for (std::size_t p = 0; p < svc; ++p) x[p] = key_abs[p];
+  std::size_t j = 0;
+  auto extra = plan.extra_positions.begin();
+  for (std::size_t p = svc; p < svc + t; ++p) {
+    if (extra != plan.extra_positions.end() && *extra == p) {
+      ++extra;
+      continue;
+    }
+    const common::Bit data = j < data_bits.size() ? data_bits[j] : 0;
+    x[p] = static_cast<common::Bit>((data ^ key_data[j]) & 1u);
+    ++j;
+  }
+
+  core::SledzigEncodeResult result;
+  result.num_twins = plan.num_twins;
+  result.num_unforced_tail = plan.num_unforced_tail;
+  result.num_unforced_head = plan.num_unforced_head;
+  result.num_collisions = plan.num_collisions;
+  core::Gf2Rows rows;
+  for (const auto& cluster : plan.clusters) {
+    solve_cluster(cluster, x, rows);
+    result.num_extra_bits += cluster.positions.size();
+  }
+  for (auto& bit : x) {
+    if (bit == kUnset) bit = 0;
+  }
+
+  for (const auto& cluster : plan.clusters) {
+    for (const auto& eq : cluster.equations) {
+      if (encoder_output(x, eq.step, eq.branch) != eq.value) {
+        ++result.num_violations;
+      }
+    }
+  }
+
+  common::Bits t_bits(t);
+  for (std::size_t p = svc; p < svc + t; ++p) {
+    t_bits[p - svc] = static_cast<common::Bit>((x[p] ^ key_abs[p]) & 1u);
+  }
+  result.transmit_psdu = bits_to_bytes(t_bits);
+  result.scrambled_payload = std::move(x);
+  return result;
+}
+
+std::optional<common::Bytes> sledzig_decode(const common::Bytes& transmit_psdu,
+                                            const core::SledzigConfig& cfg) {
+  const std::size_t t = transmit_psdu.size() * 8;
+  if (t == 0) return std::nullopt;
+  const std::size_t svc = cfg.include_service_field ? 16 : 0;
+  const auto plan = nested_plan(cfg, svc, svc + t);
+  const auto key_abs = scrambler_sequence(cfg.scrambler_seed, svc + t);
+  const auto t_bits = bytes_to_bits(transmit_psdu);
+
+  common::Bits residual;
+  residual.reserve(t);
+  auto extra = plan.extra_positions.begin();
+  for (std::size_t p = svc; p < svc + t; ++p) {
+    if (extra != plan.extra_positions.end() && *extra == p) {
+      ++extra;
+      continue;
+    }
+    residual.push_back(
+        static_cast<common::Bit>((t_bits[p - svc] ^ key_abs[p]) & 1u));
+  }
+  const auto key_data = scrambler_sequence(cfg.scrambler_seed, residual.size());
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual[i] = static_cast<common::Bit>((residual[i] ^ key_data[i]) & 1u);
+  }
+  if (residual.size() < 16) return std::nullopt;
+  const std::size_t len =
+      static_cast<std::size_t>(common::bits_to_uint(residual, 16));
+  if (16 + len * 8 > residual.size()) return std::nullopt;
+  common::Bits payload_bits(residual.begin() + 16,
+                            residual.begin() + static_cast<long>(16 + len * 8));
+  return bits_to_bytes(payload_bits);
 }
 
 }  // namespace ref
@@ -902,9 +1143,10 @@ TEST(HotpathOracle, PreambleScansMatchScalarReference) {
 // ---------------------------------------------------------------------------
 // Constraint plans
 
-void expect_same_plan(const core::ConstraintPlan& got,
-                      const core::ConstraintPlan& want,
+void expect_same_plan(const core::ConstraintPlan& flat,
+                      const ref::ConstraintPlan& want,
                       const std::string& what) {
+  const auto got = ref::nest(flat);
   EXPECT_EQ(got.extra_positions, want.extra_positions) << what;
   EXPECT_EQ(got.num_singles, want.num_singles) << what;
   EXPECT_EQ(got.num_twins, want.num_twins) << what;
@@ -929,16 +1171,21 @@ void expect_same_plan(const core::ConstraintPlan& got,
   }
 }
 
-std::string describe(const core::SledzigConfig& cfg, std::size_t begin,
-                     std::size_t end) {
+std::string describe(const core::SledzigConfig& cfg) {
   std::ostringstream s;
   s << wifi::to_string(cfg.modulation) << ' ' << wifi::to_string(cfg.rate)
     << ' ' << core::to_string(cfg.channel);
   for (auto ch : cfg.extra_channels) s << '+' << core::to_string(ch);
   for (double w : cfg.window_offsets_hz) s << " @" << w;
   s << ' ' << wifi::to_string(cfg.width) << " forced "
-    << cfg.forced_subcarriers << " [" << begin << ", " << end << ')';
+    << cfg.forced_subcarriers;
   return s.str();
+}
+
+std::string describe(const core::SledzigConfig& cfg, std::size_t begin,
+                     std::size_t end) {
+  return describe(cfg) + " [" + std::to_string(begin) + ", " +
+         std::to_string(end) + ")";
 }
 
 void check_plan(const core::SledzigConfig& cfg, std::size_t begin,
@@ -1033,6 +1280,92 @@ TEST(HotpathOracle, PlansMatchReferenceForExplicitWindows) {
   }
 }
 
+/// Every paper mode on CH1-CH4.
+std::vector<core::SledzigConfig> paper_configs() {
+  std::vector<core::SledzigConfig> configs;
+  for (const auto& mode : wifi::paper_phy_modes()) {
+    for (auto ch : core::kAllOverlapChannels) {
+      configs.push_back(core::SledzigConfig{mode.modulation, mode.rate, ch});
+    }
+  }
+  return configs;
+}
+
+/// The multi-channel sets and explicit windows of the plan oracles above:
+/// five channel sets at QAM-64 2/3, and per paper mode two 2 MHz windows and
+/// one 1 MHz window on the 20 MHz plan and two 2 MHz windows at 40 MHz.
+std::vector<core::SledzigConfig> extension_configs() {
+  using core::OverlapChannel;
+  const std::vector<std::vector<OverlapChannel>> sets = {
+      {OverlapChannel::kCh2},
+      {OverlapChannel::kCh2, OverlapChannel::kCh4},
+      {OverlapChannel::kCh1, OverlapChannel::kCh2, OverlapChannel::kCh4},
+      {OverlapChannel::kCh4, OverlapChannel::kCh1, OverlapChannel::kCh2},
+      {OverlapChannel::kCh1, OverlapChannel::kCh2, OverlapChannel::kCh3},
+  };
+  std::vector<core::SledzigConfig> configs;
+  for (const auto& set : sets) {
+    core::SledzigConfig cfg{wifi::Modulation::kQam64, wifi::CodingRate::kR23,
+                            set.front()};
+    cfg.extra_channels.assign(set.begin() + 1, set.end());
+    configs.push_back(cfg);
+  }
+  for (const auto& mode : wifi::paper_phy_modes()) {
+    core::SledzigConfig narrow{mode.modulation, mode.rate,
+                               core::OverlapChannel::kCh2};
+    narrow.window_offsets_hz = {-5e6, 3e6};
+    configs.push_back(narrow);
+    narrow.window_bandwidth_hz = 1e6;
+    narrow.window_offsets_hz = {2e6};
+    configs.push_back(narrow);
+    core::SledzigConfig wide = narrow;
+    wide.width = wifi::ChannelWidth::k40MHz;
+    wide.window_bandwidth_hz = 2e6;
+    wide.window_offsets_hz = {-12e6, 3e6};
+    configs.push_back(wide);
+  }
+  return configs;
+}
+
+TEST(HotpathOracle, PlansArePrefixesOfTheLengthCapPlan) {
+  // sledzig_encode builds one plan and cuts it to the size its sizing
+  // picks.  Cutting the plan at the SIGNAL LENGTH cap to every end, one
+  // octet at a time past 2000 B, must give the plan built for that end,
+  // every field alike (counters, cluster ends and unforced steps too).
+  // Paper modes run every end; the extension configs every third one.
+  auto configs = paper_configs();
+  const std::size_t num_paper = configs.size();
+  const auto extensions = extension_configs();
+  configs.insert(configs.end(), extensions.begin(), extensions.end());
+  const auto failures = common::parallel_map(
+      configs.size() * 2, [&](std::size_t i) -> std::string {
+        const auto& cfg = configs[i / 2];
+        const std::size_t svc = i % 2 == 0 ? 0 : 16;
+        const std::size_t stride = i / 2 < num_paper ? 8 : 24;
+        const auto full = core::build_constraint_plan(
+            cfg, svc, svc + wifi::kMaxPsduOctets * 8);
+        for (std::size_t end = svc; end <= svc + 2004 * 8; end += stride) {
+          auto cut = full;
+          core::truncate_constraint_plan(cut, end);
+          if (!(cut == core::build_constraint_plan(cfg, svc, end))) {
+            return describe(cfg, svc, end);
+          }
+        }
+        return {};
+      });
+  for (const auto& failure : failures) EXPECT_EQ(failure, "");
+  // Cutting a plan to its own end, or to nothing, is a plan too.
+  const auto& cfg = configs.front();
+  auto plan = core::build_constraint_plan(cfg, 16, 16 + 800);
+  const auto same = plan;
+  core::truncate_constraint_plan(plan, 16 + 800);
+  EXPECT_TRUE(plan == same);
+  core::truncate_constraint_plan(plan, 16);
+  EXPECT_TRUE(plan == core::build_constraint_plan(cfg, 16, 16));
+  EXPECT_THROW(core::truncate_constraint_plan(plan, 17), std::invalid_argument);
+  EXPECT_THROW(core::truncate_constraint_plan(plan, 15), std::invalid_argument);
+}
+
 TEST(HotpathOracle, DepunctureMatchesReference) {
   // Every rate over every length from empty to 140, so inputs end on each
   // position of a period, mid-period included, and some end their last
@@ -1063,6 +1396,95 @@ TEST(HotpathOracle, DepunctureMatchesReference) {
     }
   }
   EXPECT_GT(odd_ends, 0u);
+}
+
+TEST(HotpathOracle, ScramblerSequenceMatchesSerialLfsr) {
+  // The keystream is one LFSR period tiled: exact, since x^7 + x^4 + 1 is
+  // primitive and every nonzero seed recurs after exactly 127 steps.
+  for (unsigned seed = 1; seed < 128; ++seed) {
+    for (const std::size_t n : {0u, 1u, 126u, 127u, 128u, 254u, 255u, 12000u}) {
+      const auto s = static_cast<std::uint8_t>(seed);
+      ASSERT_EQ(wifi::scrambler_sequence(s, n), ref::scrambler_sequence(s, n))
+          << "seed " << seed << ", length " << n;
+    }
+  }
+  EXPECT_THROW(wifi::scrambler_sequence(0, 10), std::invalid_argument);
+  EXPECT_THROW(wifi::scrambler_sequence(0x80, 0), std::invalid_argument);
+}
+
+TEST(HotpathOracle, SledzigEncodeMatchesThreeBuildSizing) {
+  // The one-plan encoder against the encoder that built a nested plan per
+  // sizing trial: every field of the result, and the payload the decoder
+  // recovers from the PSDU both produce.  Grid: the
+  // 7 paper modes x CH1-CH4 x service field off/on x scrambler seeds 0x5d,
+  // 0x01, 0x7f are 168 combinations; encode i takes combination i mod 168
+  // and length floor(1501 i / 45360) B, so each length from 0 to 1500 B
+  // appears 30 or 31 times.  Then the extension configs at 60, 600 and
+  // 1500 B.
+  struct Case {
+    core::SledzigConfig cfg;
+    std::size_t octets;
+  };
+  std::vector<Case> cases;
+  std::vector<core::SledzigConfig> combos;
+  for (const auto& base : paper_configs()) {
+    for (const bool service : {false, true}) {
+      for (const std::uint8_t seed : {0x5d, 0x01, 0x7f}) {
+        auto cfg = base;
+        cfg.include_service_field = service;
+        cfg.scrambler_seed = seed;
+        combos.push_back(cfg);
+      }
+    }
+  }
+  constexpr std::size_t kGrid = 45360;
+  for (std::size_t i = 0; i < kGrid; ++i) {
+    const auto& cfg = combos[i % combos.size()];
+    const std::size_t octets = 1501 * i / kGrid;
+    if (core::fits_one_psdu(octets, cfg)) cases.push_back(Case{cfg, octets});
+  }
+  EXPECT_EQ(cases.size(), kGrid);
+  for (const auto& base : extension_configs()) {
+    for (const bool service : {false, true}) {
+      for (const std::size_t octets : {60u, 600u, 1500u}) {
+        auto cfg = base;
+        cfg.include_service_field = service;
+        cases.push_back(Case{cfg, octets});
+      }
+    }
+  }
+
+  const auto failures = common::parallel_map(
+      cases.size(), [&](std::size_t i) -> std::string {
+        const auto& c = cases[i];
+        common::Rng rng(0xe2c0 + i);
+        const auto payload = rng.bytes(c.octets);
+        const auto got = core::sledzig_encode(payload, c.cfg);
+        const auto want = ref::sledzig_encode(payload, c.cfg);
+        if (got == want &&
+            core::sledzig_decode(got.transmit_psdu, c.cfg) == payload) {
+          return {};
+        }
+        return describe(c.cfg) +
+               (c.cfg.include_service_field ? " service " : " ") +
+               std::to_string(c.octets) + " B seed " +
+               std::to_string(c.cfg.scrambler_seed);
+      });
+  for (const auto& failure : failures) EXPECT_EQ(failure, "");
+
+  // Where 64 sizing trials cannot fit the data, here with every data
+  // subcarrier forced at QAM-64 2/3 (a symbol's extras equal N_DBPS) and
+  // 1/2 (they exceed it), the three-build encoder handed back a frame its
+  // own decoder could not read; sizing now fails with its logic_error.
+  const common::Bytes payload(100, 0x5a);
+  for (const auto rate : {wifi::CodingRate::kR23, wifi::CodingRate::kR12}) {
+    core::SledzigConfig all_forced{wifi::Modulation::kQam64, rate,
+                                   core::OverlapChannel::kCh2};
+    all_forced.forced_subcarriers = 48;
+    EXPECT_THROW(core::sledzig_encode(payload, all_forced), std::logic_error);
+    const auto broken = ref::sledzig_encode(payload, all_forced);
+    EXPECT_NE(ref::sledzig_decode(broken.transmit_psdu, all_forced), payload);
+  }
 }
 
 }  // namespace

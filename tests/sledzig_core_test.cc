@@ -118,7 +118,7 @@ TEST(SignificantBits, TableIiTwinStructure) {
   // Steps 15/21/39/45 (1-based) are twins; 63, 69, 86, 87, 92, 93 singles.
   EXPECT_EQ(plan.num_twins, 4u);
   EXPECT_EQ(plan.num_singles, 6u);
-  EXPECT_EQ(plan.extra_positions.size(), 14u);
+  EXPECT_EQ(plan.positions.size(), 14u);
   EXPECT_EQ(plan.num_unforced(), 0u);
 }
 
@@ -131,20 +131,23 @@ TEST(SignificantBits, LoneTwinUsesPaperExtraPositions) {
   cfg.rate = CodingRate::kR12;
   cfg.channel = OverlapChannel::kCh2;
   const auto plan = build_constraint_plan(cfg, 0, 96);
-  ASSERT_FALSE(plan.clusters.empty());
+  ASSERT_FALSE(plan.cluster_ends.empty());
   // Table II's first two twins (steps 15 and 21, 1-based) are 6 steps apart,
   // so they form one cluster; each twin takes its paper positions
   // (n-5, n-1): {9, 13} and {15, 19}.
-  const auto& first = plan.clusters.front();
-  ASSERT_EQ(first.equations.size(), 4u);
-  EXPECT_EQ(first.equations[0].step, 14u);
-  EXPECT_EQ(first.equations[2].step, 20u);
-  EXPECT_EQ(first.positions, (std::vector<std::size_t>{9, 13, 15, 19}));
+  ASSERT_EQ(plan.cluster_ends.front(), 4u);
+  EXPECT_EQ(plan.equations[0].step, 14u);
+  EXPECT_EQ(plan.equations[2].step, 20u);
+  EXPECT_EQ(std::vector<std::size_t>(plan.positions.begin(),
+                                     plan.positions.begin() + 4),
+            (std::vector<std::size_t>{9, 13, 15, 19}));
   // And a lone single forces x_n itself.
-  for (const auto& cluster : plan.clusters) {
-    if (cluster.equations.size() == 1) {
-      EXPECT_EQ(cluster.positions[0], cluster.equations[0].step);
+  std::size_t begin = 0;
+  for (const std::size_t end : plan.cluster_ends) {
+    if (end - begin == 1) {
+      EXPECT_EQ(plan.positions[begin], plan.equations[begin].step);
     }
+    begin = end;
   }
 }
 

@@ -23,11 +23,10 @@ struct Trial {
   Rng rng_;
 };
 
-// Outside a function body any `*_rng(` reads as a member initialiser, so a
-// declaration whose parameters hold a `*` reads as a hand-mixed seed, as
-// seed-derivation reads it in src/.  Helpers that fill buffers from an Rng
-// take a name without the suffix.
-void fill_rng(double* out, std::size_t n);       // expect: underived-seed
+// Near miss: outside a function body `*_rng(` is a member initialiser only
+// after the constructor's `:` or a `,`, so a declaration whose parameters
+// hold a `*` is no seed expression.
+void fill_rng(double* out, std::size_t n);       // declaration: no finding
 void fill_uniform(double* out, std::size_t n);   // no Rng name: no finding
 
 }  // namespace fixture

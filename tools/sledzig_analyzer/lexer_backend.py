@@ -240,13 +240,17 @@ def extract(text: str, rel_path: str) -> FileFacts:
             j = i + 1
             if t == "Rng" and j < n and tokens[j].kind == "ident":
                 j += 1
-            if j < n and tokens[j].text == "(" and (
-                    t == "Rng" or not in_function_body()):
-                prev_t = tokens[i - 1].text if i > 0 else ""
-                if prev_t not in (".", "->"):
-                    expr, _ = _balanced_args(tokens, j)
-                    if expr.strip():
-                        facts.rng_ctors.append(RngCtor(tok.line, expr))
+            prev_t = tokens[i - 1].text if i > 0 else ""
+            if t == "Rng":
+                constructs = prev_t not in (".", "->")
+            else:
+                # A member initialiser follows the constructor's `:` or a
+                # `,`; elsewhere outside a body `*rng(` declares a function.
+                constructs = not in_function_body() and prev_t in (":", ",")
+            if j < n and tokens[j].text == "(" and constructs:
+                expr, _ = _balanced_args(tokens, j)
+                if expr.strip():
+                    facts.rng_ctors.append(RngCtor(tok.line, expr))
 
         if tok.kind == "number" and t[:2].lower() == "0x":
             # A wide hex literal fed straight into a deriver call is an
